@@ -7,6 +7,7 @@ command-line flag.
 
 import argparse
 import configparser
+import contextlib
 import sys
 
 import numpy as np
@@ -88,8 +89,7 @@ def cmd_train(args):
         print("warning: K is ignored for the regression model", file=sys.stderr)
     scheme = "l1_binary_idf" if cfg["model"] == "dialect" else "l2_count"
     train_recs, train_toks, vocab, Xtr = _read_features(args.train, min_df=cfg["min_df"], scheme=scheme)
-    _, _, _, Xdev = _read_features(args.dev, vocab=vocab, scheme=scheme)
-    dev_recs = data.read_corpus(args.dev)
+    dev_recs, _, _, Xdev = _read_features(args.dev, vocab=vocab, scheme=scheme)
     Ytr = data.coords_array(train_recs)
     Ydev = data.coords_array(dev_recs)
     D, K = len(vocab), cfg["k"]
@@ -177,29 +177,28 @@ def cmd_predict(args):
         rows = [("stdin", args.text)]
     else:
         rows = [(r.user_id, r.text) for r in data.read_corpus(args.input)]
-    out = args.output and open(args.output, "w", encoding="utf-8") or sys.stdout
-    print(f"# selection_rule={rule}", file=out)
-    print("user_id\tpred_lat\tpred_lon\tcomponents", file=out)
-    for uid, text in rows:
-        fv = features.vectorize(features.tokenize(text), vocab)
-        if fv.empty:
-            print(f"{uid}\tno-features\tno-features\t", file=out)
-            continue
-        X = features.vectorize_matrix([features.tokenize(text)], vocab)
-        if hasattr(model, "mixture_arrays"):
-            mu1, mu2, s1, s2, rho, pi = model.mixture_arrays(X)
-            p = heads.predict_arrays(mu1, mu2, s1, s2, rho, pi, rule)[0]
-            order = np.argsort(-pi[0])[:min(args.top, pi.shape[1])]
-            comps = ";".join(
-                f"pi={pi[0, k]:.4f},mu=({mu1[0, k]:.4f},{mu2[0, k]:.4f}),"
-                f"sigma=({s1[0, k]:.4f},{s2[0, k]:.4f}),rho={rho[0, k]:.4f}"
-                for k in order)
-        else:
-            p = model.predict_points(X)[0]
-            comps = ""
-        print(f"{uid}\t{p[0]:.6f}\t{p[1]:.6f}\t{comps}", file=out)
-    if out is not sys.stdout:
-        out.close()
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else contextlib.nullcontext(sys.stdout)) as out:
+        print(f"# selection_rule={rule}", file=out)
+        print("user_id\tpred_lat\tpred_lon\tcomponents", file=out)
+        for uid, text in rows:
+            fv = features.vectorize(features.tokenize(text), vocab)
+            if fv.empty:
+                print(f"{uid}\tno-features\tno-features\t", file=out)
+                continue
+            X = features.vectorize_matrix([features.tokenize(text)], vocab)
+            if hasattr(model, "mixture_arrays"):
+                mu1, mu2, s1, s2, rho, pi = model.mixture_arrays(X)
+                p = heads.predict_arrays(mu1, mu2, s1, s2, rho, pi, rule)[0]
+                order = np.argsort(-pi[0])[:min(args.top, pi.shape[1])]
+                comps = ";".join(
+                    f"pi={pi[0, k]:.4f},mu=({mu1[0, k]:.4f},{mu2[0, k]:.4f}),"
+                    f"sigma=({s1[0, k]:.4f},{s2[0, k]:.4f}),rho={rho[0, k]:.4f}"
+                    for k in order)
+            else:
+                p = model.predict_points(X)[0]
+                comps = ""
+            print(f"{uid}\t{p[0]:.6f}\t{p[1]:.6f}\t{comps}", file=out)
 
 
 def cmd_dialect(args):

@@ -13,14 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geo import GeoPoint
-from .models import MODEL_CLASSES
+from .models import MODEL_CLASSES, READABLE_VERSIONS, CheckpointError
 
 
 class CorpusError(ValueError):
-    pass
-
-
-class CheckpointError(ValueError):
     pass
 
 
@@ -139,17 +135,20 @@ def coords_array(records):
 
 
 def save_model(path, model):
+    text = json.dumps(model.to_checkpoint())
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(model.to_checkpoint(), f)
+        f.write(text)
 
 
 def load_model(path, expected_k=None):
     try:
         with open(path, encoding="utf-8") as f:
             ck = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"cannot load checkpoint {path}: {e}") from e
-    if ck.get("format_version") != 1:
+    if not isinstance(ck, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
+    if ck.get("format_version") not in READABLE_VERSIONS:
         raise CheckpointError(f"unsupported checkpoint version: {ck.get('format_version')}")
     name = ck.get("model")
     if name not in MODEL_CLASSES:
@@ -158,8 +157,9 @@ def load_model(path, expected_k=None):
     if ck.get("slice_layout") != SLICE_LAYOUT:
         raise CheckpointError(
             f"slice layout mismatch: {ck.get('slice_layout')!r} vs {SLICE_LAYOUT!r}")
-    if expected_k is not None:
-        k = ck.get("head", {}).get("K")
+    head = ck.get("head")
+    if expected_k is not None and isinstance(head, dict):
+        k = head.get("K")
         if k is not None and k != expected_k:
             raise CheckpointError(f"checkpoint has K={k}, expected K={expected_k}")
     return MODEL_CLASSES[name].from_checkpoint(ck)

@@ -6,7 +6,15 @@ and ``network.gradient_check``, plus checkpoint (de)serialization.
 
 Training data is a ``(X, Y)`` pair: X dense or CSR features, Y an N x 2
 coordinate array (geolocation) or N x V target matrix (dialectology).
+
+Checkpoint format 2 stores each parameter block as ``{"shape": [...],
+"data": "<base64 of little-endian float64 bytes>"}``; format 1 stored
+``"data"`` as a JSON list of floats and is still read.  Every other field
+is plain JSON.  This module owns both encodings.
 """
+
+import base64
+import binascii
 
 import numpy as np
 from scipy import sparse
@@ -16,7 +24,12 @@ from . import heads
 from .geo import GeoPoint
 from .network import NetworkSpec, backward, forward, init_network_params, regularization_penalty
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
+
+
+class CheckpointError(ValueError):
+    pass
 
 
 def _dense(X, idx=None):
@@ -71,22 +84,82 @@ class _BaseModel:
                 "seed": self.spec.seed,
             },
             "vocab_hash": self.vocab_hash,
-            "params": {
-                name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-                for name, arr in sorted(self.params.items())
-            },
+            "params": {name: _encode_block(arr) for name, arr in sorted(self.params.items())},
         }
         ck.update(self._extra_checkpoint())
         return ck
 
     def _load_params(self, ck):
-        for name, entry in ck["params"].items():
-            self.params[name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
+        blocks = _field(ck, "params", dict)
+        if set(blocks) != set(self.params):
+            raise CheckpointError(f"parameter blocks {sorted(blocks)} do not match the "
+                                  f"model's {sorted(self.params)}")
+        v1 = ck.get("format_version") == 1
+        for name, entry in blocks.items():
+            arr = _decode_block_v1(name, entry) if v1 else _decode_block(name, entry)
+            if arr.shape != self.params[name].shape:
+                raise CheckpointError(f"parameter {name} has shape {arr.shape}, "
+                                      f"the model needs {self.params[name].shape}")
+            self.params[name] = arr
         self.vocab_hash = ck.get("vocab_hash")
 
 
+def _encode_block(arr):
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
+
+
+def _block_shape(name, entry):
+    shape = entry.get("shape") if isinstance(entry, dict) else None
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise CheckpointError(f"parameter {name}: bad or missing shape")
+    return tuple(shape)
+
+
+def _decode_block(name, entry):
+    shape = _block_shape(name, entry)
+    try:
+        raw = base64.b64decode(entry.get("data"), validate=True)
+    except (TypeError, binascii.Error) as e:
+        raise CheckpointError(f"parameter {name}: invalid base64 data: {e}") from e
+    if len(raw) != 8 * int(np.prod(shape)):
+        raise CheckpointError(f"parameter {name}: {len(raw)} bytes for shape {list(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+
+
+def _decode_block_v1(name, entry):
+    shape = _block_shape(name, entry)
+    try:
+        return np.array(entry.get("data"), dtype=float).reshape(shape)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"parameter {name}: bad float list: {e}") from e
+
+
+def _field(ck, key, kind):
+    value = ck.get(key)
+    if not isinstance(value, kind):
+        raise CheckpointError(f"checkpoint field {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
+def _build(factory, fields, what):
+    """``factory(**fields)``, with unknown or invalid fields as a CheckpointError."""
+    try:
+        return factory(**fields)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"bad {what} in checkpoint: {e}") from e
+
+
 def _spec_from_checkpoint(ck):
-    return NetworkSpec(**ck["network_spec"])
+    return _build(NetworkSpec, _field(ck, "network_spec", dict), "network_spec")
+
+
+def _mixture_model_from_checkpoint(cls, ck):
+    spec = _spec_from_checkpoint(ck)
+    head = _build(heads.MdnHeadConfig, _field(ck, "head", dict), "head")
+    model = _build(cls, dict(spec=spec, head=head), "head for this network_spec")
+    model._load_params(ck)
+    return model
 
 
 class RegressionGeolocator(_BaseModel):
@@ -164,9 +237,7 @@ class MdnGeolocator(_BaseModel):
 
     @classmethod
     def from_checkpoint(cls, ck):
-        model = cls(_spec_from_checkpoint(ck), heads.MdnHeadConfig(**ck["head"]))
-        model._load_params(ck)
-        return model
+        return _mixture_model_from_checkpoint(cls, ck)
 
 
 class SharedMdnGeolocator(_BaseModel):
@@ -228,9 +299,7 @@ class SharedMdnGeolocator(_BaseModel):
 
     @classmethod
     def from_checkpoint(cls, ck):
-        model = cls(_spec_from_checkpoint(ck), heads.MdnHeadConfig(**ck["head"]))
-        model._load_params(ck)
-        return model
+        return _mixture_model_from_checkpoint(cls, ck)
 
 
 class DialectModel(_BaseModel):
@@ -293,7 +362,10 @@ class DialectModel(_BaseModel):
         K = spec.layer_sizes[0]
         layer = dl.GaussianLayerState(mus=np.zeros((K, 2)),
                                       raw_sigmas=np.zeros((K, 2)), raw_rhos=np.zeros(K))
-        model = cls(spec, layer, ck["terms"], log_domain=ck.get("log_domain", False))
+        terms = _field(ck, "terms", list)
+        if len(terms) != spec.layer_sizes[-1]:
+            raise CheckpointError(f"{len(terms)} terms for an output layer of {spec.layer_sizes[-1]}")
+        model = cls(spec, layer, terms, log_domain=ck.get("log_domain", False))
         model._load_params(ck)
         return model
 

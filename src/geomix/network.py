@@ -120,8 +120,13 @@ def backward(params, spec, acts, d_output):
                 delta = delta * acts.masks[i]
             delta = delta * (1.0 - np.tanh(acts.pre_acts[i]) ** 2)
         W = params[f"W{i}"]
-        grads[f"W{i}"] = acts.layer_inputs[i].T @ delta \
-            + spec.l1_coeff * np.sign(W) + 2.0 * spec.l2_coeff * W
+        gW = acts.layer_inputs[i].T @ delta
+        # a zero coefficient adds exactly 0.0, so its pass over W is skipped
+        if spec.l1_coeff:
+            gW += spec.l1_coeff * np.sign(W)
+        if spec.l2_coeff:
+            gW += 2.0 * spec.l2_coeff * W
+        grads[f"W{i}"] = gW
         grads[f"b{i}"] = delta.sum(axis=0)
         delta = delta @ W.T
     return grads, delta
@@ -131,7 +136,9 @@ def regularization_penalty(params, spec):
     total = 0.0
     for i in range(len(spec.layer_sizes) - 1):
         W = params[f"W{i}"]
-        total += spec.l1_coeff * np.abs(W).sum() + spec.l2_coeff * np.sum(W * W)
+        l1 = spec.l1_coeff * np.abs(W).sum() if spec.l1_coeff else 0.0
+        l2 = spec.l2_coeff * np.sum(W * W) if spec.l2_coeff else 0.0
+        total += l1 + l2
     return total
 
 

@@ -178,6 +178,18 @@ def test_unknown_profile_and_missing_file(tmp_path):
     assert rc == 1
 
 
+def test_malformed_checkpoint_is_an_error_line(trained, tmp_path, capsys):
+    import json
+    ck = json.loads((trained / "mdn.json").read_text())
+    del ck["network_spec"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(ck))
+    rc = run(["heatmap", "--checkpoint", str(bad), "--vocab", str(trained / "vocab.tsv"),
+              "--text", "ambtok0", "--bbox", "25,55,-110,-90", "--output", str(tmp_path / "g.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_config_file_and_flag_precedence(corpus, tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[model]\nmodel = regression\nhidden = 8\n"

@@ -135,6 +135,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         model.vocab_hash = "cafe0123"
         path = tmp_path / f"m{i}.json"
         save_model(path, model)
+        assert json.loads(path.read_text())["format_version"] == 2
         loaded = load_model(path)
         assert type(loaded) is type(model)
         assert loaded.vocab_hash == "cafe0123"
@@ -163,7 +164,7 @@ def test_checkpoint_errors(tmp_path):
         load_model(tmp_path / "missing.json")
 
     ck = json.loads(path.read_text())
-    ck["format_version"] = 2
+    ck["format_version"] = 99
     bad = tmp_path / "ver.json"
     bad.write_text(json.dumps(ck))
     with pytest.raises(CheckpointError):
@@ -182,6 +183,50 @@ def test_checkpoint_errors(tmp_path):
     bad3.write_text(json.dumps(ck))
     with pytest.raises(CheckpointError):
         load_model(bad3)
+
+
+def test_v1_checkpoint_still_loads_bitwise(tmp_path):
+    instances, _ = all_model_instances()
+    for i, (model, _) in enumerate(instances):
+        ck = model.to_checkpoint()
+        ck["format_version"] = 1
+        ck["params"] = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                        for name, arr in model.params.items()}
+        path = tmp_path / f"v1-{i}.json"
+        path.write_text(json.dumps(ck))
+        loaded = load_model(path)
+        assert type(loaded) is type(model)
+        for name, arr in model.params.items():
+            assert loaded.params[name].tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("breakage", [
+    "drop network_spec", "drop params", "drop head", "unknown spec key", "bad base64",
+    "short block", "missing block", "wrong block shape", "head K mismatch", "not an object"])
+def test_malformed_checkpoint_is_checkpoint_error(tmp_path, breakage):
+    mdn = models.MdnGeolocator(network.NetworkSpec((6, 5, 12), seed=0), heads.MdnHeadConfig(2))
+    ck = mdn.to_checkpoint()
+    block = ck["params"]["W0"]
+    if breakage.startswith("drop "):
+        del ck[breakage[len("drop "):]]
+    elif breakage == "unknown spec key":
+        ck["network_spec"]["learning_rate"] = 0.5
+    elif breakage == "bad base64":
+        block["data"] = "not base64!"
+    elif breakage == "short block":
+        block["data"] = block["data"][:-12]
+    elif breakage == "missing block":
+        del ck["params"]["b1"]
+    elif breakage == "wrong block shape":
+        block["shape"] = [5, 6]
+    elif breakage == "head K mismatch":
+        ck["head"]["K"] = 3
+    else:
+        ck = [ck]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(ck))
+    with pytest.raises(CheckpointError):
+        load_model(path)
 
 
 def test_checkpoint_k_mismatch_refused(tmp_path):
