@@ -38,13 +38,24 @@ DEFAULTS = dict(model=None, hidden="100", k=100, dropout=0.0, regul=None,
                 seed=0, selection_rule="strongest_pi", mu_init="mean")
 
 
-def _load_config_file(path):
+SYNTH_KEYS = ("mode_centers", "mode_stddev", "users_per_mode", "tokens_per_user",
+              "exclusive_tokens_per_mode", "ambiguous_tokens", "noise_tokens",
+              "ambiguous_only_fraction", "seed")
+
+
+class UsageError(ValueError):
+    """Bad command-line or config-file input."""
+
+
+def _load_config_file(path, allowed):
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as f:
         parser.read_file(f)
     flat = {}
     for section in parser.sections():
         for key, value in parser.items(section):
+            if key not in allowed:
+                raise UsageError(f"unknown key {key!r} in [{section}] of {path}")
             flat[key] = value
     return flat
 
@@ -57,18 +68,21 @@ def resolve_config(args):
             raise SystemExit(f"unknown profile: {args.profile} (have {', '.join(sorted(PROFILES))})")
         cfg.update(PROFILES[args.profile])
     if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config))
+        cfg.update(_load_config_file(args.config, DEFAULTS))
     for key in DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    for key in ("k", "min_df", "batch_size", "max_epochs", "patience", "seed"):
-        cfg[key] = int(cfg[key])
-    for key in ("dropout", "l1", "l2", "lr", "beta1", "beta2", "epsilon"):
-        cfg[key] = float(cfg[key])
-    if cfg.get("regul") is not None:
-        cfg["l1"] = cfg["l2"] = float(cfg["regul"]) / 2.0
-    cfg["hidden"] = tuple(int(h) for h in str(cfg["hidden"]).split(",") if h)
+    try:
+        for key in ("k", "min_df", "batch_size", "max_epochs", "patience", "seed"):
+            cfg[key] = int(cfg[key])
+        for key in ("dropout", "l1", "l2", "lr", "beta1", "beta2", "epsilon"):
+            cfg[key] = float(cfg[key])
+        if cfg.get("regul") is not None:
+            cfg["l1"] = cfg["l2"] = float(cfg["regul"]) / 2.0
+        cfg["hidden"] = tuple(int(h) for h in str(cfg["hidden"]).split(",") if h)
+    except ValueError as e:
+        raise UsageError(f"bad setting: {e}") from e
     return cfg
 
 
@@ -182,11 +196,10 @@ def cmd_predict(args):
         print(f"# selection_rule={rule}", file=out)
         print("user_id\tpred_lat\tpred_lon\tcomponents", file=out)
         for uid, text in rows:
-            fv = features.vectorize(features.tokenize(text), vocab)
-            if fv.empty:
+            X = features.vectorize_matrix([features.tokenize(text)], vocab)
+            if X.nnz == 0:
                 print(f"{uid}\tno-features\tno-features\t", file=out)
                 continue
-            X = features.vectorize_matrix([features.tokenize(text)], vocab)
             if hasattr(model, "mixture_arrays"):
                 mu1, mu2, s1, s2, rho, pi = model.mixture_arrays(X)
                 p = heads.predict_arrays(mu1, mu2, s1, s2, rho, pi, rule)[0]
@@ -243,29 +256,28 @@ def _edit_distance(a, b):
 
 def cmd_heatmap(args):
     model = data.load_model(args.checkpoint)
-    bbox = tuple(float(x) for x in args.bbox.split(","))
     res = args.resolution
+    try:
+        lats, lons, points = heads.grid_cells(tuple(float(x) for x in args.bbox.split(",")), res)
+    except ValueError as e:
+        raise UsageError(f"bad --bbox {args.bbox!r} or --resolution {res}: {e}") from e
     if model.model_name == "dialect":
         if args.word is None:
             raise SystemExit("dialect heatmap needs --word")
         if args.word not in model.terms:
             near = sorted(model.terms, key=lambda t: _edit_distance(args.word, t))[:5]
             raise SystemExit(f"word {args.word!r} not in vocabulary; nearest: {', '.join(near)}")
-        wi = model.terms.index(args.word)
-        lat_min, lat_max, lon_min, lon_max = bbox
-        lats = lat_min + (lat_max - lat_min) / res * (np.arange(res) + 0.5)
-        lons = lon_min + (lon_max - lon_min) / res * (np.arange(res) + 0.5)
-        glat, glon = np.meshgrid(lats, lons, indexing="ij")
-        pts = np.stack([glat.ravel(), glon.ravel()], axis=1)
-        values = model.word_log_probs(pts)[:, wi].reshape(res, res)
+        values = model.word_log_probs(points)[:, model.terms.index(args.word)]
     else:
+        if not hasattr(model, "mixture_arrays"):
+            raise UsageError(f"heatmap needs a mixture or dialect checkpoint, got {model.model_name!r}")
         if args.text is None or args.vocab is None:
             raise SystemExit("geolocation heatmap needs --text and --vocab")
         vocab = features.load_vocab(args.vocab)
         _check_vocab(model, vocab)
         X = features.vectorize_matrix([features.tokenize(args.text)], vocab)
-        mixtures = heads_from_model(model, X)
-        lats, lons, values = heads.predictive_density_grid(mixtures[0], bbox, res)
+        values = heads.predictive_density_grid([a[0] for a in model.mixture_arrays(X)], points)
+    values = values.reshape(res, res)
     with open(args.output, "w", encoding="utf-8") as f:
         f.write("lat,lon,log_value\n")
         for i, la in enumerate(lats):
@@ -274,27 +286,12 @@ def cmd_heatmap(args):
     print(f"grid written to {args.output}", file=sys.stderr)
 
 
-def heads_from_model(model, X):
-    from .gaussian import GaussianParams, MixtureDensity
-    mu1, mu2, s1, s2, rho, pi = model.mixture_arrays(X)
-    out = []
-    for n in range(pi.shape[0]):
-        comps = tuple(GaussianParams(mu1[n, k], mu2[n, k], s1[n, k], s2[n, k], rho[n, k])
-                      for k in range(pi.shape[1]))
-        w = pi[n] / pi[n].sum()
-        out.append(MixtureDensity(components=comps, weights=tuple(w)))
-    return out
-
-
-def cmd_synth(args):
-    cfg = {}
-    if args.config:
-        cfg = _load_config_file(args.config)
+def _synth_spec(args, cfg):
     centers = [geo.GeoPoint(*map(float, p.split(",")))
                for p in (args.mode_centers or cfg.get("mode_centers", "30,-100;50,-100")).split(";")]
     users = args.users_per_mode or cfg.get("users_per_mode", "100")
     users = [int(u) for u in str(users).split(",")]
-    spec = data.SyntheticSpec(
+    return data.SyntheticSpec(
         mode_centers=centers,
         mode_stddev=float(args.mode_stddev or cfg.get("mode_stddev", 0.5)),
         users_per_mode=users if len(users) > 1 else users[0],
@@ -304,6 +301,16 @@ def cmd_synth(args):
         noise_tokens=int(args.noise_tokens or cfg.get("noise_tokens", 20)),
         ambiguous_only_fraction=float(args.ambiguous_fraction or cfg.get("ambiguous_only_fraction", 0.25)),
         seed=int(args.seed if args.seed is not None else cfg.get("seed", 0)))
+
+
+def cmd_synth(args):
+    cfg = {}
+    if args.config:
+        cfg = _load_config_file(args.config, SYNTH_KEYS)
+    try:
+        spec = _synth_spec(args, cfg)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"bad synth settings: {e}") from e
     train, dev, test = data.generate_synthetic(spec)
     for name, records in (("train", train), ("dev", dev), ("test", test)):
         path = f"{args.out_prefix}{name}.tsv"
@@ -403,7 +410,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (data.CorpusError, data.CheckpointError, features.PipelineError,
+    except (UsageError, data.CorpusError, data.CheckpointError, features.PipelineError,
             network.TrainingError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -135,12 +135,17 @@ def save_vocab(path, vocab):
 
 
 def load_vocab(path):
+    index, df = {}, {}
     with open(path, encoding="utf-8") as f:
-        doc_count, min_df, stop_hash = f.readline().rstrip("\n").split("\t")
-        index, df = {}, {}
-        for line in f:
-            i, t, c = line.rstrip("\n").split("\t")
-            index[t] = int(i)
-            df[t] = int(c)
-    return Vocabulary(index=index, df=df, doc_count=int(doc_count),
-                      min_df=int(min_df), stop_hash=stop_hash)
+        try:
+            doc_count, min_df, stop_hash = f.readline().rstrip("\n").split("\t")
+            doc_count, min_df = int(doc_count), int(min_df)
+        except ValueError as e:
+            raise PipelineError(f"{path}:1: malformed vocabulary header: {e}") from e
+        for ln, line in enumerate(f, 2):
+            try:
+                i, t, c = line.rstrip("\n").split("\t")
+                index[t], df[t] = int(i), int(c)
+            except ValueError as e:
+                raise PipelineError(f"{path}:{ln}: malformed vocabulary line: {e}") from e
+    return Vocabulary(index=index, df=df, doc_count=doc_count, min_df=min_df, stop_hash=stop_hash)

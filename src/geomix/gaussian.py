@@ -1,77 +1,11 @@
-"""Bivariate Gaussian / mixture math, constraint transforms and derivatives.
+"""Constraint transforms and their derivatives: softplus for sigmas,
+softsign for rhos, softmax for mixing weights.
 
-All densities are computed in log domain; linear-domain values are thin
-exponentiation wrappers.  Coordinates are raw degrees (latitude, longitude)
-treated as a Euclidean plane; geodesic correction lives in ``geo``.
+The bivariate Gaussian log-density itself lives in ``kernels``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-
-from .kernels import component_log_pdf, logsumexp_rows
-
-
-class ParameterDomainError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    mu1: float  # degrees latitude
-    mu2: float  # degrees longitude
-    sigma1: float
-    sigma2: float
-    rho: float
-
-    def __post_init__(self):
-        if not (self.sigma1 > 0.0 and self.sigma2 > 0.0):
-            raise ParameterDomainError(f"sigma must be positive, got ({self.sigma1}, {self.sigma2})")
-        if not -1.0 < self.rho < 1.0:
-            raise ParameterDomainError(f"rho must be in (-1, 1), got {self.rho}")
-
-
-@dataclass(frozen=True)
-class MixtureDensity:
-    components: tuple  # K GaussianParams
-    weights: tuple  # K probabilities
-
-    def __post_init__(self):
-        if len(self.components) < 1 or len(self.components) != len(self.weights):
-            raise ParameterDomainError("need K >= 1 components with matching weights")
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-6:
-            raise ParameterDomainError(f"weights must be nonnegative and sum to 1, got {list(w)}")
-
-
-def log_pdf(g, x):
-    """log N(x | mu, Sigma) for a single bivariate Gaussian at GeoPoint x."""
-    d1 = np.asarray(x.lat - g.mu1, dtype=float)
-    d2 = np.asarray(x.lon - g.mu2, dtype=float)
-    return float(component_log_pdf(d1, d2, np.float64(g.sigma1), np.float64(g.sigma2), np.float64(g.rho)))
-
-
-def pdf(g, x):
-    return float(np.exp(log_pdf(g, x)))
-
-
-def mixture_log_pdf(m, x):
-    """logsumexp over components of log pi_k + log N_k(x); zero weights skipped."""
-    terms = []
-    for g, w in zip(m.components, m.weights):
-        if w > 0.0:
-            terms.append(np.log(w) + log_pdf(g, x))
-    if not terms:
-        raise ParameterDomainError("all mixture weights are zero")
-    return logsumexp(terms)
-
-
-def logsumexp(v):
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        raise ParameterDomainError("logsumexp of empty input")
-    return float(logsumexp_rows(v.reshape(1, -1))[0])
 
 
 def softplus(x):

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import kmeans
-from .gaussian import (GaussianParams, MixtureDensity, inv_softplus, log_softmax,
-                       softplus, softplus_grad, softsign, softsign_grad)
-from .geo import GeoPoint
+from .gaussian import inv_softplus, log_softmax, softplus, softplus_grad, softsign, softsign_grad
 from .kernels import SIGMA_MIN, component_log_pdf, log_pdf_partials, logsumexp_rows
 from .network import ContractError, TrainingError
 
@@ -60,17 +58,6 @@ def unpack_arrays(raw, K):
     rho = softsign(raw[:, 4 * K:5 * K])
     pi = np.exp(log_softmax(raw[:, 5 * K:]))
     return mu1, mu2, s1, s2, rho, pi
-
-
-def mdn_unpack(raw, K):
-    """Raw N x 6K -> list of N MixtureDensity values."""
-    mu1, mu2, s1, s2, rho, pi = unpack_arrays(raw, K)
-    out = []
-    for n in range(raw.shape[0]):
-        comps = tuple(GaussianParams(mu1[n, k], mu2[n, k], s1[n, k], s2[n, k], rho[n, k])
-                      for k in range(K))
-        out.append(MixtureDensity(components=comps, weights=tuple(pi[n])))
-    return out
 
 
 def _mixture_terms(d1, d2, s1, s2, rho, log_pi):
@@ -184,19 +171,6 @@ def predict_arrays(mu1, mu2, s1, s2, rho, pi, rule="strongest_pi"):
     return out
 
 
-def predict(mixture, rule="strongest_pi"):
-    """Point prediction for one MixtureDensity; ties break to lowest index."""
-    K = len(mixture.components)
-    mu1 = np.array([[g.mu1 for g in mixture.components]])
-    mu2 = np.array([[g.mu2 for g in mixture.components]])
-    s1 = np.array([[g.sigma1 for g in mixture.components]])
-    s2 = np.array([[g.sigma2 for g in mixture.components]])
-    rho = np.array([[g.rho for g in mixture.components]])
-    pi = np.asarray(mixture.weights, dtype=float).reshape(1, K)
-    p = predict_arrays(mu1, mu2, s1, s2, rho, pi, rule)[0]
-    return GeoPoint(float(p[0]), float(p[1]))
-
-
 def regression_loss(raw, labels):
     """Squared error summed over the 2 dims, mean over samples."""
     raw = np.asarray(raw, dtype=float)
@@ -208,34 +182,33 @@ def regression_loss(raw, labels):
     return loss, 2.0 * diff / raw.shape[0]
 
 
-def predictive_density_grid(mixture, bbox, resolution):
-    """Row-major grid of mixture log-density at cell centers.
+def grid_cells(bbox, resolution):
+    """Cell centres of a resolution x resolution grid over a bounding box.
 
-    bbox = (lat_min, lat_max, lon_min, lon_max); resolution cells per axis.
-    Returns (lat_centers, lon_centers, grid) with grid[i, j] at
-    (lat_centers[i], lon_centers[j]).
+    bbox = (lat_min, lat_max, lon_min, lon_max).  Returns (lats, lons,
+    points) where points is the row-major (resolution^2) x 2 array of
+    (lat, lon) centres, lats varying slowest.
     """
     lat_min, lat_max, lon_min, lon_max = bbox
     if resolution < 2 or lat_max <= lat_min or lon_max <= lon_min:
         raise ValueError("bbox must be non-degenerate with resolution >= 2")
-    lat_step = (lat_max - lat_min) / resolution
-    lon_step = (lon_max - lon_min) / resolution
-    lats = lat_min + lat_step * (np.arange(resolution) + 0.5)
-    lons = lon_min + lon_step * (np.arange(resolution) + 0.5)
-    K = len(mixture.components)
-    mu1 = np.array([g.mu1 for g in mixture.components])
-    mu2 = np.array([g.mu2 for g in mixture.components])
-    s1 = np.array([g.sigma1 for g in mixture.components])
-    s2 = np.array([g.sigma2 for g in mixture.components])
-    rho = np.array([g.rho for g in mixture.components])
-    log_pi = np.log(np.asarray(mixture.weights, dtype=float))
+    lats = lat_min + (lat_max - lat_min) / resolution * (np.arange(resolution) + 0.5)
+    lons = lon_min + (lon_max - lon_min) / resolution * (np.arange(resolution) + 0.5)
     glat, glon = np.meshgrid(lats, lons, indexing="ij")
-    pts = np.stack([glat.ravel(), glon.ravel()], axis=1)
-    d1 = pts[:, 0:1] - mu1[None, :]
-    d2 = pts[:, 1:2] - mu2[None, :]
+    return lats, lons, np.stack([glat.ravel(), glon.ravel()], axis=1)
+
+
+def predictive_density_grid(mixture, points):
+    """Mixture log-density at each of the P x 2 (lat, lon) ``points``.
+
+    ``mixture`` is one sample's (mu1, mu2, sigma1, sigma2, rho, pi), each of
+    length K, in ``unpack_arrays`` order; pi is renormalised to sum to 1.
+    """
+    mu1, mu2, s1, s2, rho, pi = mixture
+    d1 = points[:, 0:1] - mu1[None, :]
+    d2 = points[:, 1:2] - mu2[None, :]
     with np.errstate(divide="ignore"):
-        log_joint = log_pi[None, :] + component_log_pdf(
+        log_joint = np.log(pi / pi.sum())[None, :] + component_log_pdf(
             d1, d2, np.broadcast_to(s1, d1.shape), np.broadcast_to(s2, d1.shape),
             np.broadcast_to(rho, d1.shape))
-    grid = logsumexp_rows(np.ascontiguousarray(log_joint)).reshape(resolution, resolution)
-    return lats, lons, grid
+    return logsumexp_rows(np.ascontiguousarray(log_joint))

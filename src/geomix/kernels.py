@@ -1,15 +1,8 @@
 """Hot numeric kernels for the bivariate Gaussian mixture math.
 
-Every kernel has a pure-numpy implementation; when numba is importable the
-kernels are additionally compiled with ``@njit``.  Set ``GEOMIX_NO_NUMBA=1``
-to force the numpy path (useful for debugging and for the benchmark in
-``benchmarks/bench_kernels.py``).
-
 All kernels are elementwise over same-shape float64 arrays; broadcasting is
 the caller's job.
 """
-
-import os
 
 import numpy as np
 
@@ -22,13 +15,15 @@ SIGMA_MIN = 1e-6
 Q_MIN = 1e-9
 
 
-def _component_log_pdf(d1, d2, s1, s2, rho):
+def component_log_pdf(d1, d2, s1, s2, rho):
+    """log N(d | 0, Sigma(s1, s2, rho)) for offsets d = x - mu."""
     q = np.maximum(1.0 - rho * rho, Q_MIN)
     z = d1 * d1 / (s1 * s1) - 2.0 * rho * d1 * d2 / (s1 * s2) + d2 * d2 / (s2 * s2)
     return -LOG_2PI - np.log(s1) - np.log(s2) - 0.5 * np.log(q) - z / (2.0 * q)
 
 
-def _log_pdf_partials(d1, d2, s1, s2, rho):
+def log_pdf_partials(d1, d2, s1, s2, rho):
+    """Partials of ``component_log_pdf`` w.r.t. (mu1, mu2, s1, s2, rho)."""
     q = np.maximum(1.0 - rho * rho, Q_MIN)
     z = d1 * d1 / (s1 * s1) - 2.0 * rho * d1 * d2 / (s1 * s2) + d2 * d2 / (s2 * s2)
     cross = d1 * d2 / (s1 * s2)
@@ -42,48 +37,11 @@ def _log_pdf_partials(d1, d2, s1, s2, rho):
     return dmu1, dmu2, ds1, ds2, drho
 
 
-def _logsumexp_rows_np(a):
+def logsumexp_rows(a):
+    """Row-wise log(sum(exp(a))) of an N x K array; all -inf rows give -inf."""
     m = np.max(a, axis=1)
     shift = np.where(np.isfinite(m), m, 0.0)
     s = np.sum(np.exp(a - shift[:, None]), axis=1)
     with np.errstate(divide="ignore"):
         out = shift + np.log(s)
     return np.where(m == -np.inf, -np.inf, out)
-
-
-def _logsumexp_rows_loop(a):
-    n, k = a.shape
-    out = np.empty(n)
-    for i in range(n):
-        m = -np.inf
-        for j in range(k):
-            if a[i, j] > m:
-                m = a[i, j]
-        if m == -np.inf:
-            out[i] = -np.inf
-            continue
-        s = 0.0
-        for j in range(k):
-            s += np.exp(a[i, j] - m)
-        out[i] = m + np.log(s)
-    return out
-
-
-_DISABLED = os.environ.get("GEOMIX_NO_NUMBA", "") not in ("", "0")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-    except ImportError:
-        _DISABLED = True
-
-if _DISABLED:
-    component_log_pdf = _component_log_pdf
-    log_pdf_partials = _log_pdf_partials
-    logsumexp_rows = _logsumexp_rows_np
-    NUMBA_ENABLED = False
-else:
-    component_log_pdf = njit(cache=True)(_component_log_pdf)
-    log_pdf_partials = njit(cache=True)(_log_pdf_partials)
-    logsumexp_rows = njit(cache=True)(_logsumexp_rows_loop)
-    NUMBA_ENABLED = True

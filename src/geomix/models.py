@@ -44,9 +44,11 @@ def _take(Y, idx=None):
 class _BaseModel:
     model_name = None
 
-    def __init__(self, spec, rng=None):
+    def __init__(self, spec, rng=None, params=None):
+        """``params`` None draws fresh Glorot weights; ``from_checkpoint``
+        passes ``{}`` and then fills every block from the file."""
         self.spec = spec
-        self.params = init_network_params(spec, rng)
+        self.params = init_network_params(spec, rng) if params is None else params
         self.vocab_hash = None
 
     def num_examples(self, data):
@@ -89,18 +91,40 @@ class _BaseModel:
         ck.update(self._extra_checkpoint())
         return ck
 
+    @classmethod
+    def _checkpoint_fields(cls, ck, spec):
+        """Constructor arguments, besides spec and params, read from a checkpoint."""
+        return {}
+
+    @classmethod
+    def from_checkpoint(cls, ck):
+        spec = _build(NetworkSpec, _field(ck, "network_spec", dict), "network_spec")
+        model = _build(cls, dict(spec=spec, params={}, **cls._checkpoint_fields(ck, spec)),
+                       "model fields for this network_spec")
+        model._load_params(ck)
+        return model
+
     def _load_params(self, ck):
+        """Set ``params`` from the checkpoint's blocks, which must be the
+        network's blocks plus the extra blocks the constructor set."""
+        sizes = self.spec.layer_sizes
+        shapes = {}
+        for i in range(len(sizes) - 1):
+            shapes[f"W{i}"], shapes[f"b{i}"] = (sizes[i], sizes[i + 1]), (sizes[i + 1],)
+        shapes.update((name, arr.shape) for name, arr in self.params.items())
         blocks = _field(ck, "params", dict)
-        if set(blocks) != set(self.params):
+        if set(blocks) != set(shapes):
             raise CheckpointError(f"parameter blocks {sorted(blocks)} do not match the "
-                                  f"model's {sorted(self.params)}")
+                                  f"model's {sorted(shapes)}")
         v1 = ck.get("format_version") == 1
-        for name, entry in blocks.items():
-            arr = _decode_block_v1(name, entry) if v1 else _decode_block(name, entry)
-            if arr.shape != self.params[name].shape:
+        params = {}
+        for name, shape in shapes.items():
+            arr = _decode_block_v1(name, blocks[name]) if v1 else _decode_block(name, blocks[name])
+            if arr.shape != shape:
                 raise CheckpointError(f"parameter {name} has shape {arr.shape}, "
-                                      f"the model needs {self.params[name].shape}")
-            self.params[name] = arr
+                                      f"the model needs {shape}")
+            params[name] = arr
+        self.params = params
         self.vocab_hash = ck.get("vocab_hash")
 
 
@@ -150,18 +174,6 @@ def _build(factory, fields, what):
         raise CheckpointError(f"bad {what} in checkpoint: {e}") from e
 
 
-def _spec_from_checkpoint(ck):
-    return _build(NetworkSpec, _field(ck, "network_spec", dict), "network_spec")
-
-
-def _mixture_model_from_checkpoint(cls, ck):
-    spec = _spec_from_checkpoint(ck)
-    head = _build(heads.MdnHeadConfig, _field(ck, "head", dict), "head")
-    model = _build(cls, dict(spec=spec, head=head), "head for this network_spec")
-    model._load_params(ck)
-    return model
-
-
 class RegressionGeolocator(_BaseModel):
     """Baseline MLP regressor with a 2-d linear output."""
 
@@ -177,23 +189,41 @@ class RegressionGeolocator(_BaseModel):
         out = forward(self.params, self.spec, _dense(X)).output
         return out.copy()
 
+
+class _MixtureGeolocator(_BaseModel):
+    """Geolocator whose prediction for each user is a mixture of K bivariate
+    Gaussians; subclasses differ in which mixture arrays the network emits."""
+
+    def __init__(self, spec, head, rng=None, params=None):
+        super().__init__(spec, rng, params)
+        self.head = head
+
+    def mixture_arrays(self, X):
+        """(mu1, mu2, sigma1, sigma2, rho, pi) for the rows of X, each N x K."""
+        raise NotImplementedError
+
+    def predict_points(self, X, rule=None):
+        mu1, mu2, s1, s2, rho, pi = self.mixture_arrays(X)
+        return heads.predict_arrays(mu1, mu2, s1, s2, rho, pi,
+                                    rule or self.head.selection_rule)
+
+    def _extra_checkpoint(self):
+        return {"head": {"K": self.head.K, "selection_rule": self.head.selection_rule}}
+
     @classmethod
-    def from_checkpoint(cls, ck):
-        model = cls(_spec_from_checkpoint(ck))
-        model._load_params(ck)
-        return model
+    def _checkpoint_fields(cls, ck, spec):
+        return {"head": _build(heads.MdnHeadConfig, _field(ck, "head", dict), "head")}
 
 
-class MdnGeolocator(_BaseModel):
+class MdnGeolocator(_MixtureGeolocator):
     """MDN head: the network emits all 6K mixture parameters per sample."""
 
     model_name = "mdn"
 
-    def __init__(self, spec, head, rng=None):
+    def __init__(self, spec, head, rng=None, params=None):
         if spec.layer_sizes[-1] != 6 * head.K:
             raise ValueError(f"output size {spec.layer_sizes[-1]} != 6K = {6 * head.K}")
-        super().__init__(spec, rng)
-        self.head = head
+        super().__init__(spec, head, rng, params)
 
     def _data_loss(self, X, Y, train_mode, rng):
         acts = forward(self.params, self.spec, X, train_mode=train_mode, rng=rng)
@@ -227,29 +257,16 @@ class MdnGeolocator(_BaseModel):
         raw = forward(self.params, self.spec, _dense(X)).output
         return heads.unpack_arrays(raw, self.head.K)
 
-    def predict_points(self, X, rule=None):
-        mu1, mu2, s1, s2, rho, pi = self.mixture_arrays(X)
-        return heads.predict_arrays(mu1, mu2, s1, s2, rho, pi,
-                                    rule or self.head.selection_rule)
 
-    def _extra_checkpoint(self):
-        return {"head": {"K": self.head.K, "selection_rule": self.head.selection_rule}}
-
-    @classmethod
-    def from_checkpoint(cls, ck):
-        return _mixture_model_from_checkpoint(cls, ck)
-
-
-class SharedMdnGeolocator(_BaseModel):
+class SharedMdnGeolocator(_MixtureGeolocator):
     """MDN with globally shared mus/Sigmas; the network predicts only pi."""
 
     model_name = "mdn_shared"
 
-    def __init__(self, spec, head, shared=None, rng=None):
+    def __init__(self, spec, head, shared=None, rng=None, params=None):
         if spec.layer_sizes[-1] != head.K:
             raise ValueError(f"output size {spec.layer_sizes[-1]} != K = {head.K}")
-        super().__init__(spec, rng)
-        self.head = head
+        super().__init__(spec, head, rng, params)
         if shared is None:
             shared = heads.SharedMixtureState(
                 mus=np.zeros((head.K, 2)),
@@ -289,28 +306,16 @@ class SharedMdnGeolocator(_BaseModel):
         return (tile(self.params["mus"][:, 0]), tile(self.params["mus"][:, 1]),
                 tile(s1), tile(s2), tile(rho), pi)
 
-    def predict_points(self, X, rule=None):
-        mu1, mu2, s1, s2, rho, pi = self.mixture_arrays(X)
-        return heads.predict_arrays(mu1, mu2, s1, s2, rho, pi,
-                                    rule or self.head.selection_rule)
-
-    def _extra_checkpoint(self):
-        return {"head": {"K": self.head.K, "selection_rule": self.head.selection_rule}}
-
-    @classmethod
-    def from_checkpoint(cls, ck):
-        return _mixture_model_from_checkpoint(cls, ck)
-
 
 class DialectModel(_BaseModel):
     """Coordinate -> Gaussian layer (K) -> tanh hidden -> SoftMax over V."""
 
     model_name = "dialect"
 
-    def __init__(self, spec, layer, terms, log_domain=False, rng=None):
+    def __init__(self, spec, layer, terms, log_domain=False, rng=None, params=None):
         if spec.layer_sizes[0] != layer.mus.shape[0]:
             raise ValueError("network input size must equal the component count K")
-        super().__init__(spec, rng)
+        super().__init__(spec, rng, params)
         self.terms = list(terms)
         self.log_domain = log_domain
         self.params["mus"] = np.asarray(layer.mus, dtype=float)
@@ -357,17 +362,14 @@ class DialectModel(_BaseModel):
         return {"terms": self.terms, "log_domain": self.log_domain}
 
     @classmethod
-    def from_checkpoint(cls, ck):
-        spec = _spec_from_checkpoint(ck)
+    def _checkpoint_fields(cls, ck, spec):
         K = spec.layer_sizes[0]
         layer = dl.GaussianLayerState(mus=np.zeros((K, 2)),
                                       raw_sigmas=np.zeros((K, 2)), raw_rhos=np.zeros(K))
         terms = _field(ck, "terms", list)
         if len(terms) != spec.layer_sizes[-1]:
             raise CheckpointError(f"{len(terms)} terms for an output layer of {spec.layer_sizes[-1]}")
-        model = cls(spec, layer, terms, log_domain=ck.get("log_domain", False))
-        model._load_params(ck)
-        return model
+        return {"layer": layer, "terms": terms, "log_domain": ck.get("log_domain", False)}
 
 
 MODEL_CLASSES = {

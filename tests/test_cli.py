@@ -216,3 +216,83 @@ def test_table_profiles_encode_reported_settings():
     assert p["twitterus-mdn-shared"]["k"] == 900
     assert p["geotext-regression"]["hidden"] == "100,50"
     assert p["twitterus-regression"]["regul"] == 1e-5
+
+
+@pytest.fixture(scope="module")
+def regression_run(corpus, tmp_path_factory):
+    d = tmp_path_factory.mktemp("regression")
+    rc = run(["train", "--model", "regression", "--profile", "synth-regression",
+              "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
+              "--checkpoint", str(d / "reg.json"), "--vocab", str(d / "vocab.tsv"),
+              "--max-epochs", "1"])
+    assert rc == 0
+    return d
+
+
+def bad_input_argv(case, request, tmp_path):
+    out = str(tmp_path / "out.csv")
+    if case == "synth center out of range":
+        return ["synth", "--out-prefix", str(tmp_path / "s-"), "--mode-centers", "100,-100;50,-100"]
+    if case == "malformed vocab":
+        trained, corpus = request.getfixturevalue("trained"), request.getfixturevalue("corpus")
+        vocab = tmp_path / "bad-vocab.tsv"
+        vocab.write_text((trained / "vocab.tsv").read_text() + "x\ty\n")
+        return ["evaluate", "--checkpoint", str(trained / "mdn.json"), "--vocab", str(vocab),
+                "--test", str(corpus / "s-test.tsv")]
+    if case == "bad config value":
+        corpus = request.getfixturevalue("corpus")
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[train]\nlr = fast\n")
+        return ["train", "--model", "regression", "--config", str(cfg),
+                "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
+                "--checkpoint", out]
+    if case.startswith("dialect"):
+        ck = request.getfixturevalue("dialect_run") / "dia.json"
+        return ["heatmap", "--checkpoint", str(ck), "--word", "mode0tok0",
+                "--bbox", "30,30,-100,-90", "--resolution", "1", "--output", out]
+    d = request.getfixturevalue("regression_run" if case.startswith("regression") else "trained")
+    ck = d / ("reg.json" if case.startswith("regression") else "mdn.json")
+    bbox = {"three-value bbox": "1,2,3", "degenerate bbox": "1,1,3,4"}.get(case, "25,55,-105,-95")
+    return ["heatmap", "--checkpoint", str(ck), "--vocab", str(d / "vocab.tsv"),
+            "--text", "mode1tok0", "--bbox", bbox, "--output", out]
+
+
+@pytest.mark.parametrize("case", ["three-value bbox", "degenerate bbox", "dialect degenerate bbox",
+                                  "regression heatmap", "synth center out of range",
+                                  "malformed vocab", "bad config value"])
+def test_bad_input_is_an_error_line(case, request, tmp_path, capsys):
+    argv = bad_input_argv(case, request, tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+def test_unknown_config_key_is_an_error(command, corpus, tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("[train]\nlearning_rate = 0.5\n")
+    if command == "train":
+        argv = ["train", "--model", "regression", "--config", str(cfg),
+                "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
+                "--checkpoint", str(tmp_path / "typo.json")]
+    else:
+        argv = ["synth", "--config", str(cfg), "--out-prefix", str(tmp_path / "s-")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "learning_rate" in err
+
+
+def test_predict_tokenizes_each_row_once(trained, corpus, tmp_path, monkeypatch):
+    from geomix import features
+    calls = []
+    tokenize = features.tokenize
+    monkeypatch.setattr(features, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    queries = tmp_path / "q.tsv"
+    queries.write_text("a\t0\t0\tmode0tok0 mode0tok1\nb\t0\t0\tzzz qqq\nc\t0\t0\tmode1tok0\n")
+    assert run(["predict", "--checkpoint", str(trained / "mdn.json"),
+                "--vocab", str(trained / "vocab.tsv"), "--input", str(queries),
+                "--output", str(tmp_path / "p.tsv")]) == 0
+    assert len(calls) == 3
+    rows = (tmp_path / "p.tsv").read_text().splitlines()[2:]
+    assert [r.split("\t")[1] == "no-features" for r in rows] == [False, True, False]

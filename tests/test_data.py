@@ -237,3 +237,20 @@ def test_checkpoint_k_mismatch_refused(tmp_path):
     assert load_model(path, expected_k=3).head.K == 3
     with pytest.raises(CheckpointError):
         load_model(path, expected_k=5)
+
+
+def test_load_runs_no_init_draw(tmp_path, monkeypatch):
+    instances, _ = all_model_instances()
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("init_network_params called while loading")
+
+    monkeypatch.setattr(models, "init_network_params", no_draw)
+    for i, (model, _) in enumerate(instances):
+        path = tmp_path / f"m{i}.json"
+        save_model(path, model)
+        loaded = load_model(path)
+        assert type(loaded) is type(model)
+        assert list(loaded.params) == list(model.params)
+        for name, arr in model.params.items():
+            assert loaded.params[name].tobytes() == arr.tobytes()

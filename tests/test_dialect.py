@@ -3,9 +3,10 @@ and perplexity."""
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from geomix import dialect as dl
-from geomix.gaussian import GaussianParams, inv_softplus, log_pdf
+from geomix.gaussian import inv_softplus, softsign
 from geomix.geo import EARTH_RADIUS_KM, GeoPoint
 from geomix.network import ContractError
 
@@ -38,13 +39,12 @@ def test_layer_matches_log_pdf_composition():
     rho_raw = rng.normal(size=K)
     state = dl.GaussianLayerState(mus=mus, raw_sigmas=np.asarray(inv_softplus(sigmas)),
                                   raw_rhos=rho_raw)
-    from geomix.gaussian import softsign
     x = GeoPoint(5.0, -3.0)
     acts = dl.gaussian_layer_forward(state, x)
     for k in range(K):
-        g = GaussianParams(mus[k, 0], mus[k, 1], sigmas[k, 0], sigmas[k, 1],
-                           float(softsign(rho_raw[k])))
-        assert abs(acts[k] - np.exp(log_pdf(g, x))) < 1e-12
+        s1, s2, rho = sigmas[k, 0], sigmas[k, 1], float(softsign(rho_raw[k]))
+        cov = [[s1 ** 2, rho * s1 * s2], [rho * s1 * s2, s2 ** 2]]
+        assert abs(acts[k] - multivariate_normal(mean=mus[k], cov=cov).pdf([x.lat, x.lon])) < 1e-12
     log_acts = dl.gaussian_layer_forward(state, x, log_domain=True)
     np.testing.assert_allclose(np.exp(log_acts), acts, rtol=1e-12)
 

@@ -124,3 +124,10 @@ def test_content_hash_changes_with_df():
     v1 = build_vocab(docs, min_df=1)
     v2 = build_vocab(docs + [["axx"]], min_df=1)
     assert v1.content_hash() != v2.content_hash()
+
+
+def test_malformed_vocab_names_the_line(tmp_path):
+    vocab = tmp_path / "v.tsv"
+    vocab.write_text("3\t1\tabc\n0\tfoo\t2\nx\ty\n")
+    with pytest.raises(PipelineError, match=r"v\.tsv:3:"):
+        load_vocab(vocab)

@@ -3,11 +3,21 @@ regression loss and the predictive density grid."""
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from geomix import heads
-from geomix.gaussian import GaussianParams, MixtureDensity, softplus
-from geomix.geo import GeoPoint
+from geomix.gaussian import softplus
 from geomix.network import ContractError
+
+
+def mixture_rows(components, weights):
+    """1 x K (mu1, mu2, sigma1, sigma2, rho, pi) arrays from per-component tuples."""
+    cols = [np.array([[c[i] for c in components]], dtype=float) for i in range(5)]
+    return (*cols, np.array([weights], dtype=float))
+
+
+def predict(components, weights, rule):
+    return heads.predict_arrays(*mixture_rows(components, weights), rule)[0]
 
 
 def test_unpack_widths():
@@ -31,9 +41,10 @@ def test_unpack_zero_raw():
 def test_mdn_unpack_valid_mixtures():
     rng = np.random.default_rng(0)
     raw = rng.normal(scale=3.0, size=(4, 18))
-    for m in heads.mdn_unpack(raw, 3):
-        assert isinstance(m, MixtureDensity)
-        assert abs(sum(m.weights) - 1.0) < 1e-9
+    mu1, mu2, s1, s2, rho, pi = heads.unpack_arrays(raw, 3)
+    assert np.all(s1 > 0) and np.all(s2 > 0) and np.all(np.abs(rho) < 1)
+    assert np.all(pi >= 0)
+    np.testing.assert_allclose(pi.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
 def make_raw(mu1, mu2, sigma, rho_raw, pi_raw):
@@ -61,9 +72,13 @@ def test_mdn_nll_matches_mixture_log_pdf():
     raw = rng.normal(scale=1.5, size=(5, 6 * K))
     labels = rng.normal(scale=2.0, size=(5, 2))
     loss, _ = heads.mdn_nll(raw, labels, K)
-    from geomix.gaussian import mixture_log_pdf
-    direct = -np.mean([mixture_log_pdf(m, GeoPoint(*labels[n]))
-                       for n, m in enumerate(heads.mdn_unpack(raw, K))])
+    mu1, mu2, s1, s2, rho, pi = heads.unpack_arrays(raw, K)
+    direct = -np.mean([np.log(sum(
+        pi[n, k] * multivariate_normal(
+            mean=[mu1[n, k], mu2[n, k]],
+            cov=[[s1[n, k] ** 2, rho[n, k] * s1[n, k] * s2[n, k]],
+                 [rho[n, k] * s1[n, k] * s2[n, k], s2[n, k] ** 2]]).pdf(labels[n])
+        for k in range(K))) for n in range(len(labels))])
     assert abs(loss - direct) < 1e-10
 
 
@@ -162,31 +177,26 @@ def test_init_shared_properties():
 
 
 def test_predict_strongest_pi():
-    m = MixtureDensity(
-        (GaussianParams(0.0, 0.0, 1.0, 1.0, 0.0), GaussianParams(5.0, 5.0, 1.0, 1.0, 0.0)),
-        (0.4, 0.6))
-    p = heads.predict(m, "strongest_pi")
-    assert (p.lat, p.lon) == (5.0, 5.0)
+    p = predict(((0.0, 0.0, 1.0, 1.0, 0.0), (5.0, 5.0, 1.0, 1.0, 0.0)), (0.4, 0.6), "strongest_pi")
+    assert tuple(p) == (5.0, 5.0)
 
 
 def test_predict_max_mixture_prob_differs_from_strongest_pi():
     # Two broad overlapping components hold most of the pi mass, but a narrow
     # third component has the highest mixture density at its own mean.
-    comps = (GaussianParams(0.0, 0.0, 1.0, 1.0, 0.0),
-             GaussianParams(0.5, 0.0, 1.0, 1.0, 0.0),
-             GaussianParams(10.0, 10.0, 0.05, 0.05, 0.0))
-    m = MixtureDensity(comps, (0.35, 0.34, 0.31))
-    assert heads.predict(m, "strongest_pi").lat == 0.0
-    assert heads.predict(m, "max_mixture_prob").lat == 10.0
+    comps = ((0.0, 0.0, 1.0, 1.0, 0.0),
+             (0.5, 0.0, 1.0, 1.0, 0.0),
+             (10.0, 10.0, 0.05, 0.05, 0.0))
+    weights = (0.35, 0.34, 0.31)
+    assert predict(comps, weights, "strongest_pi")[0] == 0.0
+    assert predict(comps, weights, "max_mixture_prob")[0] == 10.0
 
 
 def test_predict_tie_breaks_to_lowest_index():
-    g = GaussianParams(1.0, 2.0, 1.0, 1.0, 0.0)
-    far = GaussianParams(-50.0, 60.0, 1.0, 1.0, 0.0)
-    m = MixtureDensity((g, far), (0.5, 0.5))
-    assert heads.predict(m, "strongest_pi").lat == 1.0
+    comps = ((1.0, 2.0, 1.0, 1.0, 0.0), (-50.0, 60.0, 1.0, 1.0, 0.0))
+    assert predict(comps, (0.5, 0.5), "strongest_pi")[0] == 1.0
     with pytest.raises(ValueError):
-        heads.predict(m, "mode_hunting")
+        predict(comps, (0.5, 0.5), "mode_hunting")
 
 
 def test_regression_loss_example():
@@ -217,23 +227,27 @@ def test_regression_gradient_fd():
 
 
 def test_density_grid_integrates_to_one():
-    m = MixtureDensity(
-        (GaussianParams(40.0, -100.0, 0.8, 1.1, 0.2),
-         GaussianParams(43.0, -96.0, 1.2, 0.7, -0.4)),
-        (0.55, 0.45))
+    mixture = [a[0] for a in mixture_rows(
+        ((40.0, -100.0, 0.8, 1.1, 0.2), (43.0, -96.0, 1.2, 0.7, -0.4)), (0.55, 0.45))]
     bbox = (30.0, 53.0, -112.0, -84.0)
-    lats, lons, grid = heads.predictive_density_grid(m, bbox, 200)
+    lats, lons, points = heads.grid_cells(bbox, 200)
+    grid = heads.predictive_density_grid(mixture, points).reshape(200, 200)
     assert grid.shape == (200, 200)
     cell = (bbox[1] - bbox[0]) / 200 * (bbox[3] - bbox[2]) / 200
     assert abs(np.exp(grid).sum() * cell - 1.0) < 1e-2
+    # pi is renormalised: doubled weights give the same grid
+    doubled = mixture[:5] + [2.0 * mixture[5]]
+    np.testing.assert_allclose(heads.predictive_density_grid(doubled, points), grid.ravel(),
+                               rtol=1e-12)
     # grid peak sits near the heavier component's mean
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     assert abs(lats[i] - 40.0) < 0.2 and abs(lons[j] + 100.0) < 0.2
 
 
 def test_density_grid_validation():
-    m = MixtureDensity((GaussianParams(0, 0, 1, 1, 0),), (1.0,))
     with pytest.raises(ValueError):
-        heads.predictive_density_grid(m, (1.0, 1.0, 0.0, 2.0), 10)
+        heads.grid_cells((1.0, 1.0, 0.0, 2.0), 10)
     with pytest.raises(ValueError):
-        heads.predictive_density_grid(m, (0.0, 1.0, 0.0, 1.0), 1)
+        heads.grid_cells((0.0, 1.0, 0.0, 1.0), 1)
+    with pytest.raises(ValueError):
+        heads.grid_cells((0.0, 1.0, 0.0), 10)

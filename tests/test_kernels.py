@@ -1,5 +1,4 @@
-"""Dispatched kernels agree with the pure-numpy reference and with
-finite differences."""
+"""Kernels agree with scipy and with finite differences."""
 
 import numpy as np
 from scipy.special import logsumexp as scipy_logsumexp
@@ -16,29 +15,6 @@ def random_inputs(rng, shape):
     return d1, d2, s1, s2, rho
 
 
-def test_dispatched_log_pdf_matches_reference():
-    rng = np.random.default_rng(0)
-    args = random_inputs(rng, (50, 7))
-    np.testing.assert_array_equal(kernels.component_log_pdf(*args),
-                                  kernels._component_log_pdf(*args))
-
-
-def test_dispatched_partials_match_reference():
-    rng = np.random.default_rng(1)
-    args = random_inputs(rng, (30, 5))
-    got = kernels.log_pdf_partials(*args)
-    want = kernels._log_pdf_partials(*args)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
-
-
-def test_dispatched_logsumexp_matches_reference():
-    rng = np.random.default_rng(2)
-    a = rng.normal(scale=50.0, size=(40, 9))
-    np.testing.assert_allclose(kernels.logsumexp_rows(a),
-                               kernels._logsumexp_rows_np(a), rtol=0, atol=1e-12)
-
-
 def test_logsumexp_matches_scipy_and_handles_extremes():
     rng = np.random.default_rng(3)
     a = rng.normal(scale=300.0, size=(20, 6))
@@ -46,7 +22,6 @@ def test_logsumexp_matches_scipy_and_handles_extremes():
                                scipy_logsumexp(a, axis=1), rtol=1e-12)
     inf_row = np.full((1, 4), -np.inf)
     assert kernels.logsumexp_rows(inf_row)[0] == -np.inf
-    assert kernels._logsumexp_rows_np(inf_row)[0] == -np.inf
     # shift invariance
     shift = 1234.5
     np.testing.assert_allclose(kernels.logsumexp_rows(a + shift),
@@ -55,9 +30,9 @@ def test_logsumexp_matches_scipy_and_handles_extremes():
 
 def test_log_pdf_scalar_value():
     # standard bivariate normal at the mean
-    got = kernels._component_log_pdf(np.array([[0.0]]), np.array([[0.0]]),
-                                     np.array([[1.0]]), np.array([[1.0]]),
-                                     np.array([[0.0]]))
+    got = kernels.component_log_pdf(np.array([[0.0]]), np.array([[0.0]]),
+                                    np.array([[1.0]]), np.array([[1.0]]),
+                                    np.array([[0.0]]))
     assert abs(got[0, 0] + kernels.LOG_2PI) < 1e-15
 
 
@@ -70,11 +45,11 @@ def test_partials_match_finite_differences():
         x1, x2 = d1, d2
 
         def f(m1, m2, a, b, r):
-            return kernels._component_log_pdf(
+            return kernels.component_log_pdf(
                 np.array([[x1 - m1]]), np.array([[x2 - m2]]),
                 np.array([[a]]), np.array([[b]]), np.array([[r]]))[0, 0]
 
-        analytic = [g[0, 0] for g in kernels._log_pdf_partials(
+        analytic = [g[0, 0] for g in kernels.log_pdf_partials(
             np.array([[d1]]), np.array([[d2]]), np.array([[s1]]),
             np.array([[s2]]), np.array([[rho]]))]
         base = (mu1, mu2, s1, s2, rho)
@@ -93,6 +68,6 @@ def test_rho_clamp_is_stop_gradient():
     d2 = np.array([[0.5]])
     s = np.array([[1.0]])
     rho = np.array([[1.0 - 1e-12]])  # 1 - rho^2 below Q_MIN
-    out = kernels._log_pdf_partials(d1, d2, s, s, rho)
+    out = kernels.log_pdf_partials(d1, d2, s, s, rho)
     assert out[4][0, 0] == 0.0
-    assert np.isfinite(kernels._component_log_pdf(d1, d2, s, s, rho)).all()
+    assert np.isfinite(kernels.component_log_pdf(d1, d2, s, s, rho)).all()
