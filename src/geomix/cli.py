@@ -65,7 +65,7 @@ def resolve_config(args):
     cfg = dict(DEFAULTS)
     if getattr(args, "profile", None):
         if args.profile not in PROFILES:
-            raise SystemExit(f"unknown profile: {args.profile} (have {', '.join(sorted(PROFILES))})")
+            raise UsageError(f"unknown profile: {args.profile} (have {', '.join(sorted(PROFILES))})")
         cfg.update(PROFILES[args.profile])
     if getattr(args, "config", None):
         cfg.update(_load_config_file(args.config, DEFAULTS))
@@ -98,7 +98,7 @@ def _read_features(path, vocab=None, min_df=10, scheme="l2_count"):
 def cmd_train(args):
     cfg = resolve_config(args)
     if cfg["model"] not in ("regression", "mdn", "mdn_shared", "dialect"):
-        raise SystemExit(f"--model must be one of regression/mdn/mdn_shared/dialect, got {cfg['model']!r}")
+        raise UsageError(f"--model must be one of regression/mdn/mdn_shared/dialect, got {cfg['model']!r}")
     if cfg["model"] == "regression" and args.k is not None:
         print("warning: K is ignored for the regression model", file=sys.stderr)
     scheme = "l1_binary_idf" if cfg["model"] == "dialect" else "l2_count"
@@ -110,6 +110,8 @@ def cmd_train(args):
     seed = cfg["seed"]
 
     if cfg["model"] == "dialect":
+        if not cfg["hidden"]:
+            raise UsageError("the dialect model needs a --hidden size")
         model = models.DialectModel.init(K, cfg["hidden"][0], vocab.terms, Ytr, seed=seed,
                                          dropout_rate=cfg["dropout"], l1_coeff=cfg["l1"], l2_coeff=cfg["l2"])
         train_data = (Ytr, Xtr.toarray())
@@ -156,19 +158,26 @@ def cmd_train(args):
     print(f"checkpoint written to {args.checkpoint}", file=sys.stderr)
 
 
-def _check_vocab(model, vocab):
+def _load_vocab_for(model, path):
+    """The vocabulary at ``path``, refused unless ``model`` was trained on it."""
+    vocab = features.load_vocab(path)
     if model.vocab_hash is not None and model.vocab_hash != vocab.content_hash():
-        raise SystemExit(f"vocabulary hash mismatch: checkpoint {model.vocab_hash}, "
+        raise UsageError(f"vocabulary hash mismatch: checkpoint {model.vocab_hash}, "
                          f"file {vocab.content_hash()}")
+    return vocab
+
+
+def _load_geolocator(args):
+    """The ``--checkpoint`` geolocation model and its ``--vocab``."""
+    model = data.load_model(args.checkpoint)
+    if model.model_name == "dialect":
+        raise UsageError(f"{args.command} expects a geolocation checkpoint; "
+                         "use the dialect subcommand for dialect models")
+    return model, _load_vocab_for(model, args.vocab)
 
 
 def cmd_evaluate(args):
-    model = data.load_model(args.checkpoint)
-    if model.model_name == "dialect":
-        raise SystemExit("evaluate expects a geolocation checkpoint; "
-                         "use the dialect subcommand for dialect models")
-    vocab = features.load_vocab(args.vocab)
-    _check_vocab(model, vocab)
+    model, vocab = _load_geolocator(args)
     records, _, _, X = _read_features(args.test, vocab=vocab)
     truths = [r.location for r in records]
     raw = model.predict_points(X)
@@ -183,9 +192,7 @@ def cmd_evaluate(args):
 
 
 def cmd_predict(args):
-    model = data.load_model(args.checkpoint)
-    vocab = features.load_vocab(args.vocab)
-    _check_vocab(model, vocab)
+    model, vocab = _load_geolocator(args)
     rule = args.rule or getattr(getattr(model, "head", None), "selection_rule", "strongest_pi")
     if args.text is not None:
         rows = [("stdin", args.text)]
@@ -217,7 +224,7 @@ def cmd_predict(args):
 def cmd_dialect(args):
     model = data.load_model(args.checkpoint)
     if model.model_name != "dialect":
-        raise SystemExit(f"dialect scoring needs a dialect checkpoint, got {model.model_name!r}")
+        raise UsageError(f"dialect scoring needs a dialect checkpoint, got {model.model_name!r}")
     regions = dl.read_regions(args.regions)
     train_recs = data.read_corpus(args.train)
     coords = data.coords_array(train_recs)
@@ -234,9 +241,8 @@ def cmd_dialect(args):
             continue
         scores = dl.score_vocabulary(log_probs, mask)
         ranked = dl.dialect_rank(terms, scores)
-        out_path = f"{args.out_prefix}{region.name}.tsv"
-        dl.write_ranking_tsv(out_path, ranked)
         recall, oov = dl.recall_at_k([t for t, _ in ranked], region.terms, args.k, terms)
+        dl.write_ranking_tsv(f"{args.out_prefix}{region.name}.tsv", ranked)
         summary.append((region.name, int(mask.sum()), recall, len(oov)))
     print("region\tn_points\trecall@%d\toov_gold" % args.k)
     for name, n, recall, oov in summary:
@@ -263,18 +269,17 @@ def cmd_heatmap(args):
         raise UsageError(f"bad --bbox {args.bbox!r} or --resolution {res}: {e}") from e
     if model.model_name == "dialect":
         if args.word is None:
-            raise SystemExit("dialect heatmap needs --word")
+            raise UsageError("dialect heatmap needs --word")
         if args.word not in model.terms:
             near = sorted(model.terms, key=lambda t: _edit_distance(args.word, t))[:5]
-            raise SystemExit(f"word {args.word!r} not in vocabulary; nearest: {', '.join(near)}")
+            raise UsageError(f"word {args.word!r} not in vocabulary; nearest: {', '.join(near)}")
         values = model.word_log_probs(points)[:, model.terms.index(args.word)]
     else:
         if not hasattr(model, "mixture_arrays"):
             raise UsageError(f"heatmap needs a mixture or dialect checkpoint, got {model.model_name!r}")
         if args.text is None or args.vocab is None:
-            raise SystemExit("geolocation heatmap needs --text and --vocab")
-        vocab = features.load_vocab(args.vocab)
-        _check_vocab(model, vocab)
+            raise UsageError("geolocation heatmap needs --text and --vocab")
+        vocab = _load_vocab_for(model, args.vocab)
         X = features.vectorize_matrix([features.tokenize(args.text)], vocab)
         values = heads.predictive_density_grid([a[0] for a in model.mixture_arrays(X)], points)
     values = values.reshape(res, res)
@@ -410,8 +415,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (UsageError, data.CorpusError, data.CheckpointError, features.PipelineError,
-            network.TrainingError, OSError) as e:
+    except (ValueError, network.TrainingError, OSError) as e:  # geomix's input errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

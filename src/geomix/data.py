@@ -140,7 +140,7 @@ def save_model(path, model):
         f.write(text)
 
 
-def load_model(path, expected_k=None):
+def load_model(path):
     try:
         with open(path, encoding="utf-8") as f:
             ck = json.load(f)
@@ -157,9 +157,4 @@ def load_model(path, expected_k=None):
     if ck.get("slice_layout") != SLICE_LAYOUT:
         raise CheckpointError(
             f"slice layout mismatch: {ck.get('slice_layout')!r} vs {SLICE_LAYOUT!r}")
-    head = ck.get("head")
-    if expected_k is not None and isinstance(head, dict):
-        k = head.get("K")
-        if k is not None and k != expected_k:
-            raise CheckpointError(f"checkpoint has K={k}, expected K={expected_k}")
     return MODEL_CLASSES[name].from_checkpoint(ck)

@@ -6,18 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import log_softmax, softplus_grad, softsign, softsign_grad
+from .gaussian import log_softmax
 from .geo import GeoPoint, haversine_km
-from .heads import _clamped_sigma
-from .kernels import component_log_pdf, log_pdf_partials
+from .heads import component_grads, component_terms
+from .kernels import component_log_pdf
 from .network import ContractError
-
-
-@dataclass
-class GaussianLayerState:
-    mus: np.ndarray  # K x 2, trainable
-    raw_sigmas: np.ndarray  # K x 2, pre-softplus
-    raw_rhos: np.ndarray  # K, pre-softsign; no mixing weights in this layer
 
 
 @dataclass
@@ -31,50 +24,24 @@ class DialectRegion:
             raise ValueError(f"region {self.name!r} needs points and terms")
 
 
-def _layer_arrays(state, X):
-    X = np.asarray(X, dtype=float)
-    s1, live1 = _clamped_sigma(state.raw_sigmas[:, 0])
-    s2, live2 = _clamped_sigma(state.raw_sigmas[:, 1])
-    rho = softsign(state.raw_rhos)
-    d1 = X[:, 0:1] - state.mus[None, :, 0]
-    d2 = X[:, 1:2] - state.mus[None, :, 1]
-    shape = d1.shape
-    s1b = np.ascontiguousarray(np.broadcast_to(s1, shape))
-    s2b = np.ascontiguousarray(np.broadcast_to(s2, shape))
-    rhob = np.ascontiguousarray(np.broadcast_to(rho, shape))
-    return d1, d2, s1b, s2b, rhob, (live1, live2)
-
-
-def gaussian_layer_forward_batch(state, X, log_domain=False):
-    """Per-component activations for N input points.
+def gaussian_layer_forward_batch(params, X, log_domain=False):
+    """Per-component activations of the component bank in ``params`` for N
+    input points.
 
     Activation is the raw component density N(x|mu_k, Sigma_k) (or its log
-    with ``log_domain``).  Returns (activations N x K, cache for backward).
+    with ``log_domain``); the layer has no mixing weights.  Returns
+    (activations N x K, cache for backward).
     """
-    d1, d2, s1b, s2b, rhob, live = _layer_arrays(state, X)
-    log_n = component_log_pdf(d1, d2, s1b, s2b, rhob)
+    terms = component_terms(params, np.asarray(X, dtype=float))
+    log_n = component_log_pdf(*terms[:5])
     acts = log_n if log_domain else np.exp(log_n)
-    return acts, (d1, d2, s1b, s2b, rhob, live, log_n, log_domain)
+    return acts, (terms, log_n, log_domain)
 
 
-def gaussian_layer_forward(state, x, log_domain=False):
-    """Single-point activation vector of length K."""
-    acts, _ = gaussian_layer_forward_batch(state, np.array([[x.lat, x.lon]]), log_domain)
-    return acts[0]
-
-
-def gaussian_layer_backward(state, cache, d_acts):
+def gaussian_layer_backward(params, cache, d_acts):
     """Gradients of the loss w.r.t. the layer parameters given dLoss/dActs."""
-    d1, d2, s1b, s2b, rhob, (live1, live2), log_n, log_domain = cache
-    d_log_n = d_acts if log_domain else d_acts * np.exp(log_n)
-    dmu1, dmu2, ds1, ds2, drho = log_pdf_partials(d1, d2, s1b, s2b, rhob)
-    d_mus = np.stack([(d_log_n * dmu1).sum(axis=0), (d_log_n * dmu2).sum(axis=0)], axis=1)
-    d_raw_sigmas = np.stack([
-        (d_log_n * ds1).sum(axis=0) * softplus_grad(state.raw_sigmas[:, 0]) * live1,
-        (d_log_n * ds2).sum(axis=0) * softplus_grad(state.raw_sigmas[:, 1]) * live2,
-    ], axis=1)
-    d_raw_rhos = (d_log_n * drho).sum(axis=0) * softsign_grad(state.raw_rhos)
-    return {"mus": d_mus, "raw_sigmas": d_raw_sigmas, "raw_rhos": d_raw_rhos}
+    terms, log_n, log_domain = cache
+    return component_grads(params, terms, d_acts if log_domain else d_acts * np.exp(log_n))
 
 
 def dialect_loss(logits, targets):

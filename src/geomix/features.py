@@ -82,21 +82,20 @@ def build_vocab(token_docs, min_df=10, stopwords=STOPWORDS):
                       doc_count=n_docs, min_df=min_df)
 
 
-@dataclass
-class FeatureVector:
-    pairs: list  # (index, weight), sorted by index
-    empty: bool  # True when the input had no in-vocabulary tokens
-
-
 def vectorize(tokens, vocab, scheme="l2_count"):
-    """l2_count: raw counts, l2-normalized.  l1_binary_idf: 1{tf>0} * idf, l1-normalized."""
+    """Sorted (index, weight) pairs of one document; [] when it has no
+    in-vocabulary weight.
+
+    l2_count: raw counts, l2-normalized.  l1_binary_idf: 1{tf>0} * idf,
+    l1-normalized.
+    """
     counts = {}
     for t in tokens:
         i = vocab.index.get(t)
         if i is not None:
             counts[i] = counts.get(i, 0) + 1
     if not counts:
-        return FeatureVector(pairs=[], empty=True)
+        return []
     idx = sorted(counts)
     if scheme == "l2_count":
         w = np.array([counts[i] for i in idx], dtype=float)
@@ -105,22 +104,18 @@ def vectorize(tokens, vocab, scheme="l2_count"):
         terms = vocab.terms
         w = np.array([np.log(vocab.doc_count / vocab.df[terms[i]]) for i in idx])
         if w.sum() <= 0.0:
-            return FeatureVector(pairs=[], empty=True)
+            return []
         w /= w.sum()
     else:
         raise ValueError(f"unknown scheme: {scheme}")
-    pairs = [(i, float(x)) for i, x in zip(idx, w) if x != 0.0]
-    if not pairs:
-        return FeatureVector(pairs=[], empty=True)
-    return FeatureVector(pairs=pairs, empty=False)
+    return [(i, float(x)) for i, x in zip(idx, w) if x != 0.0]
 
 
 def vectorize_matrix(token_docs, vocab, scheme="l2_count"):
     """Stack vectorize() of each document into a CSR matrix (N x |V|)."""
     rows, cols, vals = [], [], []
     for r, toks in enumerate(token_docs):
-        fv = vectorize(toks, vocab, scheme)
-        for i, w in fv.pairs:
+        for i, w in vectorize(toks, vocab, scheme):
             rows.append(r)
             cols.append(i)
             vals.append(w)

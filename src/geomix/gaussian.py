@@ -1,5 +1,5 @@
 """Constraint transforms and their derivatives: softplus for sigmas,
-softsign for rhos, softmax for mixing weights.
+softsign for rhos, log-softmax for mixing weights.
 
 The bivariate Gaussian log-density itself lives in ``kernels``.
 """
@@ -33,22 +33,8 @@ def softsign_grad(x):
     return 1.0 / (1.0 + np.abs(x)) ** 2
 
 
-def softmax(v):
-    v = np.asarray(v, dtype=float)
-    shifted = v - np.max(v, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def log_softmax(v):
     v = np.asarray(v, dtype=float)
     shifted = v - np.max(v, axis=-1, keepdims=True)
     with np.errstate(divide="ignore"):
         return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def softmax_jvp(p, dv):
-    """J(softmax) @ dv given the softmax output p."""
-    p = np.asarray(p, dtype=float)
-    dv = np.asarray(dv, dtype=float)
-    return p * (dv - np.sum(p * dv, axis=-1, keepdims=True))

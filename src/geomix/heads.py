@@ -5,6 +5,11 @@ Raw network output for the MDN head is N x 6K with block layout
 are pre-transform.  Losses return both the scalar and the gradient with
 respect to the raw output (and the shared parameters where applicable),
 factored through per-sample responsibilities.
+
+The K Gaussians that every user shares, in the shared MDN and in the dialect
+model's representation layer, are one component bank of ``params`` blocks
+(``mus``, ``raw_sigmas``, ``raw_rhos``) handled by the ``*_components`` and
+``component_*`` functions below.
 """
 
 from dataclasses import dataclass
@@ -29,17 +34,6 @@ class MdnHeadConfig:
             raise ValueError("K must be >= 1")
         if self.selection_rule not in ("strongest_pi", "max_mixture_prob"):
             raise ValueError(f"unknown selection rule: {self.selection_rule}")
-
-
-@dataclass
-class SharedMixtureState:
-    mus: np.ndarray  # K x 2 (lat, lon), trainable
-    raw_sigmas: np.ndarray  # K x 2, pre-softplus
-    raw_rhos: np.ndarray  # K, pre-softsign
-
-
-class InitError(ValueError):
-    pass
 
 
 def _clamped_sigma(raw):
@@ -98,8 +92,68 @@ def mdn_nll(raw, labels, K):
     return loss, d_raw
 
 
-def shared_nll(pi_raw, shared, labels):
-    """NLL with per-sample pi and globally shared Gaussian components.
+def unit_components(K):
+    """A bank of K components at the origin with unit sigmas and zero rho.
+
+    The shared MDN and the dialect layer keep their K Gaussians as the
+    ``params`` blocks ``mus`` (K x 2), ``raw_sigmas`` (K x 2, pre-softplus)
+    and ``raw_rhos`` (K, pre-softsign); this is their placeholder until
+    ``init_components`` or a checkpoint fills them.
+    """
+    return {"mus": np.zeros((K, 2)), "raw_sigmas": np.full((K, 2), float(inv_softplus(1.0))),
+            "raw_rhos": np.zeros(K)}
+
+
+def init_components(coords, K, sigma_range, seed=0):
+    """K-means mus over the coordinates, effective sigmas uniform in
+    ``sigma_range``, zero rhos."""
+    mus = kmeans(np.asarray(coords, dtype=float), K, seed=seed).centroids
+    sigmas = np.random.default_rng(seed).uniform(*sigma_range, size=(K, 2))
+    # a range starting at 0 can draw 0.0, which has no inverse softplus
+    return {"mus": mus, "raw_sigmas": inv_softplus(np.maximum(sigmas, 1e-12)),
+            "raw_rhos": np.zeros(K)}
+
+
+def component_transforms(params):
+    """(sigma1, sigma2, rho, (live1, live2)) of the component bank, each of
+    length K; the live masks are False where SIGMA_MIN clamps a sigma."""
+    s1, live1 = _clamped_sigma(params["raw_sigmas"][:, 0])
+    s2, live2 = _clamped_sigma(params["raw_sigmas"][:, 1])
+    return s1, s2, softsign(params["raw_rhos"]), (live1, live2)
+
+
+def component_terms(params, X):
+    """The bank at the N points of X: (d1, d2, sigma1, sigma2, rho, live).
+
+    d = x - mu are N x K offsets; sigma and rho are N x K read-only
+    broadcast views; live is ``component_transforms``' pair of masks.
+    """
+    s1, s2, rho, live = component_transforms(params)
+    d1 = X[:, 0:1] - params["mus"][None, :, 0]
+    d2 = X[:, 1:2] - params["mus"][None, :, 1]
+    view = lambda v: np.broadcast_to(v, d1.shape)
+    return d1, d2, view(s1), view(s2), view(rho), live
+
+
+def component_grads(params, terms, w):
+    """Gradients over mus / raw_sigmas / raw_rhos given ``w`` = dLoss/dlog N
+    (N x K) at the ``component_terms`` points; the SIGMA_MIN and Q_MIN clamp
+    zones get 0."""
+    d1, d2, s1, s2, rho, (live1, live2) = terms
+    dmu1, dmu2, ds1, ds2, drho = log_pdf_partials(d1, d2, s1, s2, rho)
+    raw_sigmas = params["raw_sigmas"]
+    return {
+        "mus": np.stack([(w * dmu1).sum(axis=0), (w * dmu2).sum(axis=0)], axis=1),
+        "raw_sigmas": np.stack([
+            (w * ds1).sum(axis=0) * softplus_grad(raw_sigmas[:, 0]) * live1,
+            (w * ds2).sum(axis=0) * softplus_grad(raw_sigmas[:, 1]) * live2,
+        ], axis=1),
+        "raw_rhos": (w * drho).sum(axis=0) * softsign_grad(params["raw_rhos"]),
+    }
+
+
+def shared_nll(pi_raw, params, labels):
+    """NLL with per-sample pi and the globally shared component bank in ``params``.
 
     Returns (loss, dLoss/dPiRaw, grads dict over mus / raw_sigmas / raw_rhos).
     """
@@ -107,44 +161,14 @@ def shared_nll(pi_raw, shared, labels):
     labels = np.asarray(labels, dtype=float)
     if not np.all(np.isfinite(pi_raw)):
         raise TrainingError("non-finite pi output")
-    N, K = pi_raw.shape
-    s1, live1 = _clamped_sigma(shared.raw_sigmas[:, 0])
-    s2, live2 = _clamped_sigma(shared.raw_sigmas[:, 1])
-    rho = softsign(shared.raw_rhos)
+    N = pi_raw.shape[0]
+    terms = component_terms(params, labels)
     log_pi = log_softmax(pi_raw)
-    pi = np.exp(log_pi)
-    d1 = labels[:, 0:1] - shared.mus[None, :, 0]
-    d2 = labels[:, 1:2] - shared.mus[None, :, 1]
-    s1b = np.broadcast_to(s1, (N, K))
-    s2b = np.broadcast_to(s2, (N, K))
-    rhob = np.broadcast_to(rho, (N, K))
-    ll, gamma = _mixture_terms(d1, d2, s1b, s2b, rhob, log_pi)
+    ll, gamma = _mixture_terms(*terms[:5], log_pi)
     loss = -float(np.mean(ll))
-    dmu1, dmu2, ds1, ds2, drho = log_pdf_partials(d1, d2, s1b, s2b, rhob)
-    g = gamma / N
-    d_pi_raw = -(gamma - pi) / N
-    d_mus = np.stack([-(g * dmu1).sum(axis=0), -(g * dmu2).sum(axis=0)], axis=1)
-    d_raw_sigmas = np.stack([
-        -(g * ds1).sum(axis=0) * softplus_grad(shared.raw_sigmas[:, 0]) * live1,
-        -(g * ds2).sum(axis=0) * softplus_grad(shared.raw_sigmas[:, 1]) * live2,
-    ], axis=1)
-    d_raw_rhos = -(g * drho).sum(axis=0) * softsign_grad(shared.raw_rhos)
-    return loss, d_pi_raw, {"mus": d_mus, "raw_sigmas": d_raw_sigmas, "raw_rhos": d_raw_rhos}
-
-
-def init_shared(train_labels, K, seed=0):
-    """K-means mus over training coordinates; effective sigmas uniform (0, 10)."""
-    points = np.asarray(train_labels, dtype=float)
-    try:
-        result = kmeans(points, K, seed=seed)
-    except ValueError as e:
-        raise InitError(str(e)) from e
-    rng = np.random.default_rng(seed)
-    sigmas = rng.uniform(0.0, 10.0, size=(K, 2))
-    sigmas = np.maximum(sigmas, 1e-12)
-    return SharedMixtureState(mus=result.centroids.copy(),
-                              raw_sigmas=np.asarray(inv_softplus(sigmas)),
-                              raw_rhos=np.zeros(K))
+    # negated after the reduction: a negated weight would flip the sign of zero gradients
+    grads = {k: -g for k, g in component_grads(params, terms, gamma / N).items()}
+    return loss, -(gamma - np.exp(log_pi)) / N, grads
 
 
 def predict_arrays(mu1, mu2, s1, s2, rho, pi, rule="strongest_pi"):

@@ -263,48 +263,30 @@ class SharedMdnGeolocator(_MixtureGeolocator):
 
     model_name = "mdn_shared"
 
-    def __init__(self, spec, head, shared=None, rng=None, params=None):
+    def __init__(self, spec, head, rng=None, params=None):
         if spec.layer_sizes[-1] != head.K:
             raise ValueError(f"output size {spec.layer_sizes[-1]} != K = {head.K}")
         super().__init__(spec, head, rng, params)
-        if shared is None:
-            shared = heads.SharedMixtureState(
-                mus=np.zeros((head.K, 2)),
-                raw_sigmas=np.asarray(heads.inv_softplus(np.full((head.K, 2), 1.0))),
-                raw_rhos=np.zeros(head.K))
-        self.params["mus"] = np.asarray(shared.mus, dtype=float)
-        self.params["raw_sigmas"] = np.asarray(shared.raw_sigmas, dtype=float)
-        self.params["raw_rhos"] = np.asarray(shared.raw_rhos, dtype=float)
-
-    @property
-    def shared(self):
-        return heads.SharedMixtureState(mus=self.params["mus"],
-                                        raw_sigmas=self.params["raw_sigmas"],
-                                        raw_rhos=self.params["raw_rhos"])
+        self.params.update(heads.unit_components(head.K))
 
     def init_shared_from_labels(self, train_labels, seed=0):
-        state = heads.init_shared(train_labels, self.head.K, seed=seed)
-        self.params["mus"][...] = state.mus
-        self.params["raw_sigmas"][...] = state.raw_sigmas
-        self.params["raw_rhos"][...] = state.raw_rhos
+        """K-means mus over the training labels, effective sigmas in (0, 10)."""
+        self.params.update(heads.init_components(train_labels, self.head.K, (0.0, 10.0), seed))
 
     def _data_loss(self, X, Y, train_mode, rng):
         acts = forward(self.params, self.spec, X, train_mode=train_mode, rng=rng)
-        loss, d_pi_raw, shared_grads = heads.shared_nll(acts.output, self.shared, Y)
+        loss, d_pi_raw, shared_grads = heads.shared_nll(acts.output, self.params, Y)
         grads, _ = backward(self.params, self.spec, acts, d_pi_raw)
         grads.update(shared_grads)
         return loss, grads
 
     def mixture_arrays(self, X):
         pi_raw = forward(self.params, self.spec, _dense(X)).output
-        n = pi_raw.shape[0]
-        pi = np.exp(heads.log_softmax(pi_raw))
-        s1, _ = heads._clamped_sigma(self.params["raw_sigmas"][:, 0])
-        s2, _ = heads._clamped_sigma(self.params["raw_sigmas"][:, 1])
-        rho = heads.softsign(self.params["raw_rhos"])
-        tile = lambda v: np.tile(v, (n, 1))
-        return (tile(self.params["mus"][:, 0]), tile(self.params["mus"][:, 1]),
-                tile(s1), tile(s2), tile(rho), pi)
+        s1, s2, rho, _ = heads.component_transforms(self.params)
+        mus = self.params["mus"]
+        tile = lambda v: np.tile(v, (pi_raw.shape[0], 1))
+        return (*map(tile, (mus[:, 0], mus[:, 1], s1, s2, rho)),
+                np.exp(heads.log_softmax(pi_raw)))
 
 
 class DialectModel(_BaseModel):
@@ -312,49 +294,33 @@ class DialectModel(_BaseModel):
 
     model_name = "dialect"
 
-    def __init__(self, spec, layer, terms, log_domain=False, rng=None, params=None):
-        if spec.layer_sizes[0] != layer.mus.shape[0]:
-            raise ValueError("network input size must equal the component count K")
+    def __init__(self, spec, terms, log_domain=False, rng=None, params=None):
         super().__init__(spec, rng, params)
         self.terms = list(terms)
         self.log_domain = log_domain
-        self.params["mus"] = np.asarray(layer.mus, dtype=float)
-        self.params["raw_sigmas"] = np.asarray(layer.raw_sigmas, dtype=float)
-        self.params["raw_rhos"] = np.asarray(layer.raw_rhos, dtype=float)
-
-    @property
-    def layer(self):
-        return dl.GaussianLayerState(mus=self.params["mus"],
-                                     raw_sigmas=self.params["raw_sigmas"],
-                                     raw_rhos=self.params["raw_rhos"])
+        self.params.update(heads.unit_components(spec.layer_sizes[0]))
 
     @classmethod
     def init(cls, K, hidden, terms, train_coords, seed=0, dropout_rate=0.0,
              l1_coeff=0.0, l2_coeff=0.0, log_domain=False):
         """K-means mus over training coordinates, effective sigmas in (1, 5)."""
-        from .cluster import kmeans
-        result = kmeans(np.asarray(train_coords, dtype=float), K, seed=seed)
-        rng = np.random.default_rng(seed)
-        layer = dl.GaussianLayerState(
-            mus=result.centroids.copy(),
-            raw_sigmas=np.asarray(heads.inv_softplus(rng.uniform(1.0, 5.0, size=(K, 2)))),
-            raw_rhos=np.zeros(K))
         spec = NetworkSpec(layer_sizes=(K, hidden, len(terms)), dropout_rate=dropout_rate,
                            l1_coeff=l1_coeff, l2_coeff=l2_coeff, seed=seed)
-        return cls(spec, layer, terms, log_domain=log_domain,
-                   rng=np.random.default_rng(seed + 1))
+        model = cls(spec, terms, log_domain=log_domain, rng=np.random.default_rng(seed + 1))
+        model.params.update(heads.init_components(train_coords, K, (1.0, 5.0), seed))
+        return model
 
     def _data_loss(self, X, Y, train_mode, rng):
-        acts_in, cache = dl.gaussian_layer_forward_batch(self.layer, X, self.log_domain)
+        acts_in, cache = dl.gaussian_layer_forward_batch(self.params, X, self.log_domain)
         acts = forward(self.params, self.spec, acts_in, train_mode=train_mode, rng=rng)
         loss, d_logits = dl.dialect_loss(acts.output, Y)
         grads, d_input = backward(self.params, self.spec, acts, d_logits)
-        grads.update(dl.gaussian_layer_backward(self.layer, cache, d_input))
+        grads.update(dl.gaussian_layer_backward(self.params, cache, d_input))
         return loss, grads
 
     def word_log_probs(self, coords):
         """N x V log-probabilities over the vocabulary for N coordinates."""
-        acts_in, _ = dl.gaussian_layer_forward_batch(self.layer, _dense(coords), self.log_domain)
+        acts_in, _ = dl.gaussian_layer_forward_batch(self.params, _dense(coords), self.log_domain)
         logits = forward(self.params, self.spec, acts_in).output
         return heads.log_softmax(logits)
 
@@ -363,13 +329,10 @@ class DialectModel(_BaseModel):
 
     @classmethod
     def _checkpoint_fields(cls, ck, spec):
-        K = spec.layer_sizes[0]
-        layer = dl.GaussianLayerState(mus=np.zeros((K, 2)),
-                                      raw_sigmas=np.zeros((K, 2)), raw_rhos=np.zeros(K))
         terms = _field(ck, "terms", list)
         if len(terms) != spec.layer_sizes[-1]:
             raise CheckpointError(f"{len(terms)} terms for an output layer of {spec.layer_sizes[-1]}")
-        return {"layer": layer, "terms": terms, "log_domain": ck.get("log_domain", False)}
+        return {"terms": terms, "log_domain": ck.get("log_domain", False)}
 
 
 MODEL_CLASSES = {

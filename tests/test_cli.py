@@ -97,13 +97,13 @@ def test_predict_no_features_row(trained, capsys):
     assert out[2].split("\t")[1] == "no-features"
 
 
-def test_vocab_hash_mismatch(trained, corpus, tmp_path):
+def test_vocab_hash_mismatch(trained, corpus, tmp_path, capsys):
     other = tmp_path / "other-vocab.tsv"
     text = (trained / "vocab.tsv").read_text().splitlines()
     other.write_text("\n".join(text[:-1]) + "\n")  # drop one term
-    with pytest.raises(SystemExit):
-        run(["evaluate", "--checkpoint", str(trained / "mdn.json"),
-             "--vocab", str(other), "--test", str(corpus / "s-test.tsv")])
+    assert run(["evaluate", "--checkpoint", str(trained / "mdn.json"),
+                "--vocab", str(other), "--test", str(corpus / "s-test.tsv")]) == 1
+    assert capsys.readouterr().err.startswith("error: vocabulary hash mismatch")
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +111,8 @@ def dialect_run(corpus, tmp_path_factory):
     d = tmp_path_factory.mktemp("dialect")
     rc = run(["train", "--model", "dialect", "--profile", "synth-dialect",
               "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
-              "--checkpoint", str(d / "dia.json"), "--k", "2", "--max-epochs", "25"])
+              "--checkpoint", str(d / "dia.json"), "--vocab", str(d / "vocab.tsv"),
+              "--k", "2", "--max-epochs", "25"])
     assert rc == 0
     regions = d / "regions.tsv"
     regions.write_text("north\t50,-100\tmode1tok0,mode1tok1\n"
@@ -162,17 +163,17 @@ def test_heatmap_geolocation(trained, tmp_path):
 
 
 def test_heatmap_oov_word_suggests_neighbors(dialect_run, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["heatmap", "--checkpoint", str(dialect_run / "dia.json"),
-             "--word", "mode0tik0", "--bbox", "25,55,-105,-95",
-             "--output", str(tmp_path / "x.csv")])
-    assert "mode0tok0" in str(exc.value)
+    assert run(["heatmap", "--checkpoint", str(dialect_run / "dia.json"),
+                "--word", "mode0tik0", "--bbox", "25,55,-105,-95",
+                "--output", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: word 'mode0tik0' not in vocabulary") and "mode0tok0" in err
 
 
-def test_unknown_profile_and_missing_file(tmp_path):
-    with pytest.raises(SystemExit):
-        run(["train", "--model", "mdn", "--profile", "nope",
-             "--train", "x", "--dev", "y", "--checkpoint", "z"])
+def test_unknown_profile_and_missing_file(tmp_path, capsys):
+    assert run(["train", "--model", "mdn", "--profile", "nope",
+                "--train", "x", "--dev", "y", "--checkpoint", "z"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown profile: nope")
     rc = run(["evaluate", "--checkpoint", str(tmp_path / "missing.json"),
               "--vocab", "v", "--test", "t"])
     assert rc == 1
@@ -229,6 +230,23 @@ def regression_run(corpus, tmp_path_factory):
     return d
 
 
+TRAIN_CASES = {
+    "train k 0": ("mdn", "--k", "0"),
+    "dialect train k 0": ("dialect", "--k", "0"),
+    "train dropout 1": ("mdn", "--dropout", "1.0"),
+    "train patience 0": ("mdn", "--patience", "0"),
+    "mdn kmeans k above distinct points": ("mdn", "--k", "500", "--mu-init", "kmeans"),
+    "shared k above distinct points": ("mdn_shared", "--k", "500"),
+    "dialect k above distinct points": ("dialect", "--k", "500"),
+    "dialect empty hidden": ("dialect", "--hidden", ""),
+}
+DIALECT_CASES = {
+    "malformed regions line": ("north\t50,-100\tmode1tok0\nnot a region\n",),
+    "dialect radius 0": ("north\t50,-100\tmode1tok0\n", "--radius-km", "0"),
+    "dialect k 0": ("north\t50,-100\tmode1tok0\n", "--k", "0"),
+}
+
+
 def bad_input_argv(case, request, tmp_path):
     out = str(tmp_path / "out.csv")
     if case == "synth center out of range":
@@ -246,6 +264,29 @@ def bad_input_argv(case, request, tmp_path):
         return ["train", "--model", "regression", "--config", str(cfg),
                 "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
                 "--checkpoint", out]
+    if case in TRAIN_CASES:
+        corpus = request.getfixturevalue("corpus")
+        model, *flags = TRAIN_CASES[case]
+        return ["train", "--model", model, "--profile", f"synth-{model.replace('_', '-')}",
+                "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
+                "--checkpoint", out, *flags]
+    if case in DIALECT_CASES:
+        d, corpus = request.getfixturevalue("dialect_run"), request.getfixturevalue("corpus")
+        regions, *flags = DIALECT_CASES[case]
+        (tmp_path / "regions.tsv").write_text(regions)
+        return ["dialect", "--checkpoint", str(d / "dia.json"), "--regions", str(tmp_path / "regions.tsv"),
+                "--train", str(corpus / "s-train.tsv"), "--p", "200",
+                "--out-prefix", str(tmp_path / "out-"), *flags]
+    if case == "predict on dialect checkpoint":
+        d = request.getfixturevalue("dialect_run")
+        return ["predict", "--checkpoint", str(d / "dia.json"), "--vocab", str(d / "vocab.tsv"),
+                "--text", "mode0tok0", "--output", out]
+    if case == "evaluate empty test file":
+        trained = request.getfixturevalue("trained")
+        (tmp_path / "empty.tsv").write_text("")
+        return ["evaluate", "--checkpoint", str(trained / "mdn.json"),
+                "--vocab", str(trained / "vocab.tsv"), "--test", str(tmp_path / "empty.tsv"),
+                "--error-tsv", out]
     if case.startswith("dialect"):
         ck = request.getfixturevalue("dialect_run") / "dia.json"
         return ["heatmap", "--checkpoint", str(ck), "--word", "mode0tok0",
@@ -259,13 +300,15 @@ def bad_input_argv(case, request, tmp_path):
 
 @pytest.mark.parametrize("case", ["three-value bbox", "degenerate bbox", "dialect degenerate bbox",
                                   "regression heatmap", "synth center out of range",
-                                  "malformed vocab", "bad config value"])
+                                  "malformed vocab", "bad config value", *TRAIN_CASES,
+                                  *DIALECT_CASES, "predict on dialect checkpoint",
+                                  "evaluate empty test file"])
 def test_bad_input_is_an_error_line(case, request, tmp_path, capsys):
     argv = bad_input_argv(case, request, tmp_path)
     capsys.readouterr()
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / "out.csv").exists()
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize("command", ["train", "synth"])

@@ -229,16 +229,6 @@ def test_malformed_checkpoint_is_checkpoint_error(tmp_path, breakage):
         load_model(path)
 
 
-def test_checkpoint_k_mismatch_refused(tmp_path):
-    mdn = models.MdnGeolocator(network.NetworkSpec((6, 5, 18), seed=0),
-                               heads.MdnHeadConfig(3))
-    path = tmp_path / "mdn.json"
-    save_model(path, mdn)
-    assert load_model(path, expected_k=3).head.K == 3
-    with pytest.raises(CheckpointError):
-        load_model(path, expected_k=5)
-
-
 def test_load_runs_no_init_draw(tmp_path, monkeypatch):
     instances, _ = all_model_instances()
 

@@ -11,23 +11,28 @@ from geomix.geo import EARTH_RADIUS_KM, GeoPoint
 from geomix.network import ContractError
 
 
-def make_state(mus, sigmas, rhos=None):
+def make_components(mus, sigmas, rhos=None):
     mus = np.asarray(mus, dtype=float)
-    K = len(mus)
     raw_s = np.asarray(inv_softplus(np.asarray(sigmas, dtype=float)))
-    rhos = np.zeros(K) if rhos is None else np.asarray(rhos, dtype=float)
-    return dl.GaussianLayerState(mus=mus, raw_sigmas=raw_s, raw_rhos=rhos)
+    rhos = np.zeros(len(mus)) if rhos is None else np.asarray(rhos, dtype=float)
+    return {"mus": mus, "raw_sigmas": raw_s, "raw_rhos": rhos}
+
+
+def layer_at(comps, x, log_domain=False):
+    """Activation vector of length K at one GeoPoint."""
+    acts, _ = dl.gaussian_layer_forward_batch(comps, np.array([[x.lat, x.lon]]), log_domain)
+    return acts[0]
 
 
 def test_layer_peak_activation():
-    state = make_state([[10.0, 20.0]], [[1.0, 1.0]])
-    acts = dl.gaussian_layer_forward(state, GeoPoint(10.0, 20.0))
+    comps = make_components([[10.0, 20.0]], [[1.0, 1.0]])
+    acts = layer_at(comps, GeoPoint(10.0, 20.0))
     assert abs(acts[0] - 1.0 / (2.0 * np.pi)) < 1e-12
 
 
 def test_layer_tail_underflow():
-    state = make_state([[0.0, 0.0]], [[1.0, 1.0]])
-    acts = dl.gaussian_layer_forward(state, GeoPoint(0.0, 10.0))  # 10 sigma out
+    comps = make_components([[0.0, 0.0]], [[1.0, 1.0]])
+    acts = layer_at(comps, GeoPoint(0.0, 10.0))  # 10 sigma out
     assert 0.0 <= acts[0] < 1e-20
 
 
@@ -37,44 +42,40 @@ def test_layer_matches_log_pdf_composition():
     mus = rng.normal(scale=20.0, size=(K, 2))
     sigmas = rng.uniform(0.5, 4.0, size=(K, 2))
     rho_raw = rng.normal(size=K)
-    state = dl.GaussianLayerState(mus=mus, raw_sigmas=np.asarray(inv_softplus(sigmas)),
-                                  raw_rhos=rho_raw)
+    comps = make_components(mus, sigmas, rho_raw)
     x = GeoPoint(5.0, -3.0)
-    acts = dl.gaussian_layer_forward(state, x)
+    acts = layer_at(comps, x)
     for k in range(K):
         s1, s2, rho = sigmas[k, 0], sigmas[k, 1], float(softsign(rho_raw[k]))
         cov = [[s1 ** 2, rho * s1 * s2], [rho * s1 * s2, s2 ** 2]]
         assert abs(acts[k] - multivariate_normal(mean=mus[k], cov=cov).pdf([x.lat, x.lon])) < 1e-12
-    log_acts = dl.gaussian_layer_forward(state, x, log_domain=True)
+    log_acts = layer_at(comps, x, log_domain=True)
     np.testing.assert_allclose(np.exp(log_acts), acts, rtol=1e-12)
 
 
 def test_layer_backward_fd():
     rng = np.random.default_rng(1)
     K = 3
-    mus = rng.normal(scale=3.0, size=(K, 2))
-    raw_sigmas = rng.normal(size=(K, 2))
-    raw_rhos = rng.normal(size=K)
+    comps = {"mus": rng.normal(scale=3.0, size=(K, 2)), "raw_sigmas": rng.normal(size=(K, 2)),
+             "raw_rhos": rng.normal(size=K)}
     X = rng.normal(scale=2.0, size=(4, 2))
     w = rng.normal(size=(4, K))  # arbitrary downstream weighting
 
-    def loss_of(m, s, r):
-        state = dl.GaussianLayerState(mus=m, raw_sigmas=s, raw_rhos=r)
-        acts, _ = dl.gaussian_layer_forward_batch(state, X)
+    def loss_of():
+        acts, _ = dl.gaussian_layer_forward_batch(comps, X)
         return float(np.sum(w * acts))
 
-    state = dl.GaussianLayerState(mus=mus, raw_sigmas=raw_sigmas, raw_rhos=raw_rhos)
-    _, cache = dl.gaussian_layer_forward_batch(state, X)
-    grads = dl.gaussian_layer_backward(state, cache, w)
+    _, cache = dl.gaussian_layer_forward_batch(comps, X)
+    grads = dl.gaussian_layer_backward(comps, cache, w)
     h = 1e-5
-    for name, arr in (("mus", mus), ("raw_sigmas", raw_sigmas), ("raw_rhos", raw_rhos)):
+    for name, arr in comps.items():
         flat = arr.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp = loss_of(mus, raw_sigmas, raw_rhos)
+            lp = loss_of()
             flat[i] = orig - h
-            lm = loss_of(mus, raw_sigmas, raw_rhos)
+            lm = loss_of()
             flat[i] = orig
             numeric = (lp - lm) / (2 * h)
             a = grads[name].ravel()[i]

@@ -44,50 +44,46 @@ def test_build_vocab_errors():
 
 def test_vectorize_l2():
     vocab = build_vocab([["axx", "bxx"]] * 3, min_df=1)
-    fv = vectorize(["axx"] * 3 + ["bxx"] * 4, vocab, scheme="l2_count")
-    weights = dict(fv.pairs)
+    pairs = vectorize(["axx"] * 3 + ["bxx"] * 4, vocab, scheme="l2_count")
+    weights = dict(pairs)
     assert abs(weights[vocab.index["axx"]] - 0.6) < 1e-12
     assert abs(weights[vocab.index["bxx"]] - 0.8) < 1e-12
-    assert not fv.empty
+    assert [i for i, _ in pairs] == sorted(weights)
 
 
 def test_vectorize_oov_and_norms():
     vocab = build_vocab([["axx", "bxx", "cxx"]] * 3, min_df=1)
-    assert vectorize(["zzz"], vocab).empty
+    assert vectorize(["zzz"], vocab) == []
     rng = np.random.default_rng(0)
     pool = ["axx", "bxx", "cxx", "oov"]
     for _ in range(50):
         toks = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 12))]
-        fv2 = vectorize(toks, vocab, scheme="l2_count")
-        if not fv2.empty:
-            assert abs(np.linalg.norm([w for _, w in fv2.pairs]) - 1.0) < 1e-9
-        fv1 = vectorize(toks, vocab, scheme="l1_binary_idf")
-        if not fv1.empty:
-            assert abs(sum(w for _, w in fv1.pairs) - 1.0) < 1e-9
+        pairs2 = vectorize(toks, vocab, scheme="l2_count")
+        if pairs2:
+            assert abs(np.linalg.norm([w for _, w in pairs2]) - 1.0) < 1e-9
+        pairs1 = vectorize(toks, vocab, scheme="l1_binary_idf")
+        if pairs1:
+            assert abs(sum(w for _, w in pairs1) - 1.0) < 1e-9
 
 
 def test_vectorize_order_independent():
     vocab = build_vocab([["axx", "bxx", "cxx"]] * 3, min_df=1)
-    fv1 = vectorize(["axx", "bxx", "bxx", "cxx"], vocab)
-    fv2 = vectorize(["cxx", "bxx", "axx", "bxx"], vocab)
-    assert fv1.pairs == fv2.pairs
+    assert vectorize(["axx", "bxx", "bxx", "cxx"], vocab) == vectorize(["cxx", "bxx", "axx", "bxx"], vocab)
 
 
 def test_idf_zero_term_contributes_nothing():
     # "evry" appears in every document -> idf log(1) = 0
     docs = [["evry", "rare1"], ["evry", "rare2"], ["evry", "rare1"]]
     vocab = build_vocab(docs, min_df=1)
-    fv = vectorize(["evry", "rare1"], vocab, scheme="l1_binary_idf")
-    assert vocab.index["evry"] not in dict(fv.pairs)
-    fv_only = vectorize(["evry"], vocab, scheme="l1_binary_idf")
-    assert fv_only.empty
+    pairs = vectorize(["evry", "rare1"], vocab, scheme="l1_binary_idf")
+    assert vocab.index["evry"] not in dict(pairs)
+    assert vectorize(["evry"], vocab, scheme="l1_binary_idf") == []
 
 
 def test_single_term_l1_weight_one():
     docs = [["axx", "bxx"], ["axx"], ["bxx"]]
     vocab = build_vocab(docs, min_df=1)
-    fv = vectorize(["bxx"], vocab, scheme="l1_binary_idf")
-    assert fv.pairs == [(vocab.index["bxx"], 1.0)]
+    assert vectorize(["bxx"], vocab, scheme="l1_binary_idf") == [(vocab.index["bxx"], 1.0)]
 
 
 def test_unknown_scheme():
@@ -116,7 +112,7 @@ def test_vocab_round_trip(tmp_path):
     assert loaded.content_hash() == vocab.content_hash()
     toks = ["apple", "plum", "plum"]
     for scheme in ("l2_count", "l1_binary_idf"):
-        assert vectorize(toks, loaded, scheme).pairs == vectorize(toks, vocab, scheme).pairs
+        assert vectorize(toks, loaded, scheme) == vectorize(toks, vocab, scheme)
 
 
 def test_content_hash_changes_with_df():

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from geomix import heads
+from geomix.cluster import KMeansInitError, kmeans
 from geomix.gaussian import softplus
 from geomix.network import ContractError
 
@@ -114,18 +115,16 @@ def test_mdn_nll_gradient_fd():
 def test_shared_nll_agrees_with_mdn_nll():
     rng = np.random.default_rng(4)
     N, K = 5, 3
-    shared = heads.SharedMixtureState(
-        mus=rng.normal(scale=2.0, size=(K, 2)),
-        raw_sigmas=rng.normal(size=(K, 2)),
-        raw_rhos=rng.normal(size=K))
+    comps = {"mus": rng.normal(scale=2.0, size=(K, 2)), "raw_sigmas": rng.normal(size=(K, 2)),
+             "raw_rhos": rng.normal(size=K)}
     pi_raw = rng.normal(size=(N, K))
     labels = rng.normal(scale=2.0, size=(N, 2))
-    loss, _, _ = heads.shared_nll(pi_raw, shared, labels)
+    loss, _, _ = heads.shared_nll(pi_raw, comps, labels)
     # equivalent plain MDN raw tensor with the shared blocks tiled per sample
     raw = np.concatenate([
-        np.tile(shared.mus[:, 0], (N, 1)), np.tile(shared.mus[:, 1], (N, 1)),
-        np.tile(shared.raw_sigmas[:, 0], (N, 1)), np.tile(shared.raw_sigmas[:, 1], (N, 1)),
-        np.tile(shared.raw_rhos, (N, 1)), pi_raw], axis=1)
+        np.tile(comps["mus"][:, 0], (N, 1)), np.tile(comps["mus"][:, 1], (N, 1)),
+        np.tile(comps["raw_sigmas"][:, 0], (N, 1)), np.tile(comps["raw_sigmas"][:, 1], (N, 1)),
+        np.tile(comps["raw_rhos"], (N, 1)), pi_raw], axis=1)
     loss_mdn, _ = heads.mdn_nll(raw, labels, K)
     assert abs(loss - loss_mdn) < 1e-12
 
@@ -133,29 +132,26 @@ def test_shared_nll_agrees_with_mdn_nll():
 def test_shared_nll_gradient_fd():
     rng = np.random.default_rng(5)
     N, K = 4, 2
-    mus = rng.normal(size=(K, 2))
-    raw_sigmas = rng.normal(size=(K, 2))
-    raw_rhos = rng.normal(size=K)
+    comps = {"mus": rng.normal(size=(K, 2)), "raw_sigmas": rng.normal(size=(K, 2)),
+             "raw_rhos": rng.normal(size=K)}
     pi_raw = rng.normal(size=(N, K))
     labels = rng.normal(size=(N, 2))
 
-    def loss_of(m, s, r, p):
-        state = heads.SharedMixtureState(mus=m, raw_sigmas=s, raw_rhos=r)
-        return heads.shared_nll(p, state, labels)[0]
+    def loss_of():
+        return heads.shared_nll(pi_raw, comps, labels)[0]
 
-    state = heads.SharedMixtureState(mus=mus, raw_sigmas=raw_sigmas, raw_rhos=raw_rhos)
-    _, d_pi, grads = heads.shared_nll(pi_raw, state, labels)
+    _, d_pi, grads = heads.shared_nll(pi_raw, comps, labels)
     h = 1e-5
-    blocks = {"mus": mus, "raw_sigmas": raw_sigmas, "raw_rhos": raw_rhos, "pi": pi_raw}
+    blocks = {**comps, "pi": pi_raw}
     analytic = {**grads, "pi": d_pi}
     for name, arr in blocks.items():
         flat = arr.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp = loss_of(mus, raw_sigmas, raw_rhos, pi_raw)
+            lp = loss_of()
             flat[i] = orig - h
-            lm = loss_of(mus, raw_sigmas, raw_rhos, pi_raw)
+            lm = loss_of()
             flat[i] = orig
             numeric = (lp - lm) / (2 * h)
             a = analytic[name].ravel()[i]
@@ -166,14 +162,13 @@ def test_shared_nll_gradient_fd():
 def test_init_shared_properties():
     rng = np.random.default_rng(6)
     labels = rng.normal(scale=5.0, size=(50, 2))
-    state = heads.init_shared(labels, 4, seed=0)
-    sig = softplus(state.raw_sigmas)
+    comps = heads.init_components(labels, 4, (0.0, 10.0), seed=0)
+    sig = softplus(comps["raw_sigmas"])
     assert np.all(sig > 0) and np.all(sig <= 10.0)
-    assert np.all(state.raw_rhos == 0.0)
-    from geomix.cluster import kmeans
-    np.testing.assert_allclose(state.mus, kmeans(labels, 4, seed=0).centroids)
-    with pytest.raises(heads.InitError):
-        heads.init_shared(np.zeros((3, 2)), 2)  # fewer distinct points than K
+    assert np.all(comps["raw_rhos"] == 0.0)
+    np.testing.assert_allclose(comps["mus"], kmeans(labels, 4, seed=0).centroids)
+    with pytest.raises(KMeansInitError):
+        heads.init_components(np.zeros((3, 2)), 2, (0.0, 10.0))  # fewer distinct points than K
 
 
 def test_predict_strongest_pi():
