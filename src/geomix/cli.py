@@ -110,8 +110,8 @@ def cmd_train(args):
     seed = cfg["seed"]
 
     if cfg["model"] == "dialect":
-        if not cfg["hidden"]:
-            raise UsageError("the dialect model needs a --hidden size")
+        if len(cfg["hidden"]) != 1:
+            raise UsageError("the dialect model needs exactly one --hidden size")
         model = models.DialectModel.init(K, cfg["hidden"][0], vocab.terms, Ytr, seed=seed,
                                          dropout_rate=cfg["dropout"], l1_coeff=cfg["l1"], l2_coeff=cfg["l2"])
         train_data = (Ytr, Xtr.toarray())
@@ -179,15 +179,14 @@ def _load_geolocator(args):
 def cmd_evaluate(args):
     model, vocab = _load_geolocator(args)
     records, _, _, X = _read_features(args.test, vocab=vocab)
-    truths = [r.location for r in records]
-    raw = model.predict_points(X)
-    preds = models.points_from_array(np.clip(raw, [-90.0, -180.0], [90.0, 180.0]))
-    report = geo.evaluate(preds, truths, [r.user_id for r in records])
+    truths = data.coords_array(records)
+    preds = np.clip(model.predict_points(X), [-90.0, -180.0], [90.0, 180.0])
+    report = geo.evaluate(preds, truths)
     print(f"Acc@161: {report.acc_at_161:.2f}")
     print(f"Mean: {report.mean_km:.2f}")
     print(f"Median: {report.median_km:.2f}")
     if args.error_tsv:
-        geo.write_error_tsv(args.error_tsv, preds, truths, [r.user_id for r in records])
+        geo.write_error_tsv(args.error_tsv, [r.user_id for r in records], preds, truths, report.errors_km)
         print(f"per-user errors written to {args.error_tsv}", file=sys.stderr)
 
 
@@ -234,8 +233,7 @@ def cmd_dialect(args):
     terms = model.terms
     summary = []
     for region in regions:
-        mask = np.array([dl.region_membership(geo.GeoPoint(*p), region, args.radius_km)
-                         for p in pts])
+        mask = dl.region_membership(pts, region, args.radius_km)
         if not mask.any():
             print(f"warning: no sampled points inside {region.name}; skipped", file=sys.stderr)
             continue

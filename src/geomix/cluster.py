@@ -45,6 +45,8 @@ def kmeans(points, k, seed=0, max_iters=300, tol=1e-6):
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be an N x 2 array")
+    if k < 1:
+        raise KMeansInitError(f"k must be >= 1, got {k}")
     if len(np.unique(points, axis=0)) < k:
         raise KMeansInitError(f"need at least {k} distinct points, got {len(np.unique(points, axis=0))}")
     rng = np.random.default_rng(seed)

@@ -16,11 +16,12 @@ from .network import ContractError
 @dataclass
 class DialectRegion:
     name: str
-    points: list  # GeoPoints of populous-city proxies
+    points: np.ndarray  # C x 2 (lat, lon) degrees of populous-city proxies
     terms: list  # gold dialect terms
 
     def __post_init__(self):
-        if not self.points or not self.terms:
+        self.points = np.asarray(self.points, dtype=float)
+        if not len(self.points) or not self.terms:
             raise ValueError(f"region {self.name!r} needs points and terms")
 
 
@@ -123,13 +124,15 @@ def recall_at_k(ranked_terms, gold_terms, k, vocab_terms):
     return len(top & set(in_vocab)) / len(in_vocab), oov
 
 
-def region_membership(p, region, radius_km=161.0):
-    """True iff p is within radius_km of any of the region's city points."""
+def region_membership(points, region, radius_km=161.0):
+    """N-length mask: which of the N x 2 points lie within radius_km of any
+    of the region's city points."""
     if radius_km <= 0.0:
         raise ValueError("radius_km must be positive")
-    if not region.points:
+    if not len(region.points):
         raise ContractError(f"region {region.name!r} has no points")
-    return any(haversine_km(p, c) <= radius_km for c in region.points)
+    points = np.asarray(points, dtype=float)
+    return (haversine_km(points[:, None], region.points[None]) <= radius_km).any(axis=1)
 
 
 def read_regions(path):
@@ -143,7 +146,7 @@ def read_regions(path):
             try:
                 name, pts, terms = line.split("\t")
                 points = [GeoPoint(*map(float, p.split(","))) for p in pts.split(";")]
-                regions.append(DialectRegion(name=name, points=points,
+                regions.append(DialectRegion(name=name, points=[(c.lat, c.lon) for c in points],
                                              terms=[t for t in terms.split(",") if t]))
             except (ValueError, TypeError) as e:
                 raise ValueError(f"malformed region file line {ln}: {e}") from e

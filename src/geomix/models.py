@@ -21,7 +21,6 @@ from scipy import sparse
 
 from . import dialect as dl
 from . import heads
-from .geo import GeoPoint
 from .network import NetworkSpec, backward, forward, init_network_params, regularization_penalty
 
 FORMAT_VERSION = 2
@@ -339,7 +338,3 @@ MODEL_CLASSES = {
     cls.model_name: cls
     for cls in (RegressionGeolocator, MdnGeolocator, SharedMdnGeolocator, DialectModel)
 }
-
-
-def points_from_array(arr):
-    return [GeoPoint(float(a), float(b)) for a, b in np.asarray(arr, dtype=float)]

@@ -50,7 +50,6 @@ class AdamConfig:
 @dataclass
 class EarlyStopConfig:
     patience: int = 10
-    monitored_metric: str = "dev_nll"
 
     def __post_init__(self):
         if self.patience < 1:

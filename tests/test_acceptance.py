@@ -89,12 +89,9 @@ def train_geo_model(model, Xtr, Ytr, Xdev, Ydev, lr, epochs, patience):
 
 def eval_geo(model, Xte, Yte, subset=None):
     pred = np.clip(model.predict_points(Xte), [-90.0, -180.0], [90.0, 180.0])
-    pts = models.points_from_array(pred)
-    truths = models.points_from_array(Yte)
     if subset is not None:
-        pts = [pts[i] for i in subset]
-        truths = [truths[i] for i in subset]
-    return geo.evaluate(pts, truths)
+        pred, Yte = pred[subset], Yte[subset]
+    return geo.evaluate(pred, Yte)
 
 
 def run_three_models(corpus_seed, spec, mdn_k, mdn_hidden, mdn_dropout, mdn_init,
@@ -200,10 +197,8 @@ def test_criterion_5_kmeans():
 
 def test_criterion_6_metrics_oracle():
     rng = np.random.default_rng(3)
-    preds = [GeoPoint(float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)))
-             for _ in range(1000)]
-    truths = [GeoPoint(float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)))
-              for _ in range(1000)]
+    preds = rng.uniform([-90.0, -180.0], [90.0, 180.0], size=(1000, 2))
+    truths = rng.uniform([-90.0, -180.0], [90.0, 180.0], size=(1000, 2))
     rep = geo.evaluate(preds, truths)
     errs = sorted(geo.haversine_km(p, t) for p, t in zip(preds, truths))
     brute_mean = float(np.mean(errs))
@@ -212,8 +207,8 @@ def test_criterion_6_metrics_oracle():
     rel = max(abs(rep.mean_km - brute_mean) / brute_mean,
               abs(rep.median_km - brute_median) / brute_median,
               abs(rep.acc_at_161 - brute_acc) / max(brute_acc, 1e-9))
-    nyc, la = GeoPoint(40.7128, -74.0060), GeoPoint(34.0522, -118.2437)
-    lat1, lon1, lat2, lon2 = map(np.radians, (nyc.lat, nyc.lon, la.lat, la.lon))
+    nyc, la = np.array([40.7128, -74.0060]), np.array([34.0522, -118.2437])
+    lat1, lon1, lat2, lon2 = np.radians([*nyc, *la])
     oracle = 6371.0 * np.arccos(np.sin(lat1) * np.sin(lat2)
                                 + np.cos(lat1) * np.cos(lat2) * np.cos(lon2 - lon1))
     nyc_la_err = abs(geo.haversine_km(nyc, la) - oracle)
@@ -264,9 +259,9 @@ def test_criterion_7_dialect_recall_and_centers(dialect_models):
         lp = model.word_log_probs(pts)
         all_regions = True
         for i, center in enumerate(DIALECT_CENTERS):
-            region = dl.DialectRegion(f"region{i}", [center],
+            region = dl.DialectRegion(f"region{i}", [[center.lat, center.lon]],
                                       [f"mode{i}tok{j}" for j in range(5)])
-            mask = np.array([dl.region_membership(GeoPoint(*p), region) for p in pts])
+            mask = dl.region_membership(pts, region)
             ranked = dl.dialect_rank(vocab.terms, dl.score_vocabulary(lp, mask))
             rec, _ = dl.recall_at_k([t for t, _ in ranked], region.terms, 10, vocab.terms)
             all_regions &= rec == 1.0

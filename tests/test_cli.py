@@ -239,6 +239,7 @@ TRAIN_CASES = {
     "shared k above distinct points": ("mdn_shared", "--k", "500"),
     "dialect k above distinct points": ("dialect", "--k", "500"),
     "dialect empty hidden": ("dialect", "--hidden", ""),
+    "dialect two hidden sizes": ("dialect", "--hidden", "16,8"),
 }
 DIALECT_CASES = {
     "malformed regions line": ("north\t50,-100\tmode1tok0\nnot a region\n",),

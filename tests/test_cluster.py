@@ -65,6 +65,12 @@ def test_too_few_distinct_points():
         kmeans(np.zeros((4, 3)), 2)
 
 
+def test_k_below_one():
+    for k in (0, -1):
+        with pytest.raises(KMeansInitError):
+            kmeans(FOUR_POINTS, k)
+
+
 def test_assignments_are_nearest_centroid():
     rng = np.random.default_rng(2)
     points = rng.normal(size=(80, 2)) * 3.0

@@ -7,7 +7,7 @@ from scipy.stats import multivariate_normal
 
 from geomix import dialect as dl
 from geomix.gaussian import inv_softplus, softsign
-from geomix.geo import EARTH_RADIUS_KM, GeoPoint
+from geomix.geo import EARTH_RADIUS_KM, haversine_km
 from geomix.network import ContractError
 
 
@@ -19,20 +19,20 @@ def make_components(mus, sigmas, rhos=None):
 
 
 def layer_at(comps, x, log_domain=False):
-    """Activation vector of length K at one GeoPoint."""
-    acts, _ = dl.gaussian_layer_forward_batch(comps, np.array([[x.lat, x.lon]]), log_domain)
+    """Activation vector of length K at one (lat, lon) point."""
+    acts, _ = dl.gaussian_layer_forward_batch(comps, np.array([x]), log_domain)
     return acts[0]
 
 
 def test_layer_peak_activation():
     comps = make_components([[10.0, 20.0]], [[1.0, 1.0]])
-    acts = layer_at(comps, GeoPoint(10.0, 20.0))
+    acts = layer_at(comps, (10.0, 20.0))
     assert abs(acts[0] - 1.0 / (2.0 * np.pi)) < 1e-12
 
 
 def test_layer_tail_underflow():
     comps = make_components([[0.0, 0.0]], [[1.0, 1.0]])
-    acts = layer_at(comps, GeoPoint(0.0, 10.0))  # 10 sigma out
+    acts = layer_at(comps, (0.0, 10.0))  # 10 sigma out
     assert 0.0 <= acts[0] < 1e-20
 
 
@@ -43,12 +43,12 @@ def test_layer_matches_log_pdf_composition():
     sigmas = rng.uniform(0.5, 4.0, size=(K, 2))
     rho_raw = rng.normal(size=K)
     comps = make_components(mus, sigmas, rho_raw)
-    x = GeoPoint(5.0, -3.0)
+    x = (5.0, -3.0)
     acts = layer_at(comps, x)
     for k in range(K):
         s1, s2, rho = sigmas[k, 0], sigmas[k, 1], float(softsign(rho_raw[k]))
         cov = [[s1 ** 2, rho * s1 * s2], [rho * s1 * s2, s2 ** 2]]
-        assert abs(acts[k] - multivariate_normal(mean=mus[k], cov=cov).pdf([x.lat, x.lon])) < 1e-12
+        assert abs(acts[k] - multivariate_normal(mean=mus[k], cov=cov).pdf(x)) < 1e-12
     log_acts = layer_at(comps, x, log_domain=True)
     np.testing.assert_allclose(np.exp(log_acts), acts, rtol=1e-12)
 
@@ -198,17 +198,29 @@ def test_recall_at_k():
 
 
 def test_region_membership_boundary():
-    city = GeoPoint(40.0, -100.0)
+    city = [40.0, -100.0]
     region = dl.DialectRegion("plains", [city], ["yall"])
-    assert dl.region_membership(city, region)
-    dlon = np.degrees(160.0 / (EARTH_RADIUS_KM * np.cos(np.radians(40.0))))
-    assert dl.region_membership(GeoPoint(40.0, -100.0 + dlon), region)
-    dlon = np.degrees(162.0 / (EARTH_RADIUS_KM * np.cos(np.radians(40.0))))
-    assert not dl.region_membership(GeoPoint(40.0, -100.0 + dlon), region)
+    dlon = [np.degrees(km / (EARTH_RADIUS_KM * np.cos(np.radians(40.0)))) for km in (160.0, 162.0)]
+    pts = np.array([city, [40.0, -100.0 + dlon[0]], [40.0, -100.0 + dlon[1]]])
+    np.testing.assert_array_equal(dl.region_membership(pts, region), [True, True, False])
     with pytest.raises(ValueError):
-        dl.region_membership(city, region, radius_km=0.0)
+        dl.region_membership(pts, region, radius_km=0.0)
     with pytest.raises(ValueError):
         dl.DialectRegion("empty", [], ["yall"])
+
+
+def test_region_membership_batch_matches_per_point():
+    rng = np.random.default_rng(5)
+    cities = rng.uniform([30.0, -110.0], [45.0, -80.0], size=(3, 2))
+    pts = np.vstack([rng.uniform([28.0, -115.0], [47.0, -75.0], size=(400, 2)), cities])
+    # the radius is one point's exact distance to a city, so that point sits on the boundary
+    radius = float(haversine_km(pts[7], cities[1]))
+    region = dl.DialectRegion("r", cities, ["t"])
+    mask = dl.region_membership(pts, region, radius)
+    expected = [any(haversine_km(p, c) <= radius for c in cities) for p in pts]
+    assert mask.shape == (len(pts),) and mask.dtype == bool
+    np.testing.assert_array_equal(mask, expected)
+    assert mask[7] and mask[-3:].all() and not mask.all()
 
 
 def test_read_regions_and_ranking_tsv(tmp_path):
@@ -218,7 +230,7 @@ def test_read_regions_and_ranking_tsv(tmp_path):
     regions = dl.read_regions(path)
     assert [r.name for r in regions] == ["north", "south"]
     assert regions[0].terms == ["pop", "bubbler"]
-    assert regions[0].points[1] == GeoPoint(46.0, -94.0)
+    np.testing.assert_array_equal(regions[0].points, [[45.0, -93.0], [46.0, -94.0]])
     bad = tmp_path / "bad.tsv"
     bad.write_text("oops\tnot-a-point\tterm\n")
     with pytest.raises(ValueError):

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from geomix import geo
 from geomix.geo import (ACC_RADIUS_KM, EARTH_RADIUS_KM, GeoPoint, evaluate,
-                        haversine_km, haversine_km_arrays, median_lower,
-                        write_error_tsv)
+                        haversine_km, median_lower, write_error_tsv)
 
-NYC = GeoPoint(40.7128, -74.0060)
-LA = GeoPoint(34.0522, -118.2437)
+NYC = np.array([40.7128, -74.0060])
+LA = np.array([34.0522, -118.2437])
+
+
+def random_points(rng, n):
+    """n x 2 uniform (lat, lon) rows, drawn row by row."""
+    return rng.uniform([-90.0, -180.0], [90.0, 180.0], size=(n, 2))
 
 
 def law_of_cosines_km(a, b):
-    lat1, lon1, lat2, lon2 = map(np.radians, (a.lat, a.lon, b.lat, b.lon))
+    lat1, lon1 = np.radians(a[..., 0]), np.radians(a[..., 1])
+    lat2, lon2 = np.radians(b[..., 0]), np.radians(b[..., 1])
     c = np.sin(lat1) * np.sin(lat2) + np.cos(lat1) * np.cos(lat2) * np.cos(lon2 - lon1)
     return EARTH_RADIUS_KM * np.arccos(np.clip(c, -1.0, 1.0))
 
@@ -27,27 +31,24 @@ def test_nyc_la_against_spherical_law_of_cosines():
 def test_zero_symmetry_antipodal():
     assert haversine_km(NYC, NYC) == 0.0
     assert abs(haversine_km(NYC, LA) - haversine_km(LA, NYC)) < 1e-9
-    a = GeoPoint(10.0, 20.0)
-    b = GeoPoint(-10.0, -160.0)
+    a = np.array([10.0, 20.0])
+    b = np.array([-10.0, -160.0])
     # arcsin loses a few digits at the antipodal boundary; sub-km is plenty
     assert abs(haversine_km(a, b) - np.pi * EARTH_RADIUS_KM) < 0.5
 
 
-def test_vectorized_matches_scalar():
+def test_random_pairs_against_spherical_law_of_cosines():
     rng = np.random.default_rng(0)
-    lat1, lat2 = rng.uniform(-90, 90, (2, 200))
-    lon1, lon2 = rng.uniform(-180, 180, (2, 200))
-    vec = haversine_km_arrays(lat1, lon1, lat2, lon2)
-    for i in range(200):
-        s = haversine_km(GeoPoint(lat1[i], lon1[i]), GeoPoint(lat2[i], lon2[i]))
-        assert abs(vec[i] - s) < 1e-9
+    a, b = random_points(rng, 200), random_points(rng, 200)
+    d = haversine_km(a, b)
+    assert d.shape == (200,)
+    np.testing.assert_allclose(d, law_of_cosines_km(a, b), rtol=0.0, atol=1e-6)
 
 
 def test_triangle_inequality():
     rng = np.random.default_rng(1)
     for _ in range(1000):
-        pts = [GeoPoint(float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)))
-               for _ in range(3)]
+        pts = random_points(rng, 3)
         ab = haversine_km(pts[0], pts[1])
         bc = haversine_km(pts[1], pts[2])
         ac = haversine_km(pts[0], pts[2])
@@ -70,21 +71,21 @@ def test_median_lower_convention():
 
 def _point_at_km(origin, km):
     # move east along a parallel
-    dlon = np.degrees(km / (EARTH_RADIUS_KM * np.cos(np.radians(origin.lat))))
-    return GeoPoint(origin.lat, origin.lon + dlon)
+    dlon = np.degrees(km / (EARTH_RADIUS_KM * np.cos(np.radians(origin[0]))))
+    return origin + [0.0, dlon]
 
 
 def test_evaluate_fixed_errors():
-    truth = GeoPoint(0.0, 0.0)
-    preds = [_point_at_km(truth, km) for km in (100.0, 200.0, 600.0)]
-    rep = evaluate(preds, [truth] * 3)
+    truth = np.zeros(2)
+    preds = np.array([_point_at_km(truth, km) for km in (100.0, 200.0, 600.0)])
+    rep = evaluate(preds, np.tile(truth, (3, 1)))
     assert abs(rep.mean_km - 300.0) < 1e-6
     assert abs(rep.median_km - 200.0) < 1e-6
     assert abs(rep.acc_at_161 - 100.0 / 3.0) < 1e-9
 
 
 def test_acc_boundary_inclusive():
-    truth = GeoPoint(0.0, 0.0)
+    truth = np.zeros(2)
     exactly = _point_at_km(truth, ACC_RADIUS_KM)
     just_out = _point_at_km(truth, ACC_RADIUS_KM + 0.001)
     assert evaluate([exactly], [truth]).acc_at_161 == 100.0
@@ -93,10 +94,7 @@ def test_acc_boundary_inclusive():
 
 def test_evaluate_against_brute_force():
     rng = np.random.default_rng(2)
-    preds = [GeoPoint(float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)))
-             for _ in range(501)]
-    truths = [GeoPoint(float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180)))
-              for _ in range(501)]
+    preds, truths = random_points(rng, 501), random_points(rng, 501)
     rep = evaluate(preds, truths)
     errs = sorted(haversine_km(p, t) for p, t in zip(preds, truths))
     assert abs(rep.mean_km - np.mean(errs)) < 1e-9 * max(1.0, rep.mean_km)
@@ -109,14 +107,16 @@ def test_evaluate_errors():
     with pytest.raises(ValueError):
         evaluate([], [])
     with pytest.raises(ValueError):
-        evaluate([NYC], [NYC, LA])
+        evaluate(np.array([NYC]), np.array([NYC, LA]))
 
 
 def test_write_error_tsv(tmp_path):
     path = tmp_path / "err.tsv"
-    write_error_tsv(path, [NYC], [LA], ["u1"])
+    preds, truths = np.array([NYC]), np.array([LA])
+    write_error_tsv(path, ["u1"], preds, truths, evaluate(preds, truths).errors_km)
     lines = path.read_text().splitlines()
     assert lines[1].startswith("user_id\t")
     fields = lines[2].split("\t")
     assert fields[0] == "u1"
+    assert fields[1:5] == [repr(x) for x in (*LA.tolist(), *NYC.tolist())]
     assert abs(float(fields[5]) - haversine_km(NYC, LA)) < 1e-9
