@@ -22,8 +22,30 @@ class KMeansResult:
 
 
 def _pairwise_sq(points, centroids):
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    """N x K squared distances, one coordinate column at a time."""
+    dx = points[:, 0, None] - centroids[None, :, 0]
+    dy = points[:, 1, None] - centroids[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _assign(points, centroids):
+    """Nearest-centroid assignments; each cluster left empty, in index
+    order, takes the point farthest from its nearest centroid."""
+    d2 = _pairwise_sq(points, centroids)
+    assignments = np.argmin(d2, axis=1)
+    nearest = np.min(d2, axis=1)
+    counts = np.bincount(assignments, minlength=len(centroids))
+    for c in range(len(centroids)):
+        if counts[c] == 0:
+            far = np.argmax(nearest)
+            counts[assignments[far]] -= 1
+            counts[c] = 1
+            assignments[far] = c
+            nearest[far] = 0.0
+    return assignments
 
 
 def _seed_pp(points, k, rng):
@@ -55,14 +77,7 @@ def kmeans(points, k, seed=0, max_iters=300, tol=1e-6):
     prev_inertia = np.inf
     assignments = np.zeros(len(points), dtype=int)
     for _ in range(max_iters):
-        d2 = _pairwise_sq(points, centroids)
-        assignments = np.argmin(d2, axis=1)
-        # repair empty clusters with the globally farthest point
-        for c in range(k):
-            if not np.any(assignments == c):
-                far = np.argmax(np.min(d2, axis=1))
-                assignments[far] = c
-                d2[far] = 0.0
+        assignments = _assign(points, centroids)
         for c in range(k):
             centroids[c] = points[assignments == c].mean(axis=0)
         inertia = float(np.sum((points - centroids[assignments]) ** 2))

@@ -4,8 +4,10 @@ Each model exposes the same training surface (``params``, ``num_examples``,
 ``batch_loss_and_grads``, ``dev_metric``) consumed by ``network.train_loop``
 and ``network.gradient_check``, plus checkpoint (de)serialization.
 
-Training data is a ``(X, Y)`` pair: X dense or CSR features, Y an N x 2
-coordinate array (geolocation) or N x V target matrix (dialectology).
+Training data is a ``(X, Y)`` pair of row-indexable arrays.  Geolocation
+models take X as an N x V CSR feature matrix, kept sparse through the first
+layer, and Y as an N x 2 coordinate array; the dialect model takes X as a
+dense N x 2 coordinate array and Y as a dense N x V target matrix.
 
 Checkpoint format 2 stores each parameter block as ``{"shape": [...],
 "data": "<base64 of little-endian float64 bytes>"}``; format 1 stored
@@ -17,7 +19,6 @@ import base64
 import binascii
 
 import numpy as np
-from scipy import sparse
 
 from . import dialect as dl
 from . import heads
@@ -29,15 +30,6 @@ READABLE_VERSIONS = (1, 2)
 
 class CheckpointError(ValueError):
     pass
-
-
-def _dense(X, idx=None):
-    sub = X if idx is None else X[idx]
-    return sub.toarray() if sparse.issparse(sub) else np.asarray(sub, dtype=float)
-
-
-def _take(Y, idx=None):
-    return np.asarray(Y, dtype=float) if idx is None else np.asarray(Y, dtype=float)[idx]
 
 
 class _BaseModel:
@@ -57,15 +49,12 @@ class _BaseModel:
         raise NotImplementedError
 
     def batch_loss_and_grads(self, data, idx=None, rng=None, train_mode=False):
-        X = _dense(data[0], idx)
-        Y = _take(data[1], idx)
+        X, Y = data if idx is None else (data[0][idx], data[1][idx])
         loss, grads = self._data_loss(X, Y, train_mode, rng)
         return loss + regularization_penalty(self.params, self.spec), grads
 
     def dev_metric(self, data):
-        X = _dense(data[0])
-        Y = _take(data[1])
-        loss, _ = self._data_loss(X, Y, train_mode=False, rng=None)
+        loss, _ = self._data_loss(*data, train_mode=False, rng=None)
         return loss
 
     def _extra_checkpoint(self):
@@ -185,8 +174,7 @@ class RegressionGeolocator(_BaseModel):
         return loss, grads
 
     def predict_points(self, X):
-        out = forward(self.params, self.spec, _dense(X)).output
-        return out.copy()
+        return forward(self.params, self.spec, X).output
 
 
 class _MixtureGeolocator(_BaseModel):
@@ -253,7 +241,7 @@ class MdnGeolocator(_MixtureGeolocator):
         b[4 * K:] = 0.0
 
     def mixture_arrays(self, X):
-        raw = forward(self.params, self.spec, _dense(X)).output
+        raw = forward(self.params, self.spec, X).output
         return heads.unpack_arrays(raw, self.head.K)
 
 
@@ -280,7 +268,7 @@ class SharedMdnGeolocator(_MixtureGeolocator):
         return loss, grads
 
     def mixture_arrays(self, X):
-        pi_raw = forward(self.params, self.spec, _dense(X)).output
+        pi_raw = forward(self.params, self.spec, X).output
         s1, s2, rho, _ = heads.component_transforms(self.params)
         mus = self.params["mus"]
         tile = lambda v: np.tile(v, (pi_raw.shape[0], 1))
@@ -313,13 +301,13 @@ class DialectModel(_BaseModel):
         acts_in, cache = dl.gaussian_layer_forward_batch(self.params, X, self.log_domain)
         acts = forward(self.params, self.spec, acts_in, train_mode=train_mode, rng=rng)
         loss, d_logits = dl.dialect_loss(acts.output, Y)
-        grads, d_input = backward(self.params, self.spec, acts, d_logits)
+        grads, d_input = backward(self.params, self.spec, acts, d_logits, input_grad=True)
         grads.update(dl.gaussian_layer_backward(self.params, cache, d_input))
         return loss, grads
 
     def word_log_probs(self, coords):
         """N x V log-probabilities over the vocabulary for N coordinates."""
-        acts_in, _ = dl.gaussian_layer_forward_batch(self.params, _dense(coords), self.log_domain)
+        acts_in, _ = dl.gaussian_layer_forward_batch(self.params, coords, self.log_domain)
         logits = forward(self.params, self.spec, acts_in).output
         return heads.log_softmax(logits)
 

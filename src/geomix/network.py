@@ -8,6 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 
 class ContractError(ValueError):
@@ -77,8 +78,13 @@ class Activations:
 
 
 def forward(params, spec, X, train_mode=False, rng=None):
-    """Hidden layers tanh (+ inverted dropout in train mode); final layer affine."""
-    X = np.asarray(X, dtype=float)
+    """Hidden layers tanh (+ inverted dropout in train mode); final layer affine.
+
+    X is dense or a scipy sparse matrix; a sparse X stays sparse, so the
+    first layer is a sparse-dense product.
+    """
+    if not sparse.issparse(X):
+        X = np.asarray(X, dtype=float)
     if X.shape[1] != spec.layer_sizes[0]:
         raise ContractError(f"batch width {X.shape[1]} != input size {spec.layer_sizes[0]}")
     n_layers = len(spec.layer_sizes) - 1
@@ -105,10 +111,11 @@ def forward(params, spec, X, train_mode=False, rng=None):
     return Activations(layer_inputs=layer_inputs, pre_acts=pre_acts, masks=masks, output=h)
 
 
-def backward(params, spec, acts, d_output):
+def backward(params, spec, acts, d_output, input_grad=False):
     """Reverse-mode gradients; elastic-net terms added to weight grads only.
 
-    Returns (grads dict matching params, dLoss/dInput).
+    Returns (grads dict matching params, dLoss/dInput).  dLoss/dInput is
+    computed only with ``input_grad``, and is None otherwise.
     """
     n_layers = len(spec.layer_sizes) - 1
     grads = {}
@@ -127,6 +134,8 @@ def backward(params, spec, acts, d_output):
             gW += 2.0 * spec.l2_coeff * W
         grads[f"W{i}"] = gW
         grads[f"b{i}"] = delta.sum(axis=0)
+        if i == 0 and not input_grad:
+            return grads, None
         delta = delta @ W.T
     return grads, delta
 
@@ -143,26 +152,50 @@ def regularization_penalty(params, spec):
 
 @dataclass
 class AdamState:
+    """Adam moments per parameter block, plus two work arrays per block so
+    that a step allocates nothing."""
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
+    buffers: dict = field(default_factory=dict)
 
 
 def adam_step(adam, params, grads, cfg):
-    """Bias-corrected Adam update, in place on params."""
+    """Bias-corrected Adam update, in place on params.
+
+    Every gradient is checked before any state changes.  The update runs
+    in place in the order of ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + ((1-b2)*g)*g`` and ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``.
+    """
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        # min and max are NaN if any entry is NaN and infinite if any is
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise TrainingError(f"non-finite gradient in block {name}")
     adam.t += 1
+    c1 = 1.0 - cfg.beta1 ** adam.t
+    c2 = 1.0 - cfg.beta2 ** adam.t
     for name, g in grads.items():
+        p = params[name]
         if name not in adam.m:
-            adam.m[name] = np.zeros_like(params[name])
-            adam.v[name] = np.zeros_like(params[name])
-        adam.m[name] = cfg.beta1 * adam.m[name] + (1.0 - cfg.beta1) * g
-        adam.v[name] = cfg.beta2 * adam.v[name] + (1.0 - cfg.beta2) * g * g
-        m_hat = adam.m[name] / (1.0 - cfg.beta1 ** adam.t)
-        v_hat = adam.v[name] / (1.0 - cfg.beta2 ** adam.t)
-        params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            adam.m[name] = np.zeros_like(p)
+            adam.v[name] = np.zeros_like(p)
+            adam.buffers[name] = (np.empty_like(p), np.empty_like(p))
+        m, v = adam.m[name], adam.v[name]
+        a, b = adam.buffers[name]
+        m *= cfg.beta1
+        np.multiply(g, 1.0 - cfg.beta1, out=a)
+        m += a
+        v *= cfg.beta2
+        np.multiply(g, 1.0 - cfg.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(m, c1, out=a)
+        a *= cfg.learning_rate
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.epsilon
+        a /= b
+        p -= a
 
 
 def train_loop(model, train_data, dev_data, adam_cfg=None, stop_cfg=None,

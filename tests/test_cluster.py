@@ -1,11 +1,14 @@
-"""K-means against an exhaustive-assignment oracle on tiny inputs."""
+"""K-means against an exhaustive-assignment oracle on tiny inputs, and
+against the N x K x 2 reference loop it replaced."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geomix.cluster import KMeansInitError, kmeans
+from geomix.cluster import KMeansInitError, _assign, _seed_pp, kmeans
 
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 0.1], [10.0, 10.0], [10.0, 10.1]])
 
@@ -77,3 +80,82 @@ def test_assignments_are_nearest_centroid():
     result = kmeans(points, 4, seed=3)
     d2 = ((points[:, None, :] - result.centroids[None, :, :]) ** 2).sum(axis=2)
     np.testing.assert_array_equal(result.assignments, np.argmin(d2, axis=1))
+
+
+def reference_assign(points, centroids):
+    """The earlier assignment step: an N x K x 2 difference tensor, then K
+    ``np.any`` scans for empty clusters.  Returns (assignments, repairs)."""
+    diff = points[:, None, :] - centroids[None, :, :]
+    d2 = np.sum(diff * diff, axis=2)
+    assignments = np.argmin(d2, axis=1)
+    repairs = 0
+    for c in range(len(centroids)):
+        if not np.any(assignments == c):
+            far = np.argmax(np.min(d2, axis=1))
+            assignments[far] = c
+            d2[far] = 0.0
+            repairs += 1
+    return assignments, repairs
+
+
+def reference_kmeans(points, k, seed=0, max_iters=300, tol=1e-6):
+    rng = np.random.default_rng(seed)
+    centroids = _seed_pp(points, k, rng)
+    history = []
+    prev_inertia = np.inf
+    for _ in range(max_iters):
+        assignments, _ = reference_assign(points, centroids)
+        for c in range(k):
+            centroids[c] = points[assignments == c].mean(axis=0)
+        inertia = float(np.sum((points - centroids[assignments]) ** 2))
+        history.append(inertia)
+        if prev_inertia - inertia < tol:
+            break
+        prev_inertia = inertia
+    return centroids, assignments, history
+
+
+# a coarse grid, so drawn points repeat often
+GRID_POINT = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@st.composite
+def points_with_duplicates(draw):
+    base = draw(st.lists(GRID_POINT, min_size=1, max_size=25))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(base), max_size=len(base)))
+    points = np.repeat(np.array(base, dtype=float) * 0.75, repeats, axis=0)
+    return points[draw(st.permutations(range(len(points))))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(points_with_duplicates(), st.data())
+def test_kmeans_matches_reference_loop(points, data):
+    k = data.draw(st.integers(1, len(np.unique(points, axis=0))))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    got = kmeans(points, k, seed=seed)
+    centroids, assignments, history = reference_kmeans(points, k, seed=seed)
+    np.testing.assert_array_equal(got.centroids, centroids)
+    np.testing.assert_array_equal(got.assignments, assignments)
+    assert got.inertia_history == history
+
+
+@settings(max_examples=300, deadline=None)
+@given(points_with_duplicates(), st.lists(GRID_POINT, min_size=1, max_size=8), st.data())
+def test_assign_repairs_empty_clusters_like_reference(points, grid_centroids, data):
+    # a centroid repeated at a later index is never the first argmin, so its
+    # cluster starts empty and the repair branch must run
+    grid_centroids.insert(data.draw(st.integers(1, len(grid_centroids))), grid_centroids[0])
+    centroids = np.array(grid_centroids, dtype=float) * 0.75
+    want, repairs = reference_assign(points, centroids)
+    assert repairs >= 1
+    np.testing.assert_array_equal(_assign(points, centroids), want)
+
+
+def test_assign_repair_that_empties_a_later_cluster():
+    # cluster 1 starts empty and takes the point at x=6, the only member of
+    # cluster 2, so cluster 2 must then be repaired as well
+    points = np.array([[0.0, 0.0], [6.0, 0.0]])
+    centroids = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0]])
+    want, repairs = reference_assign(points, centroids)
+    assert repairs == 2
+    np.testing.assert_array_equal(_assign(points, centroids), want)

@@ -1,0 +1,67 @@
+"""Geolocation models on CSR features: the sparse first layer against the
+same rows densified, and a guard that no step densifies a sparse matrix."""
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from geomix import heads, models
+from geomix.network import NetworkSpec, train_loop
+
+V, K = 40, 3
+GEOLOCATORS = ("regression", "mdn", "mdn_shared")
+
+
+def corpus(seed=0, n=24):
+    rng = np.random.default_rng(seed)
+    X = sparse.random(n, V, density=0.15, format="csr", random_state=rng)
+    Y = np.stack([rng.normal(40.0, 4.0, n), rng.normal(-100.0, 8.0, n)], axis=1)
+    return X, Y
+
+
+def geolocator(name, Y, seed=0):
+    """Two hidden layers with dropout and elastic net, so every gradient term runs."""
+    out = {"regression": 2, "mdn": 6 * K, "mdn_shared": K}[name]
+    spec = NetworkSpec((V, 8, 6, out), dropout_rate=0.5, l1_coeff=1e-3, l2_coeff=1e-3, seed=seed)
+    if name == "regression":
+        return models.RegressionGeolocator(spec)
+    if name == "mdn":
+        model = models.MdnGeolocator(spec, heads.MdnHeadConfig(K))
+        model.init_output_bias_from_labels(Y, mode="kmeans", seed=seed)
+        return model
+    model = models.SharedMdnGeolocator(spec, heads.MdnHeadConfig(K))
+    model.init_shared_from_labels(Y, seed=seed)
+    return model
+
+
+@pytest.mark.parametrize("name", GEOLOCATORS)
+def test_csr_batch_matches_dense_rows(name):
+    X, Y = corpus(1)
+    model = geolocator(name, Y, seed=2)
+    idx = np.random.default_rng(3).permutation(len(Y))[:10]
+    loss_s, grads_s = model.batch_loss_and_grads((X, Y), idx, rng=np.random.default_rng(4),
+                                                 train_mode=True)
+    loss_d, grads_d = model.batch_loss_and_grads((X.toarray(), Y), idx,
+                                                 rng=np.random.default_rng(4), train_mode=True)
+    assert abs(loss_s - loss_d) <= 1e-12 * abs(loss_d)
+    assert set(grads_s) == set(grads_d) == set(model.params)
+    for block, g in grads_d.items():
+        assert np.max(np.abs(grads_s[block] - g)) <= 1e-12 * np.max(np.abs(g)), block
+
+
+@pytest.mark.parametrize("name", GEOLOCATORS)
+def test_geolocators_never_densify_csr(name, monkeypatch):
+    X, Y = corpus(5)
+    model = geolocator(name, Y, seed=6)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a sparse matrix was densified")
+
+    for cls in (sparse.csr_matrix, sparse.csc_matrix):
+        monkeypatch.setattr(cls, "toarray", refuse)
+    with pytest.raises(AssertionError):
+        X.toarray()
+    _, log = train_loop(model, (X, Y), (X[:8], Y[:8]), batch_size=5, max_epochs=1, seed=7)
+    assert len(log) == 1
+    assert np.isfinite(model.dev_metric((X, Y)))
+    assert model.predict_points(X).shape == (len(Y), 2)

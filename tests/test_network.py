@@ -67,7 +67,7 @@ def test_backward_input_gradient():
     X = rng.normal(size=(4, 3))
     acts = forward(params, spec, X)
     d_out = np.ones_like(acts.output)
-    _, d_input = backward(params, spec, acts, d_out)
+    _, d_input = backward(params, spec, acts, d_out, input_grad=True)
     h = 1e-6
     for i in range(X.shape[0]):
         for j in range(X.shape[1]):
@@ -77,6 +77,19 @@ def test_backward_input_gradient():
             numeric = (forward(params, spec, Xp).output.sum()
                        - forward(params, spec, Xm).output.sum()) / (2 * h)
             assert abs(d_input[i, j] - numeric) < 1e-6
+
+
+def test_backward_input_gradient_only_on_request():
+    rng = np.random.default_rng(3)
+    params, spec = small_net(seed=4)
+    acts = forward(params, spec, rng.normal(size=(4, 3)))
+    d_out = rng.normal(size=acts.output.shape)
+    grads, d_input = backward(params, spec, acts, d_out)
+    assert d_input is None
+    asked, d_input = backward(params, spec, acts, d_out, input_grad=True)
+    assert d_input.shape == (4, 3)
+    for name in params:
+        np.testing.assert_array_equal(grads[name], asked[name])
 
 
 def test_dropout_zero_equals_eval_mode():
@@ -126,6 +139,80 @@ def test_adam_rejects_non_finite():
     with pytest.raises(TrainingError):
         adam_step(AdamState(), {"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])},
                   AdamConfig())
+
+
+def textbook_adam(params, grads_seq, cfg):
+    """Bias-corrected Adam written out step by step, one new array per term."""
+    params = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t, grads in enumerate(grads_seq, 1):
+        for k, g in grads.items():
+            m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+            v[k] = cfg.beta2 * v[k] + ((1.0 - cfg.beta2) * g) * g
+            m_hat = m[k] / (1.0 - cfg.beta1 ** t)
+            v_hat = v[k] / (1.0 - cfg.beta2 ** t)
+            params[k] = params[k] - (cfg.learning_rate * m_hat) / (np.sqrt(v_hat) + cfg.epsilon)
+    return params, m, v
+
+
+def two_blocks(rng):
+    return {"W": rng.normal(size=(7, 5)), "b": rng.normal(size=5)}
+
+
+def test_adam_matches_textbook_formula_bitwise():
+    rng = np.random.default_rng(11)
+    start = two_blocks(rng)
+    cfg = AdamConfig(learning_rate=0.03, beta1=0.8, beta2=0.99, epsilon=1e-7)
+    grads_seq = [{k: rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 3)
+                  for k, a in start.items()} for _ in range(6)]
+    params = {k: a.copy() for k, a in start.items()}
+    adam = AdamState()
+    for grads in grads_seq:
+        adam_step(adam, params, grads, cfg)
+    want, m, v = textbook_adam(start, grads_seq, cfg)
+    assert adam.t == len(grads_seq)
+    for k in start:
+        np.testing.assert_array_equal(params[k], want[k])
+        np.testing.assert_array_equal(adam.m[k], m[k])
+        np.testing.assert_array_equal(adam.v[k], v[k])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_non_finite_last_block_changes_nothing(bad):
+    rng = np.random.default_rng(12)
+    params = two_blocks(rng)
+    adam = AdamState()
+    adam_step(adam, params, {k: rng.normal(size=a.shape) for k, a in params.items()},
+              AdamConfig())
+    before = ({k: a.copy() for k, a in params.items()},
+              {k: a.copy() for k, a in adam.m.items()},
+              {k: a.copy() for k, a in adam.v.items()})
+    grads = {k: rng.normal(size=a.shape) for k, a in params.items()}
+    grads["b"][2] = bad  # "b" is the last block adam_step visits
+    with pytest.raises(TrainingError, match="block b"):
+        adam_step(adam, params, grads, AdamConfig())
+    assert adam.t == 1
+    for now, then in zip((params, adam.m, adam.v), before):
+        for k in then:
+            np.testing.assert_array_equal(now[k], then[k])
+
+
+def test_adam_keeps_its_moment_arrays():
+    rng = np.random.default_rng(13)
+    params = two_blocks(rng)
+    adam = AdamState()
+    adam_step(adam, params, {k: rng.normal(size=a.shape) for k, a in params.items()},
+              AdamConfig())
+
+    def arrays():
+        return [arr for k in params for arr in (adam.m[k], adam.v[k], *adam.buffers[k])]
+
+    held = arrays()
+    for _ in range(3):
+        adam_step(adam, params, {k: rng.normal(size=a.shape) for k, a in params.items()},
+                  AdamConfig())
+        assert all(now is then for now, then in zip(arrays(), held))
 
 
 def test_adam_descends_quadratic():
