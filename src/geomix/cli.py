@@ -114,8 +114,8 @@ def cmd_train(args):
             raise UsageError("the dialect model needs exactly one --hidden size")
         model = models.DialectModel.init(K, cfg["hidden"][0], vocab.terms, Ytr, seed=seed,
                                          dropout_rate=cfg["dropout"], l1_coeff=cfg["l1"], l2_coeff=cfg["l2"])
-        train_data = (Ytr, Xtr.toarray())
-        dev_data = (Ydev, Xdev.toarray())
+        train_data = (Ytr, Xtr)
+        dev_data = (Ydev, Xdev)
     else:
         if cfg["model"] == "regression":
             spec = network.NetworkSpec((D, *cfg["hidden"], 2), dropout_rate=cfg["dropout"],
@@ -221,6 +221,8 @@ def cmd_predict(args):
 
 
 def cmd_dialect(args):
+    if args.p < 1:
+        raise UsageError("--p must be >= 1")
     model = data.load_model(args.checkpoint)
     if model.model_name != "dialect":
         raise UsageError(f"dialect scoring needs a dialect checkpoint, got {model.model_name!r}")
@@ -229,15 +231,18 @@ def cmd_dialect(args):
     coords = data.coords_array(train_recs)
     rng = np.random.default_rng(args.seed)
     pts = coords[rng.integers(len(coords), size=args.p)]
-    log_probs = model.word_log_probs(pts)
-    terms = model.terms
-    summary = []
+    scored, masks = [], []
     for region in regions:
         mask = dl.region_membership(pts, region, args.radius_km)
         if not mask.any():
             print(f"warning: no sampled points inside {region.name}; skipped", file=sys.stderr)
             continue
-        scores = dl.score_vocabulary(log_probs, mask)
+        scored.append(region)
+        masks.append(mask)
+    terms = model.terms
+    summary = []
+    for region, mask, scores in zip(scored, masks,
+                                    dl.score_vocabulary(model.word_log_prob_blocks(pts), masks)):
         ranked = dl.dialect_rank(terms, scores)
         recall, oov = dl.recall_at_k([t for t, _ in ranked], region.terms, args.k, terms)
         dl.write_ranking_tsv(f"{args.out_prefix}{region.name}.tsv", ranked)
@@ -271,7 +276,8 @@ def cmd_heatmap(args):
         if args.word not in model.terms:
             near = sorted(model.terms, key=lambda t: _edit_distance(args.word, t))[:5]
             raise UsageError(f"word {args.word!r} not in vocabulary; nearest: {', '.join(near)}")
-        values = model.word_log_probs(points)[:, model.terms.index(args.word)]
+        j = model.terms.index(args.word)
+        values = np.concatenate([lp[:, j] for _, lp in model.word_log_prob_blocks(points)])
     else:
         if not hasattr(model, "mixture_arrays"):
             raise UsageError(f"heatmap needs a mixture or dialect checkpoint, got {model.model_name!r}")

@@ -48,6 +48,17 @@ def _assign(points, centroids):
     return assignments
 
 
+def _centroids(points, assignments, k):
+    """Per-cluster coordinate means; ``_assign`` leaves no cluster empty.
+
+    ``np.bincount`` adds each cluster's points in index order, the order in
+    which ``points[assignments == c].mean(axis=0)`` adds them.
+    """
+    counts = np.bincount(assignments, minlength=k)
+    sums = [np.bincount(assignments, weights=points[:, j], minlength=k) for j in (0, 1)]
+    return np.stack(sums, axis=1) / counts[:, None]
+
+
 def _seed_pp(points, k, rng):
     n = len(points)
     centroids = np.empty((k, 2))
@@ -78,8 +89,7 @@ def kmeans(points, k, seed=0, max_iters=300, tol=1e-6):
     assignments = np.zeros(len(points), dtype=int)
     for _ in range(max_iters):
         assignments = _assign(points, centroids)
-        for c in range(k):
-            centroids[c] = points[assignments == c].mean(axis=0)
+        centroids = _centroids(points, assignments, k)
         inertia = float(np.sum((points - centroids[assignments]) ** 2))
         history.append(inertia)
         if prev_inertia - inertia < tol:

@@ -45,25 +45,32 @@ def gaussian_layer_backward(params, cache, d_acts):
     return component_grads(params, terms, d_acts if log_domain else d_acts * np.exp(log_n))
 
 
+def target_log_likelihood(log_p, targets):
+    """Sum of ``targets * log_p`` over the target rows with positive mass,
+    and the boolean mask of those rows.
+
+    ``targets`` holds nonnegative word weights, one row per ``log_p`` row.
+    """
+    targets = np.asarray(targets, dtype=float)
+    if np.any(targets < 0.0):
+        raise ContractError("target rows must be nonnegative")
+    active = targets.sum(axis=1) > 0.0
+    return np.sum(targets[active] * log_p[active]), active
+
+
 def dialect_loss(logits, targets):
     """Mean cross-entropy of l1-normalized targets against softmax(logits).
 
     All-zero target rows are skipped; gradient is w.r.t. the pre-softmax
     logits.  Returns (loss, dLoss/dLogits).
     """
-    logits = np.asarray(logits, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if np.any(targets < 0.0):
-        raise ContractError("target rows must be nonnegative")
-    row_mass = targets.sum(axis=1)
-    active = row_mass > 0.0
+    log_p = log_softmax(np.asarray(logits, dtype=float))
+    ll, active = target_log_likelihood(log_p, targets)
     n_active = int(active.sum())
     if n_active == 0:
-        return 0.0, np.zeros_like(logits)
-    log_p = log_softmax(logits)
-    p = np.exp(log_p)
-    loss = -float(np.sum(targets[active] * log_p[active]) / n_active)
-    d_logits = np.where(active[:, None], p - targets, 0.0) / n_active
+        return 0.0, np.zeros_like(log_p)
+    loss = -float(ll / n_active)
+    d_logits = np.where(active[:, None], np.exp(log_p) - targets, 0.0) / n_active
     return loss, d_logits
 
 
@@ -93,13 +100,34 @@ def dialect_score(log_probs_at_points, in_region_mask):
     return float(lp[mask].mean() - lp.mean())
 
 
-def score_vocabulary(log_prob_matrix, in_region_mask):
-    """dialect_score for every vocabulary column of a P x V log-prob matrix."""
-    mask = np.asarray(in_region_mask, dtype=bool)
-    if not mask.any():
+def score_vocabulary(blocks, masks):
+    """dialect_score of every vocabulary column, for each region mask.
+
+    ``blocks`` yields ``(start, log_probs)`` row blocks that together cover
+    a P x V log-probability matrix in order; ``masks`` are P-length region
+    masks.  Returns one V-vector of scores per mask.  Column sums run over
+    the rows in order, so the scores equal ``lp[mask].mean(0) - lp.mean(0)``
+    on the whole matrix bit for bit.
+    """
+    masks = [np.asarray(m, dtype=bool) for m in masks]
+    if not all(m.any() for m in masks):
         raise ValueError("no sampled points fall inside the region")
-    lp = np.asarray(log_prob_matrix, dtype=float)
-    return lp[mask].mean(axis=0) - lp.mean(axis=0)
+    total, region_sums, n = None, [None] * len(masks), 0
+    for start, lp in blocks:
+        lp = np.ascontiguousarray(lp, dtype=float)
+        n = start + len(lp)
+        total = _continue_column_sum(total, lp)
+        for r, mask in enumerate(masks):
+            rows = lp[mask[start:n]]
+            if len(rows):
+                region_sums[r] = _continue_column_sum(region_sums[r], rows)
+    return [s / int(m.sum()) - total / n for s, m in zip(region_sums, masks)]
+
+
+def _continue_column_sum(acc, rows):
+    """Column sums of the rows summed so far (``acc``, None for none) and
+    then ``rows``, added in the order one axis-0 sum over all of them adds."""
+    return rows.sum(axis=0) if acc is None else np.concatenate((acc[None], rows)).sum(axis=0)
 
 
 def dialect_rank(terms, scores):

@@ -7,7 +7,10 @@ and ``network.gradient_check``, plus checkpoint (de)serialization.
 Training data is a ``(X, Y)`` pair of row-indexable arrays.  Geolocation
 models take X as an N x V CSR feature matrix, kept sparse through the first
 layer, and Y as an N x 2 coordinate array; the dialect model takes X as a
-dense N x 2 coordinate array and Y as a dense N x V target matrix.
+dense N x 2 coordinate array and Y as an N x V CSR target matrix, of which
+a training batch densifies only its own rows.  The dialect model's V-wide
+outputs (word log-probabilities, the dev loss) are computed in row blocks
+of at most ``ROW_BLOCK_ELEMS`` values, never for all rows at once.
 
 Checkpoint format 2 stores each parameter block as ``{"shape": [...],
 "data": "<base64 of little-endian float64 bytes>"}``; format 1 stored
@@ -19,6 +22,7 @@ import base64
 import binascii
 
 import numpy as np
+from scipy import sparse
 
 from . import dialect as dl
 from . import heads
@@ -26,6 +30,7 @@ from .network import NetworkSpec, backward, forward, init_network_params, regula
 
 FORMAT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
+ROW_BLOCK_ELEMS = 1 << 21  # float64 values in one row block of a V-wide output (16 MB)
 
 
 class CheckpointError(ValueError):
@@ -300,16 +305,36 @@ class DialectModel(_BaseModel):
     def _data_loss(self, X, Y, train_mode, rng):
         acts_in, cache = dl.gaussian_layer_forward_batch(self.params, X, self.log_domain)
         acts = forward(self.params, self.spec, acts_in, train_mode=train_mode, rng=rng)
-        loss, d_logits = dl.dialect_loss(acts.output, Y)
+        loss, d_logits = dl.dialect_loss(acts.output, _dense(Y))
         grads, d_input = backward(self.params, self.spec, acts, d_logits, input_grad=True)
         grads.update(dl.gaussian_layer_backward(self.params, cache, d_input))
         return loss, grads
+
+    def dev_metric(self, data):
+        """Mean cross-entropy over the target rows with positive mass, one
+        row block at a time; no gradients."""
+        coords, Y = data
+        ll, n_active = 0.0, 0
+        for start, log_p in self.word_log_prob_blocks(coords):
+            block_ll, active = dl.target_log_likelihood(log_p, _dense(Y[start:start + len(log_p)]))
+            ll += block_ll
+            n_active += int(active.sum())
+        return -float(ll / n_active) if n_active else 0.0
 
     def word_log_probs(self, coords):
         """N x V log-probabilities over the vocabulary for N coordinates."""
         acts_in, _ = dl.gaussian_layer_forward_batch(self.params, coords, self.log_domain)
         logits = forward(self.params, self.spec, acts_in).output
         return heads.log_softmax(logits)
+
+    def word_log_prob_blocks(self, coords):
+        """``(start, word_log_probs(coords[start:start + rows]))`` for
+        consecutive row blocks of the N x 2 ``coords``, each block at most
+        ``ROW_BLOCK_ELEMS`` values (and at least one row)."""
+        coords = np.asarray(coords, dtype=float)
+        rows = max(1, ROW_BLOCK_ELEMS // len(self.terms))
+        for start in range(0, len(coords), rows):
+            yield start, self.word_log_probs(coords[start:start + rows])
 
     def _extra_checkpoint(self):
         return {"terms": self.terms, "log_domain": self.log_domain}
@@ -320,6 +345,10 @@ class DialectModel(_BaseModel):
         if len(terms) != spec.layer_sizes[-1]:
             raise CheckpointError(f"{len(terms)} terms for an output layer of {spec.layer_sizes[-1]}")
         return {"terms": terms, "log_domain": ck.get("log_domain", False)}
+
+
+def _dense(Y):
+    return Y.toarray() if sparse.issparse(Y) else Y
 
 
 MODEL_CLASSES = {

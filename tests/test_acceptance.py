@@ -262,7 +262,7 @@ def test_criterion_7_dialect_recall_and_centers(dialect_models):
             region = dl.DialectRegion(f"region{i}", [[center.lat, center.lon]],
                                       [f"mode{i}tok{j}" for j in range(5)])
             mask = dl.region_membership(pts, region)
-            ranked = dl.dialect_rank(vocab.terms, dl.score_vocabulary(lp, mask))
+            ranked = dl.dialect_rank(vocab.terms, dl.score_vocabulary([(0, lp)], [mask])[0])
             rec, _ = dl.recall_at_k([t for t, _ in ranked], region.terms, 10, vocab.terms)
             all_regions &= rec == 1.0
         seeds_all_regions += all_regions
@@ -276,7 +276,7 @@ def test_criterion_7_dialect_recall_and_centers(dialect_models):
     rng = np.random.default_rng(0)
     const_lp = np.tile(rng.normal(size=7), (500, 1))  # location-independent columns
     mask = rng.random(500) < 0.3
-    const_worst = float(np.max(np.abs(dl.score_vocabulary(const_lp, mask))))
+    const_worst = float(np.max(np.abs(dl.score_vocabulary([(0, const_lp)], [mask])[0])))
 
     ok = seeds_all_regions >= 2 and mu_ok and const_worst <= 1e-9
     report(7, ok, f"{seeds_all_regions}/3 seeds with perfect recall@10 (need >= 2); "

@@ -150,6 +150,52 @@ def test_heatmap_dialect(dialect_run, tmp_path):
     assert abs(float(best.split(",")[0]) - 30.0) < 5.0
 
 
+def ranking_scores(path):
+    return {term: float(score) for _, term, score in
+            (line.split("\t") for line in path.read_text().splitlines()[1:])}
+
+
+def test_dialect_commands_hold_one_row_block(dialect_run, corpus, tmp_path, monkeypatch):
+    from scipy import sparse
+
+    from geomix import features, models
+    dialect = ["dialect", "--checkpoint", str(dialect_run / "dia.json"),
+               "--regions", str(dialect_run / "regions.tsv"),
+               "--train", str(corpus / "s-train.tsv"), "--p", "200"]
+    assert run(dialect + ["--out-prefix", str(tmp_path / "whole-")]) == 0  # one block
+
+    V = len(features.load_vocab(dialect_run / "vocab.tsv").terms)
+    monkeypatch.setattr(models, "ROW_BLOCK_ELEMS", 8 * V)  # 8-row blocks
+    word_log_probs, toarray = models.DialectModel.word_log_probs, sparse.csr_matrix.toarray
+
+    def one_block(self, coords):
+        assert len(coords) <= 8, f"word log-probabilities for {len(coords)} rows at once"
+        return word_log_probs(self, coords)
+
+    def batch_rows_only(self, *args, **kwargs):
+        assert self.shape[0] <= 8, f"a {self.shape} target matrix was densified"
+        return toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(models.DialectModel, "word_log_probs", one_block)
+    monkeypatch.setattr(sparse.csr_matrix, "toarray", batch_rows_only)
+    # 160 training rows in batches of 8, 20 dev rows in blocks of 8
+    assert run(["train", "--model", "dialect", "--profile", "synth-dialect",
+                "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
+                "--checkpoint", str(tmp_path / "dia.json"), "--k", "2", "--batch-size", "8",
+                "--max-epochs", "1"]) == 0
+    assert run(dialect + ["--out-prefix", str(tmp_path / "blocked-")]) == 0  # 25 blocks
+    assert run(["heatmap", "--checkpoint", str(dialect_run / "dia.json"), "--word", "mode0tok0",
+                "--bbox", "25,55,-105,-95", "--resolution", "6",
+                "--output", str(tmp_path / "hm.csv")]) == 0  # 36 cells, 5 blocks
+    assert len((tmp_path / "hm.csv").read_text().splitlines()) == 1 + 6 * 6
+    for region in ("north", "south"):
+        whole = ranking_scores(tmp_path / f"whole-{region}.tsv")
+        blocked = ranking_scores(tmp_path / f"blocked-{region}.tsv")
+        assert whole.keys() == blocked.keys()
+        for term, score in whole.items():
+            assert abs(blocked[term] - score) <= 1e-9, term
+
+
 def test_heatmap_geolocation(trained, tmp_path):
     out = tmp_path / "hm2.csv"
     rc = run(["heatmap", "--checkpoint", str(trained / "mdn.json"),
@@ -245,7 +291,11 @@ DIALECT_CASES = {
     "malformed regions line": ("north\t50,-100\tmode1tok0\nnot a region\n",),
     "dialect radius 0": ("north\t50,-100\tmode1tok0\n", "--radius-km", "0"),
     "dialect k 0": ("north\t50,-100\tmode1tok0\n", "--k", "0"),
+    "dialect p 0": ("north\t50,-100\tmode1tok0\n", "--p", "0"),
+    "dialect p -3": ("north\t50,-100\tmode1tok0\n", "--p", "-3"),
 }
+# the message a refusal must name, where an earlier failure could also end in an error line
+ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must be >= 1"}
 
 
 def bad_input_argv(case, request, tmp_path):
@@ -308,7 +358,9 @@ def test_bad_input_is_an_error_line(case, request, tmp_path, capsys):
     argv = bad_input_argv(case, request, tmp_path)
     capsys.readouterr()
     assert run(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert ERROR_MESSAGES.get(case, "") in err
     assert not list(tmp_path.glob("out*"))
 
 

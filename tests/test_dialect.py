@@ -1,14 +1,17 @@
-"""Gaussian representation layer, dialect loss, scoring, ranking, recall
-and perplexity."""
+"""Gaussian representation layer, dialect loss, streamed scoring, ranking,
+recall and perplexity, and the dialect model's CSR targets and row-blocked
+dev loss."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.stats import multivariate_normal
 
 from geomix import dialect as dl
+from geomix import models
 from geomix.gaussian import inv_softplus, softsign
 from geomix.geo import EARTH_RADIUS_KM, haversine_km
-from geomix.network import ContractError
+from geomix.network import ContractError, gradient_check
 
 
 def make_components(mus, sigmas, rhos=None):
@@ -170,9 +173,90 @@ def test_score_vocabulary_matches_per_word():
     rng = np.random.default_rng(6)
     lp = rng.normal(size=(20, 7))
     mask = rng.random(20) < 0.4
-    scores = dl.score_vocabulary(lp, mask)
+    scores = dl.score_vocabulary([(0, lp)], [mask])[0]
     for v in range(7):
         assert abs(scores[v] - dl.dialect_score(lp[:, v], mask)) < 1e-12
+
+
+def row_blocks(lp, rows):
+    return [(start, lp[start:start + rows]) for start in range(0, len(lp), rows)]
+
+
+def oracle_scores(lp, mask):
+    """The whole-matrix formula the streamed scores must equal bit for bit."""
+    return lp[mask].mean(axis=0) - lp.mean(axis=0)
+
+
+@pytest.mark.parametrize("P, rows, n_regions", [
+    (1000, 64, 1),  # P not a multiple of the block rows
+    (50, 64, 1),  # P smaller than one block
+    (333, 10, 4),  # several regions in one pass
+    (7, 1, 2),  # one-row blocks
+])
+def test_streamed_scores_equal_whole_matrix_formula(P, rows, n_regions):
+    rng = np.random.default_rng(P)
+    lp = np.log(rng.dirichlet(np.ones(31), size=P))
+    masks = [rng.random(P) < f for f in np.linspace(0.2, 0.7, n_regions)]
+    for mask in masks:
+        mask[0] = True
+    scores = dl.score_vocabulary(row_blocks(lp, rows), masks)
+    assert len(scores) == n_regions
+    for mask, got in zip(masks, scores):
+        np.testing.assert_array_equal(got, oracle_scores(lp, mask))
+
+
+def test_streamed_scores_skip_blocks_without_region_rows():
+    rng = np.random.default_rng(11)
+    lp = rng.normal(-5.0, 2.0, size=(120, 9))
+    inside = np.zeros(120, dtype=bool)
+    inside[[3, 17, 18, 95]] = True  # of the eight 15-row blocks, 2-5 and 7 hold none
+    everywhere = np.ones(120, dtype=bool)
+    got = dl.score_vocabulary(row_blocks(lp, 15), [inside, everywhere])
+    np.testing.assert_array_equal(got[0], oracle_scores(lp, inside))
+    np.testing.assert_array_equal(got[1], oracle_scores(lp, everywhere))
+    with pytest.raises(ValueError):
+        dl.score_vocabulary(row_blocks(lp, 15), [inside, np.zeros(120, dtype=bool)])
+
+
+def dialect_model(V=23, K=3, seed=0):
+    """A dialect model with dropout and elastic net, coordinates and
+    l1-normalized CSR targets."""
+    rng = np.random.default_rng(seed)
+    coords = np.stack([rng.normal(40.0, 5.0, 90), rng.normal(-95.0, 10.0, 90)], axis=1)
+    model = models.DialectModel.init(K, 6, [f"w{v}" for v in range(V)], coords, seed=seed,
+                                     dropout_rate=0.5, l1_coeff=1e-3, l2_coeff=1e-3)
+    Y = sparse.random(90, V, density=0.2, format="csr", random_state=rng)
+    mass = np.asarray(Y.sum(axis=1)).ravel()
+    return model, coords, sparse.csr_matrix(sparse.diags(1.0 / np.where(mass > 0, mass, 1.0)) @ Y)
+
+
+def test_dialect_csr_batch_matches_dense_rows():
+    model, coords, Y = dialect_model(seed=1)
+    idx = np.random.default_rng(2).permutation(90)[:32]
+    loss_s, grads_s = model.batch_loss_and_grads((coords, Y), idx, rng=np.random.default_rng(3),
+                                                 train_mode=True)
+    loss_d, grads_d = model.batch_loss_and_grads((coords, Y.toarray()), idx,
+                                                 rng=np.random.default_rng(3), train_mode=True)
+    assert loss_s == loss_d
+    assert set(grads_s) == set(grads_d) == set(model.params)
+    for block, g in grads_d.items():
+        np.testing.assert_array_equal(grads_s[block], g, err_msg=block)
+    # full-data losses, as the gradient checker takes them, also run on CSR targets
+    assert max(gradient_check(model, (coords[:5], Y[:5])).values()) <= 1e-4
+
+
+def test_dialect_dev_metric_in_row_blocks(monkeypatch):
+    model, coords, Y = dialect_model(seed=4)
+    one_shot, _ = model._data_loss(coords, Y.toarray(), train_mode=False, rng=None)
+    assert model.dev_metric((coords, Y)) == one_shot  # 90 x 23 fits in one block
+    monkeypatch.setattr(models, "ROW_BLOCK_ELEMS", 16 * 23)  # 16-row blocks
+    blocked = model.dev_metric((coords, Y))
+    assert abs(blocked - one_shot) <= 1e-12 * abs(one_shot)
+
+
+def test_dialect_dev_metric_without_target_mass():
+    model, coords, Y = dialect_model(seed=5)
+    assert model.dev_metric((coords, sparse.csr_matrix(Y.shape))) == 0.0
 
 
 def test_dialect_rank_order_and_ties():
