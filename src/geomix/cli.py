@@ -91,8 +91,7 @@ def _read_features(path, vocab=None, min_df=10, scheme="l2_count"):
     tokens = [features.tokenize(r.text) for r in records]
     if vocab is None:
         vocab = features.build_vocab(tokens, min_df=min_df)
-    X = features.vectorize_matrix(tokens, vocab, scheme=scheme)
-    return records, tokens, vocab, X
+    return records, vocab, features.vectorize_matrix(tokens, vocab, scheme=scheme)
 
 
 def cmd_train(args):
@@ -102,8 +101,8 @@ def cmd_train(args):
     if cfg["model"] == "regression" and args.k is not None:
         print("warning: K is ignored for the regression model", file=sys.stderr)
     scheme = "l1_binary_idf" if cfg["model"] == "dialect" else "l2_count"
-    train_recs, train_toks, vocab, Xtr = _read_features(args.train, min_df=cfg["min_df"], scheme=scheme)
-    dev_recs, _, _, Xdev = _read_features(args.dev, vocab=vocab, scheme=scheme)
+    train_recs, vocab, Xtr = _read_features(args.train, min_df=cfg["min_df"], scheme=scheme)
+    dev_recs, _, Xdev = _read_features(args.dev, vocab=vocab, scheme=scheme)
     Ytr = data.coords_array(train_recs)
     Ydev = data.coords_array(dev_recs)
     D, K = len(vocab), cfg["k"]
@@ -178,7 +177,7 @@ def _load_geolocator(args):
 
 def cmd_evaluate(args):
     model, vocab = _load_geolocator(args)
-    records, _, _, X = _read_features(args.test, vocab=vocab)
+    records, _, X = _read_features(args.test, vocab=vocab)
     truths = data.coords_array(records)
     preds = np.clip(model.predict_points(X), [-90.0, -180.0], [90.0, 180.0])
     report = geo.evaluate(preds, truths)
@@ -191,32 +190,35 @@ def cmd_evaluate(args):
 
 
 def cmd_predict(args):
+    if (args.text is None) == (args.input is None):
+        raise UsageError("predict needs exactly one of --text and --input")
+    if args.top < 0:
+        raise UsageError(f"--top must be >= 0, got {args.top}")
     model, vocab = _load_geolocator(args)
     rule = args.rule or getattr(getattr(model, "head", None), "selection_rule", "strongest_pi")
     if args.text is not None:
-        rows = [("stdin", args.text)]
+        uids, X = ["stdin"], features.vectorize_matrix([features.tokenize(args.text)], vocab)
     else:
-        rows = [(r.user_id, r.text) for r in data.read_corpus(args.input)]
+        records, _, X = _read_features(args.input, vocab=vocab)
+        uids = [r.user_id for r in records]
+    if hasattr(model, "mixture_arrays"):
+        arrays = model.mixture_arrays(X)
+        preds = heads.predict_arrays(*arrays, rule)
+        mu1, mu2, s1, s2, rho, pi = np.broadcast_arrays(*arrays)
+    else:
+        preds, pi = model.predict_points(X), None
     with (open(args.output, "w", encoding="utf-8") if args.output
           else contextlib.nullcontext(sys.stdout)) as out:
         print(f"# selection_rule={rule}", file=out)
         print("user_id\tpred_lat\tpred_lon\tcomponents", file=out)
-        for uid, text in rows:
-            X = features.vectorize_matrix([features.tokenize(text)], vocab)
-            if X.nnz == 0:
+        for n, (uid, p) in enumerate(zip(uids, preds)):
+            if X.indptr[n] == X.indptr[n + 1]:
                 print(f"{uid}\tno-features\tno-features\t", file=out)
                 continue
-            if hasattr(model, "mixture_arrays"):
-                mu1, mu2, s1, s2, rho, pi = model.mixture_arrays(X)
-                p = heads.predict_arrays(mu1, mu2, s1, s2, rho, pi, rule)[0]
-                order = np.argsort(-pi[0])[:min(args.top, pi.shape[1])]
-                comps = ";".join(
-                    f"pi={pi[0, k]:.4f},mu=({mu1[0, k]:.4f},{mu2[0, k]:.4f}),"
-                    f"sigma=({s1[0, k]:.4f},{s2[0, k]:.4f}),rho={rho[0, k]:.4f}"
-                    for k in order)
-            else:
-                p = model.predict_points(X)[0]
-                comps = ""
+            comps = "" if pi is None else ";".join(
+                f"pi={pi[n, k]:.4f},mu=({mu1[n, k]:.4f},{mu2[n, k]:.4f}),"
+                f"sigma=({s1[n, k]:.4f},{s2[n, k]:.4f}),rho={rho[n, k]:.4f}"
+                for k in np.argsort(-pi[n])[:args.top])
             print(f"{uid}\t{p[0]:.6f}\t{p[1]:.6f}\t{comps}", file=out)
 
 

@@ -105,29 +105,29 @@ def score_vocabulary(blocks, masks):
 
     ``blocks`` yields ``(start, log_probs)`` row blocks that together cover
     a P x V log-probability matrix in order; ``masks`` are P-length region
-    masks.  Returns one V-vector of scores per mask.  Column sums run over
-    the rows in order, so the scores equal ``lp[mask].mean(0) - lp.mean(0)``
-    on the whole matrix bit for bit.
+    masks.  Returns one V-vector of scores per mask.  Column sums add the
+    rows in order, as numpy's axis-0 sum does for V >= 2, so the scores
+    equal ``lp[mask].mean(0) - lp.mean(0)`` on the whole matrix bit for bit.
     """
     masks = [np.asarray(m, dtype=bool) for m in masks]
     if not all(m.any() for m in masks):
         raise ValueError("no sampled points fall inside the region")
     total, region_sums, n = None, [None] * len(masks), 0
     for start, lp in blocks:
-        lp = np.ascontiguousarray(lp, dtype=float)
+        lp = np.asarray(lp, dtype=float)
         n = start + len(lp)
-        total = _continue_column_sum(total, lp)
+        total = _add_rows(total, lp, range(len(lp)))
         for r, mask in enumerate(masks):
-            rows = lp[mask[start:n]]
-            if len(rows):
-                region_sums[r] = _continue_column_sum(region_sums[r], rows)
+            region_sums[r] = _add_rows(region_sums[r], lp, np.flatnonzero(mask[start:n]))
     return [s / int(m.sum()) - total / n for s, m in zip(region_sums, masks)]
 
 
-def _continue_column_sum(acc, rows):
-    """Column sums of the rows summed so far (``acc``, None for none) and
-    then ``rows``, added in the order one axis-0 sum over all of them adds."""
-    return rows.sum(axis=0) if acc is None else np.concatenate((acc[None], rows)).sum(axis=0)
+def _add_rows(acc, lp, rows):
+    """``acc`` (None before the first row) plus ``lp[i]`` for each i in
+    ``rows``, added one row at a time in place."""
+    for i in rows:
+        acc = lp[i].copy() if acc is None else np.add(acc, lp[i], out=acc)
+    return acc
 
 
 def dialect_rank(terms, scores):

@@ -172,27 +172,24 @@ def shared_nll(pi_raw, params, labels):
 
 
 def predict_arrays(mu1, mu2, s1, s2, rho, pi, rule="strongest_pi"):
-    """Per-sample point prediction from mixture arrays (all N x K)."""
+    """N x 2 point predictions from N x K ``pi`` and component arrays that are
+    N x K, or 1 x K rows every sample shares.  ``max_mixture_prob`` builds the
+    K x K density matrix once per component row and scores each sample alone."""
     N, K = pi.shape
-    out = np.empty((N, 2))
+    rows = np.minimum(np.arange(N), len(mu1) - 1)
     if rule == "strongest_pi":
         best = np.argmax(pi, axis=1)
-        rows = np.arange(N)
-        out[:, 0] = mu1[rows, best]
-        out[:, 1] = mu2[rows, best]
     elif rule == "max_mixture_prob":
-        for n in range(N):
-            d1 = mu1[n][:, None] - mu1[n][None, :]
-            d2 = mu2[n][:, None] - mu2[n][None, :]
-            dens = np.exp(component_log_pdf(d1, d2,
-                                            np.broadcast_to(s1[n], (K, K)),
-                                            np.broadcast_to(s2[n], (K, K)),
-                                            np.broadcast_to(rho[n], (K, K))))
-            best = int(np.argmax(dens @ pi[n]))
-            out[n] = (mu1[n, best], mu2[n, best])
+        best = np.empty(N, dtype=int)
+        for n, r in enumerate(rows):
+            if r == n:  # a component row not seen before
+                d1, d2 = (m[r][:, None] - m[r][None, :] for m in (mu1, mu2))
+                dens = np.exp(component_log_pdf(d1, d2, *(np.broadcast_to(v[r], (K, K))
+                                                          for v in (s1, s2, rho))))
+            best[n] = np.argmax(dens @ pi[n])
     else:
         raise ValueError(f"unknown selection rule: {rule}")
-    return out
+    return np.stack([mu1[rows, best], mu2[rows, best]], axis=1)
 
 
 def regression_loss(raw, labels):

@@ -191,7 +191,8 @@ class _MixtureGeolocator(_BaseModel):
         self.head = head
 
     def mixture_arrays(self, X):
-        """(mu1, mu2, sigma1, sigma2, rho, pi) for the rows of X, each N x K."""
+        """(mu1, mu2, sigma1, sigma2, rho, pi) for the N rows of X: pi is N x K,
+        the component arrays N x K, or 1 x K rows when all users share them."""
         raise NotImplementedError
 
     def predict_points(self, X, rule=None):
@@ -275,9 +276,7 @@ class SharedMdnGeolocator(_MixtureGeolocator):
     def mixture_arrays(self, X):
         pi_raw = forward(self.params, self.spec, X).output
         s1, s2, rho, _ = heads.component_transforms(self.params)
-        mus = self.params["mus"]
-        tile = lambda v: np.tile(v, (pi_raw.shape[0], 1))
-        return (*map(tile, (mus[:, 0], mus[:, 1], s1, s2, rho)),
+        return (*(v[None, :] for v in (*self.params["mus"].T, s1, s2, rho)),
                 np.exp(heads.log_softmax(pi_raw)))
 
 

@@ -97,6 +97,14 @@ def test_predict_no_features_row(trained, capsys):
     assert out[2].split("\t")[1] == "no-features"
 
 
+def test_predict_top_zero_prints_no_components(trained, capsys):
+    rc = run(["predict", "--checkpoint", str(trained / "mdn.json"),
+              "--vocab", str(trained / "vocab.tsv"), "--text", "mode0tok0", "--top", "0"])
+    assert rc == 0
+    fields = capsys.readouterr().out.splitlines()[2].split("\t")
+    assert fields[1] != "no-features" and fields[3] == ""
+
+
 def test_vocab_hash_mismatch(trained, corpus, tmp_path, capsys):
     other = tmp_path / "other-vocab.tsv"
     text = (trained / "vocab.tsv").read_text().splitlines()
@@ -276,6 +284,17 @@ def regression_run(corpus, tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def shared_run(corpus, tmp_path_factory):
+    d = tmp_path_factory.mktemp("shared")
+    rc = run(["train", "--model", "mdn_shared", "--profile", "synth-mdn-shared", "--k", "6",
+              "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
+              "--checkpoint", str(d / "shared.json"), "--vocab", str(d / "vocab.tsv"),
+              "--max-epochs", "10"])
+    assert rc == 0
+    return d
+
+
 TRAIN_CASES = {
     "train k 0": ("mdn", "--k", "0"),
     "dialect train k 0": ("dialect", "--k", "0"),
@@ -294,8 +313,16 @@ DIALECT_CASES = {
     "dialect p 0": ("north\t50,-100\tmode1tok0\n", "--p", "0"),
     "dialect p -3": ("north\t50,-100\tmode1tok0\n", "--p", "-3"),
 }
+PREDICT_CASES = {
+    "predict without text or input": (),
+    "predict with text and input": ("--text", "mode0tok0", "--input", "s-test.tsv"),
+    "predict top below 0": ("--text", "mode0tok0", "--top", "-1"),
+}
 # the message a refusal must name, where an earlier failure could also end in an error line
-ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must be >= 1"}
+ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must be >= 1",
+                  "predict without text or input": "exactly one of --text and --input",
+                  "predict with text and input": "exactly one of --text and --input",
+                  "predict top below 0": "--top must be >= 0"}
 
 
 def bad_input_argv(case, request, tmp_path):
@@ -332,6 +359,11 @@ def bad_input_argv(case, request, tmp_path):
         d = request.getfixturevalue("dialect_run")
         return ["predict", "--checkpoint", str(d / "dia.json"), "--vocab", str(d / "vocab.tsv"),
                 "--text", "mode0tok0", "--output", out]
+    if case in PREDICT_CASES:
+        trained, corpus = request.getfixturevalue("trained"), request.getfixturevalue("corpus")
+        flags = [str(corpus / f) if f.endswith(".tsv") else f for f in PREDICT_CASES[case]]
+        return ["predict", "--checkpoint", str(trained / "mdn.json"),
+                "--vocab", str(trained / "vocab.tsv"), "--output", out, *flags]
     if case == "evaluate empty test file":
         trained = request.getfixturevalue("trained")
         (tmp_path / "empty.tsv").write_text("")
@@ -353,7 +385,7 @@ def bad_input_argv(case, request, tmp_path):
                                   "regression heatmap", "synth center out of range",
                                   "malformed vocab", "bad config value", *TRAIN_CASES,
                                   *DIALECT_CASES, "predict on dialect checkpoint",
-                                  "evaluate empty test file"])
+                                  *PREDICT_CASES, "evaluate empty test file"])
 def test_bad_input_is_an_error_line(case, request, tmp_path, capsys):
     argv = bad_input_argv(case, request, tmp_path)
     capsys.readouterr()
@@ -392,3 +424,23 @@ def test_predict_tokenizes_each_row_once(trained, corpus, tmp_path, monkeypatch)
     assert len(calls) == 3
     rows = (tmp_path / "p.tsv").read_text().splitlines()[2:]
     assert [r.split("\t")[1] == "no-features" for r in rows] == [False, True, False]
+
+
+@pytest.mark.parametrize("rule", ["strongest_pi", "max_mixture_prob"])
+@pytest.mark.parametrize("run_dir, checkpoint", [("trained", "mdn.json"), ("shared_run", "shared.json"),
+                                                 ("regression_run", "reg.json")])
+def test_predict_text_answer_equals_its_input_row(run_dir, checkpoint, rule, request, corpus,
+                                                  tmp_path, capsys):
+    d = request.getfixturevalue(run_dir)
+    argv = ["predict", "--checkpoint", str(d / checkpoint), "--vocab", str(d / "vocab.tsv"),
+            "--rule", rule, "--top", "3"]
+    queries = (corpus / "s-test.tsv").read_text().splitlines()[:12] + ["none\t0\t0\tzzz qqq"]
+    (tmp_path / "q.tsv").write_text("\n".join(queries) + "\n")
+    capsys.readouterr()
+    assert run(argv + ["--input", str(tmp_path / "q.tsv")]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [r.split("\t")[0] for r in rows] == [q.split("\t")[0] for q in queries]
+    for query, row in zip(queries, rows):
+        assert run(argv + ["--text", query.split("\t")[3]]) == 0
+        (answer,) = capsys.readouterr().out.splitlines()[2:]
+        assert answer.split("\t")[1:] == row.split("\t")[1:]

@@ -3,6 +3,8 @@ regression loss and the predictive density grid."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from geomix import heads
@@ -192,6 +194,41 @@ def test_predict_tie_breaks_to_lowest_index():
     assert predict(comps, (0.5, 0.5), "strongest_pi")[0] == 1.0
     with pytest.raises(ValueError):
         predict(comps, (0.5, 0.5), "mode_hunting")
+
+
+@st.composite
+def shared_mixtures(draw):
+    """(1 x K component rows, N x K pi) with N >= 1 and K >= 1."""
+    N, K = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    row = lambda lo, hi: np.array([draw(st.lists(st.floats(lo, hi), min_size=K, max_size=K))])
+    comps = (row(-50.0, 50.0), row(-50.0, 50.0), row(0.05, 10.0), row(0.05, 10.0), row(-0.99, 0.99))
+    pi = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K),
+                                min_size=N, max_size=N)))
+    return comps, pi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shared_mixtures(), st.sampled_from(["strongest_pi", "max_mixture_prob"]))
+def test_shared_component_rows_predict_like_tiled_rows(mixture, rule):
+    comps, pi = mixture
+    tiled = [np.tile(c, (len(pi), 1)) for c in comps]
+    np.testing.assert_array_equal(heads.predict_arrays(*comps, pi, rule),
+                                  heads.predict_arrays(*tiled, pi, rule))
+
+
+def test_max_mixture_prob_builds_shared_density_once(monkeypatch):
+    calls = []
+    log_pdf = heads.component_log_pdf
+    monkeypatch.setattr(heads, "component_log_pdf", lambda *a: calls.append(1) or log_pdf(*a))
+    rng = np.random.default_rng(7)
+    K = 6
+    comps = (rng.normal(40.0, 5.0, (1, K)), rng.normal(-100.0, 5.0, (1, K)),
+             np.full((1, K), 2.0), np.full((1, K), 3.0), np.zeros((1, K)))
+    pi = rng.dirichlet(np.ones(K), size=16)
+    heads.predict_arrays(*comps, pi, "max_mixture_prob")
+    assert len(calls) == 1
+    heads.predict_arrays(*[np.tile(c, (16, 1)) for c in comps], pi, "max_mixture_prob")
+    assert len(calls) == 1 + 16  # per-user components: one build per user
 
 
 def test_regression_loss_example():

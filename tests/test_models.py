@@ -1,5 +1,6 @@
 """Geolocation models on CSR features: the sparse first layer against the
-same rows densified, and a guard that no step densifies a sparse matrix."""
+same rows densified, a guard that no step densifies a sparse matrix, and
+the shared MDN's one row of components."""
 
 import numpy as np
 import pytest
@@ -65,3 +66,15 @@ def test_geolocators_never_densify_csr(name, monkeypatch):
     assert len(log) == 1
     assert np.isfinite(model.dev_metric((X, Y)))
     assert model.predict_points(X).shape == (len(Y), 2)
+
+
+def test_shared_mixture_arrays_keep_one_component_row():
+    X, Y = corpus(8)
+    model = geolocator("mdn_shared", Y, seed=9)
+    *comps, pi = model.mixture_arrays(X)
+    assert pi.shape == (len(Y), K)
+    np.testing.assert_allclose(pi.sum(axis=1), 1.0)
+    s1, s2, rho, _ = heads.component_transforms(model.params)
+    for got, want in zip(comps, (*model.params["mus"].T, s1, s2, rho)):
+        assert got.shape == (1, K)
+        np.testing.assert_array_equal(got[0], want)
