@@ -1,0 +1,82 @@
+"""Digest of every output of one fixed-seed geomix round trip.
+
+Runs synth; train for the regression, mdn, mdn_shared and dialect models;
+evaluate with --error-tsv; predict over an input file (with a row that has
+no features) and over --text under both selection rules; the three kinds
+of heatmap; and dialect scoring.  Every command runs in-process through
+``geomix.cli.main`` in a temporary directory.  The script prints one
+``sha256  path`` line per file written there, each command's stdout
+included.  Run it on two source trees and diff the listings; equal lines
+mean byte-identical outputs:
+
+    PYTHONPATH=<tree>/src python scripts/output_digest.py > digest.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from geomix import cli
+
+SEED = "5"
+K_SHARED = 1000  # 2**21 // 1000 = 2 097 rows a block: the 100 x 100 heatmap takes 5
+P_DIALECT = 30000  # about 430 terms, so 2**21 // 430 = 4 877 rows a block: 7 blocks
+TEXT = "mode0tok0 ambtok1 mode1tok2 noisetok7"
+BBOX = "25,55,-110,-90"
+
+
+def round_trip(d):
+    calls = []
+
+    def run(*argv):
+        calls.append(argv[0])
+        err = io.StringIO()
+        with open(d / f"stdout-{len(calls):02d}-{argv[0]}.txt", "w", encoding="utf-8") as out, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main([str(a) for a in argv])
+        if rc != 0:
+            sys.exit(f"geomix {' '.join(map(str, argv))} exited {rc}:\n{err.getvalue()}")
+
+    run("synth", "--out-prefix", d / "s-", "--users-per-mode", "650", "--noise-tokens", "400",
+        "--seed", SEED)
+    test_rows = (d / "s-test.tsv").read_text(encoding="utf-8").splitlines()[:20]
+    (d / "queries.tsv").write_text("\n".join(test_rows + ["none\t0\t0\tzzz qqq"]) + "\n", encoding="utf-8")
+    (d / "regions.tsv").write_text("north\t50,-100\tmode1tok0\nsouth\t30,-100\tmode0tok0\n", encoding="utf-8")
+
+    for model in ("regression", "mdn", "mdn_shared", "dialect"):
+        k = ("--k", K_SHARED) if model == "mdn_shared" else ()
+        run("train", "--model", model, "--profile", "synth-" + model.replace("_", "-"), *k,
+            "--train", d / "s-train.tsv", "--dev", d / "s-dev.tsv", "--max-epochs", "10",
+            "--checkpoint", d / f"{model}.json", "--vocab", d / f"{model}-vocab.tsv",
+            "--log", d / f"{model}-log.tsv", "--seed", SEED)
+
+    for model in ("regression", "mdn", "mdn_shared"):
+        ck = ("--checkpoint", d / f"{model}.json", "--vocab", d / f"{model}-vocab.tsv")
+        run("evaluate", *ck, "--test", d / "s-test.tsv", "--error-tsv", d / f"{model}-errors.tsv")
+        for rule in ("strongest_pi", "max_mixture_prob"):
+            for source, arg in (("input", d / "queries.tsv"), ("text", TEXT)):
+                run("predict", *ck, f"--{source}", arg, "--rule", rule, "--top", "7",
+                    "--output", d / f"{model}-{rule}-{source}.tsv")
+        if model != "regression":
+            run("heatmap", *ck, "--text", TEXT, "--bbox", BBOX, "--resolution", "100",
+                "--output", d / f"{model}-heatmap.csv")
+
+    run("heatmap", "--checkpoint", d / "dialect.json", "--word", "mode0tok0", "--bbox", BBOX,
+        "--resolution", "100", "--output", d / "dialect-heatmap.csv")
+    run("dialect", "--checkpoint", d / "dialect.json", "--regions", d / "regions.tsv",
+        "--train", d / "s-train.tsv", "--p", P_DIALECT, "--out-prefix", d / "ranking-")
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        round_trip(d)
+        for path in sorted(p for p in d.rglob("*") if p.is_file()):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(d)}")
+
+
+if __name__ == "__main__":
+    main()

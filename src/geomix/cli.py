@@ -287,6 +287,8 @@ def cmd_heatmap(args):
             raise UsageError("geolocation heatmap needs --text and --vocab")
         vocab = _load_vocab_for(model, args.vocab)
         X = features.vectorize_matrix([features.tokenize(args.text)], vocab)
+        if X.nnz == 0:
+            raise UsageError("--text has no in-vocabulary token")
         values = heads.predictive_density_grid([a[0] for a in model.mixture_arrays(X)], points)
     values = values.reshape(res, res)
     with open(args.output, "w", encoding="utf-8") as f:

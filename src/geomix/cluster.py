@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import row_blocks
+
 
 class KMeansInitError(ValueError):
     pass
@@ -21,22 +23,15 @@ class KMeansResult:
     inertia_history: list
 
 
-def _pairwise_sq(points, centroids):
-    """N x K squared distances, one coordinate column at a time."""
-    dx = points[:, 0, None] - centroids[None, :, 0]
-    dy = points[:, 1, None] - centroids[None, :, 1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
-
-
 def _assign(points, centroids):
-    """Nearest-centroid assignments; each cluster left empty, in index
-    order, takes the point farthest from its nearest centroid."""
-    d2 = _pairwise_sq(points, centroids)
-    assignments = np.argmin(d2, axis=1)
-    nearest = np.min(d2, axis=1)
+    """Nearest-centroid assignments, in ``row_blocks``; each cluster left
+    empty, in index order, takes the point farthest from its nearest centroid."""
+    assignments = np.empty(len(points), dtype=int)
+    nearest = np.empty(len(points))
+    for rows in row_blocks(len(points), len(centroids)):
+        d2 = (points[rows, 0:1] - centroids[:, 0]) ** 2 + (points[rows, 1:2] - centroids[:, 1]) ** 2
+        assignments[rows] = np.argmin(d2, axis=1)
+        nearest[rows] = np.min(d2, axis=1)
     counts = np.bincount(assignments, minlength=len(centroids))
     for c in range(len(centroids)):
         if counts[c] == 0:

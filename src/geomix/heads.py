@@ -18,7 +18,8 @@ import numpy as np
 
 from .cluster import kmeans
 from .gaussian import inv_softplus, log_softmax, softplus, softplus_grad, softsign, softsign_grad
-from .kernels import SIGMA_MIN, component_log_pdf, log_pdf_partials, logsumexp_rows
+from .geo import GeoPoint
+from .kernels import SIGMA_MIN, component_log_pdf, log_pdf_partials, logsumexp_rows, row_blocks
 from .network import ContractError, TrainingError
 
 SLICE_LAYOUT = "mu1|mu2|sigma1|sigma2|rho|pi"
@@ -56,7 +57,7 @@ def unpack_arrays(raw, K):
 
 def _mixture_terms(d1, d2, s1, s2, rho, log_pi):
     log_joint = log_pi + component_log_pdf(d1, d2, s1, s2, rho)
-    ll = logsumexp_rows(np.ascontiguousarray(log_joint))
+    ll = logsumexp_rows(log_joint)
     gamma = np.exp(log_joint - ll[:, None])
     return ll, gamma
 
@@ -125,14 +126,13 @@ def component_transforms(params):
 def component_terms(params, X):
     """The bank at the N points of X: (d1, d2, sigma1, sigma2, rho, live).
 
-    d = x - mu are N x K offsets; sigma and rho are N x K read-only
-    broadcast views; live is ``component_transforms``' pair of masks.
+    d = x - mu are N x K offsets; sigma and rho are 1 x K rows; live is
+    ``component_transforms``' pair of masks.
     """
     s1, s2, rho, live = component_transforms(params)
     d1 = X[:, 0:1] - params["mus"][None, :, 0]
     d2 = X[:, 1:2] - params["mus"][None, :, 1]
-    view = lambda v: np.broadcast_to(v, d1.shape)
-    return d1, d2, view(s1), view(s2), view(rho), live
+    return d1, d2, s1[None], s2[None], rho[None], live
 
 
 def component_grads(params, terms, w):
@@ -175,7 +175,7 @@ def predict_arrays(mu1, mu2, s1, s2, rho, pi, rule="strongest_pi"):
     """N x 2 point predictions from N x K ``pi`` and component arrays that are
     N x K, or 1 x K rows every sample shares.  ``max_mixture_prob`` builds the
     K x K density matrix once per component row and scores each sample alone."""
-    N, K = pi.shape
+    N = len(pi)
     rows = np.minimum(np.arange(N), len(mu1) - 1)
     if rule == "strongest_pi":
         best = np.argmax(pi, axis=1)
@@ -184,8 +184,7 @@ def predict_arrays(mu1, mu2, s1, s2, rho, pi, rule="strongest_pi"):
         for n, r in enumerate(rows):
             if r == n:  # a component row not seen before
                 d1, d2 = (m[r][:, None] - m[r][None, :] for m in (mu1, mu2))
-                dens = np.exp(component_log_pdf(d1, d2, *(np.broadcast_to(v[r], (K, K))
-                                                          for v in (s1, s2, rho))))
+                dens = np.exp(component_log_pdf(d1, d2, s1[r], s2[r], rho[r]))
             best[n] = np.argmax(dens @ pi[n])
     else:
         raise ValueError(f"unknown selection rule: {rule}")
@@ -211,6 +210,8 @@ def grid_cells(bbox, resolution):
     (lat, lon) centres, lats varying slowest.
     """
     lat_min, lat_max, lon_min, lon_max = bbox
+    GeoPoint(lat_min, lon_min)  # refuses NaN, infinite and out-of-range corners
+    GeoPoint(lat_max, lon_max)
     if resolution < 2 or lat_max <= lat_min or lon_max <= lon_min:
         raise ValueError("bbox must be non-degenerate with resolution >= 2")
     lats = lat_min + (lat_max - lat_min) / resolution * (np.arange(resolution) + 0.5)
@@ -226,10 +227,10 @@ def predictive_density_grid(mixture, points):
     length K, in ``unpack_arrays`` order; pi is renormalised to sum to 1.
     """
     mu1, mu2, s1, s2, rho, pi = mixture
-    d1 = points[:, 0:1] - mu1[None, :]
-    d2 = points[:, 1:2] - mu2[None, :]
     with np.errstate(divide="ignore"):
-        log_joint = np.log(pi / pi.sum())[None, :] + component_log_pdf(
-            d1, d2, np.broadcast_to(s1, d1.shape), np.broadcast_to(s2, d1.shape),
-            np.broadcast_to(rho, d1.shape))
-    return logsumexp_rows(np.ascontiguousarray(log_joint))
+        log_pi = np.log(pi / pi.sum())
+    out = np.empty(len(points))
+    for rows in row_blocks(len(points), len(pi)):
+        out[rows] = logsumexp_rows(log_pi + component_log_pdf(
+            points[rows, 0:1] - mu1, points[rows, 1:2] - mu2, s1, s2, rho))
+    return out

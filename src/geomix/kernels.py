@@ -1,7 +1,8 @@
 """Hot numeric kernels for the bivariate Gaussian mixture math.
 
-All kernels are elementwise over same-shape float64 arrays; broadcasting is
-the caller's job.
+The Gaussian kernels broadcast: N x K offsets take sigma and rho as N x K
+arrays or as shared 1 x K rows, whose K-only subterms are then computed once
+per component.  ``row_blocks`` bounds every wide N x K output.
 """
 
 import numpy as np
@@ -13,6 +14,13 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # when rho saturates.  Both clamp zones are stop-gradient regions.
 SIGMA_MIN = 1e-6
 Q_MIN = 1e-9
+ROW_BLOCK_ELEMS = 1 << 21  # float64 values in one row block of a wide output (16 MB)
+
+
+def row_blocks(n_rows, width):
+    """Slices of ``n_rows`` rows, each at most ``ROW_BLOCK_ELEMS // width`` rows and at least one."""
+    step = max(1, ROW_BLOCK_ELEMS // width)
+    return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
 def component_log_pdf(d1, d2, s1, s2, rho):

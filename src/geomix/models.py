@@ -9,8 +9,8 @@ models take X as an N x V CSR feature matrix, kept sparse through the first
 layer, and Y as an N x 2 coordinate array; the dialect model takes X as a
 dense N x 2 coordinate array and Y as an N x V CSR target matrix, of which
 a training batch densifies only its own rows.  The dialect model's V-wide
-outputs (word log-probabilities, the dev loss) are computed in row blocks
-of at most ``ROW_BLOCK_ELEMS`` values, never for all rows at once.
+outputs (word log-probabilities, the dev loss) are computed in
+``kernels.row_blocks``, never for all rows at once.
 
 Checkpoint format 2 stores each parameter block as ``{"shape": [...],
 "data": "<base64 of little-endian float64 bytes>"}``; format 1 stored
@@ -26,11 +26,11 @@ from scipy import sparse
 
 from . import dialect as dl
 from . import heads
+from .kernels import row_blocks
 from .network import NetworkSpec, backward, forward, init_network_params, regularization_penalty
 
 FORMAT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
-ROW_BLOCK_ELEMS = 1 << 21  # float64 values in one row block of a V-wide output (16 MB)
 
 
 class CheckpointError(ValueError):
@@ -327,13 +327,11 @@ class DialectModel(_BaseModel):
         return heads.log_softmax(logits)
 
     def word_log_prob_blocks(self, coords):
-        """``(start, word_log_probs(coords[start:start + rows]))`` for
-        consecutive row blocks of the N x 2 ``coords``, each block at most
-        ``ROW_BLOCK_ELEMS`` values (and at least one row)."""
+        """``(start, word_log_probs(coords[rows]))`` for the V-wide
+        ``kernels.row_blocks`` of the N x 2 ``coords``."""
         coords = np.asarray(coords, dtype=float)
-        rows = max(1, ROW_BLOCK_ELEMS // len(self.terms))
-        for start in range(0, len(coords), rows):
-            yield start, self.word_log_probs(coords[start:start + rows])
+        for rows in row_blocks(len(coords), len(self.terms)):
+            yield rows.start, self.word_log_probs(coords[rows])
 
     def _extra_checkpoint(self):
         return {"terms": self.terms, "log_domain": self.log_domain}

@@ -166,14 +166,14 @@ def ranking_scores(path):
 def test_dialect_commands_hold_one_row_block(dialect_run, corpus, tmp_path, monkeypatch):
     from scipy import sparse
 
-    from geomix import features, models
+    from geomix import features, kernels, models
     dialect = ["dialect", "--checkpoint", str(dialect_run / "dia.json"),
                "--regions", str(dialect_run / "regions.tsv"),
                "--train", str(corpus / "s-train.tsv"), "--p", "200"]
     assert run(dialect + ["--out-prefix", str(tmp_path / "whole-")]) == 0  # one block
 
     V = len(features.load_vocab(dialect_run / "vocab.tsv").terms)
-    monkeypatch.setattr(models, "ROW_BLOCK_ELEMS", 8 * V)  # 8-row blocks
+    monkeypatch.setattr(kernels, "ROW_BLOCK_ELEMS", 8 * V)  # 8-row blocks
     word_log_probs, toarray = models.DialectModel.word_log_probs, sparse.csr_matrix.toarray
 
     def one_block(self, coords):
@@ -318,11 +318,16 @@ PREDICT_CASES = {
     "predict with text and input": ("--text", "mode0tok0", "--input", "s-test.tsv"),
     "predict top below 0": ("--text", "mode0tok0", "--top", "-1"),
 }
+BBOX_CASES = {"nan bbox": "nan,60,-120,-70", "infinite bbox": "20,inf,-120,-70",
+              "latitude out of range bbox": "80,120,-120,-70",
+              "longitude out of range bbox": "20,60,-300,-70"}
 # the message a refusal must name, where an earlier failure could also end in an error line
 ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must be >= 1",
                   "predict without text or input": "exactly one of --text and --input",
                   "predict with text and input": "exactly one of --text and --input",
-                  "predict top below 0": "--top must be >= 0"}
+                  "predict top below 0": "--top must be >= 0",
+                  "heatmap text without features": "no in-vocabulary token",
+                  **{case: "out of range" for case in BBOX_CASES}}
 
 
 def bad_input_argv(case, request, tmp_path):
@@ -376,12 +381,14 @@ def bad_input_argv(case, request, tmp_path):
                 "--bbox", "30,30,-100,-90", "--resolution", "1", "--output", out]
     d = request.getfixturevalue("regression_run" if case.startswith("regression") else "trained")
     ck = d / ("reg.json" if case.startswith("regression") else "mdn.json")
-    bbox = {"three-value bbox": "1,2,3", "degenerate bbox": "1,1,3,4"}.get(case, "25,55,-105,-95")
+    bbox = {"three-value bbox": "1,2,3", "degenerate bbox": "1,1,3,4", **BBOX_CASES}.get(case, "25,55,-105,-95")
+    text = "qqqq" if case == "heatmap text without features" else "mode1tok0"
     return ["heatmap", "--checkpoint", str(ck), "--vocab", str(d / "vocab.tsv"),
-            "--text", "mode1tok0", "--bbox", bbox, "--output", out]
+            "--text", text, "--bbox", bbox, "--output", out]
 
 
 @pytest.mark.parametrize("case", ["three-value bbox", "degenerate bbox", "dialect degenerate bbox",
+                                  *BBOX_CASES, "heatmap text without features",
                                   "regression heatmap", "synth center out of range",
                                   "malformed vocab", "bad config value", *TRAIN_CASES,
                                   *DIALECT_CASES, "predict on dialect checkpoint",

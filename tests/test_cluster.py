@@ -2,12 +2,14 @@
 against the N x K x 2 reference loop it replaced."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomix import kernels
 from geomix.cluster import KMeansInitError, _assign, _seed_pp, kmeans
 
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 0.1], [10.0, 10.0], [10.0, 10.1]])
@@ -148,7 +150,9 @@ def test_assign_repairs_empty_clusters_like_reference(points, grid_centroids, da
     centroids = np.array(grid_centroids, dtype=float) * 0.75
     want, repairs = reference_assign(points, centroids)
     assert repairs >= 1
-    np.testing.assert_array_equal(_assign(points, centroids), want)
+    # blocks from one point at a time up to all points at once
+    with mock.patch.object(kernels, "ROW_BLOCK_ELEMS", data.draw(st.integers(1, 1000))):
+        np.testing.assert_array_equal(_assign(points, centroids), want)
 
 
 def test_assign_repair_that_empties_a_later_cluster():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from geomix import dialect as dl
 from geomix import heads
 from geomix.gaussian import inv_softplus, softplus, softsign
-from geomix.kernels import Q_MIN, SIGMA_MIN, component_log_pdf
+from geomix.kernels import Q_MIN, SIGMA_MIN, component_log_pdf, log_pdf_partials
 
 H = 1e-5  # central-difference step
 SIGMA_EDGE = float(inv_softplus(SIGMA_MIN))  # raw sigma below which SIGMA_MIN clamps
@@ -104,3 +104,18 @@ def test_dialect_layer_component_grads(drawn, data, log_domain):
         return float(np.sum(w[:, k] * acts[:, k]))
 
     check_component_grads(grads, params, loss_of_component)
+
+
+@PROPERTY
+@given(bank_and_points())
+def test_component_rows_compute_like_broadcast_views(drawn):
+    # the bank's sigma and rho reach the kernels as 1 x K rows; N x K
+    # broadcast views of the same rows are the bitwise reference
+    params, X, _ = drawn
+    d1, d2, *rows, _ = heads.component_terms(params, X)
+    assert all(r.shape == (1, d1.shape[1]) for r in rows)
+    views = [np.broadcast_to(r, d1.shape) for r in rows]
+    got = [component_log_pdf(d1, d2, *rows), *log_pdf_partials(d1, d2, *rows)]
+    want = [component_log_pdf(d1, d2, *views), *log_pdf_partials(d1, d2, *views)]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()

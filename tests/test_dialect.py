@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.stats import multivariate_normal
 
 from geomix import dialect as dl
-from geomix import models
+from geomix import kernels, models
 from geomix.gaussian import inv_softplus, softsign
 from geomix.geo import EARTH_RADIUS_KM, haversine_km
 from geomix.network import ContractError, gradient_check
@@ -249,7 +249,7 @@ def test_dialect_dev_metric_in_row_blocks(monkeypatch):
     model, coords, Y = dialect_model(seed=4)
     one_shot, _ = model._data_loss(coords, Y.toarray(), train_mode=False, rng=None)
     assert model.dev_metric((coords, Y)) == one_shot  # 90 x 23 fits in one block
-    monkeypatch.setattr(models, "ROW_BLOCK_ELEMS", 16 * 23)  # 16-row blocks
+    monkeypatch.setattr(kernels, "ROW_BLOCK_ELEMS", 16 * 23)  # 16-row blocks
     blocked = model.dev_metric((coords, Y))
     assert abs(blocked - one_shot) <= 1e-12 * abs(one_shot)
 

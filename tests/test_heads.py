@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from geomix import heads
+from geomix import heads, kernels
 from geomix.cluster import KMeansInitError, kmeans
 from geomix.gaussian import softplus
 from geomix.network import ContractError
@@ -276,9 +276,31 @@ def test_density_grid_integrates_to_one():
     assert abs(lats[i] - 40.0) < 0.2 and abs(lons[j] + 100.0) < 0.2
 
 
+@pytest.mark.parametrize("block_elems, K", [(35, 5), (3, 5)])
+def test_density_grid_in_row_blocks_is_bitwise_one_block(monkeypatch, block_elems, K):
+    rng = np.random.default_rng(11)
+    mixture = (rng.normal(40.0, 3.0, K), rng.normal(-100.0, 3.0, K), rng.uniform(0.3, 2.0, K),
+               rng.uniform(0.3, 2.0, K), rng.uniform(-0.9, 0.9, K), rng.dirichlet(np.ones(K)))
+    _, _, points = heads.grid_cells((30.0, 50.0, -110.0, -90.0), 9)
+    whole = heads.predictive_density_grid(mixture, points)  # 81 x 5 fits in one block
+    monkeypatch.setattr(kernels, "ROW_BLOCK_ELEMS", block_elems)
+    block_rows, logsumexp_rows = [], heads.logsumexp_rows
+    monkeypatch.setattr(heads, "logsumexp_rows", lambda a: block_rows.append(len(a)) or logsumexp_rows(a))
+    blocked = heads.predictive_density_grid(mixture, points)
+    assert blocked.tobytes() == whole.tobytes()
+    # 7-row blocks leave a 4-row tail; K > ROW_BLOCK_ELEMS still takes one row a block
+    step = max(1, block_elems // K)
+    assert block_rows == [min(step, 81 - start) for start in range(0, 81, step)]
+
+
 def test_density_grid_validation():
     with pytest.raises(ValueError):
         heads.grid_cells((1.0, 1.0, 0.0, 2.0), 10)
+    for bbox in [(np.nan, 60.0, -120.0, -70.0), (20.0, np.inf, -120.0, -70.0),
+                 (20.0, 60.0, -np.inf, -70.0), (80.0, 120.0, -120.0, -70.0),
+                 (20.0, 60.0, -300.0, -70.0), (20.0, 60.0, -120.0, 181.0)]:
+        with pytest.raises(ValueError, match="out of range"):
+            heads.grid_cells(bbox, 10)
     with pytest.raises(ValueError):
         heads.grid_cells((0.0, 1.0, 0.0, 1.0), 1)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Peak memory of the dialect scoring command against its dense bound."""
+"""Peak memory of the dialect scoring and geolocation heatmap commands
+against their dense bounds."""
 
 import pytest
 
@@ -33,3 +34,29 @@ def test_dialect_scoring_stays_below_one_dense_matrix(wide_dialect):
     setup, scored = dialect(1), dialect(P)
     # the P x V log-probability matrix alone is P * V * 8 bytes
     assert scored < setup + P * V * 8, (setup, scored)
+
+
+@pytest.fixture(scope="module")
+def wide_shared(tmp_path_factory):
+    """A one-epoch shared-MDN checkpoint with K = 1 000 components."""
+    d = tmp_path_factory.mktemp("wideK")
+    assert cli.main(["synth", "--out-prefix", str(d / "s-"), "--users-per-mode", "650", "--seed", "3"]) == 0
+    assert cli.main(["train", "--model", "mdn_shared", "--profile", "synth-mdn-shared", "--k", "1000",
+                     "--train", str(d / "s-train.tsv"), "--dev", str(d / "s-dev.tsv"),
+                     "--checkpoint", str(d / "shared.json"), "--vocab", str(d / "vocab.tsv"),
+                     "--max-epochs", "1"]) == 0
+    return d
+
+
+def test_geolocation_heatmap_stays_below_two_dense_grids(wide_shared):
+    d = wide_shared
+
+    def heatmap(res):
+        return peak_rss_bytes(["heatmap", "--checkpoint", d / "shared.json", "--vocab", d / "vocab.tsv",
+                               "--text", "mode0tok0 mode1tok0", "--bbox", "25,55,-110,-90",
+                               "--resolution", res, "--output", d / f"grid{res}.csv"])
+
+    P, K = 100 * 100, 1000
+    setup, grid = heatmap(2), heatmap(100)
+    # two P x K float64 arrays, such as the offsets d1 and d2, are 2 * P * K * 8 bytes
+    assert grid < setup + 2 * P * K * 8, (setup, grid)
