@@ -6,8 +6,13 @@ no features) and over --text under both selection rules; the three kinds
 of heatmap; and dialect scoring.  Every command runs in-process through
 ``geomix.cli.main`` in a temporary directory.  The script prints one
 ``sha256  path`` line per file written there, each command's stdout
-included.  Run it on two source trees and diff the listings; equal lines
-mean byte-identical outputs:
+included.  For each checkpoint it also prints a ``sha256  path decoded``
+line: the digest of the model ``data.load_model`` reads back, its blocks
+(name, shape and bytes, in sorted order) and its metadata without
+``format_version``.  That line is the same for the same model in any
+checkpoint format, so it compares trees that write different formats.  Run
+it on two source trees and diff the listings; equal lines mean
+byte-identical outputs (equal ``decoded`` lines: equal checkpointed models):
 
     PYTHONPATH=<tree>/src python scripts/output_digest.py > digest.txt
 """
@@ -15,15 +20,19 @@ mean byte-identical outputs:
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
-from geomix import cli
+import numpy as np
+
+from geomix import cli, data
 
 SEED = "5"
 K_SHARED = 1000  # 2**21 // 1000 = 2 097 rows a block: the 100 x 100 heatmap takes 5
 P_DIALECT = 30000  # about 430 terms, so 2**21 // 430 = 4 877 rows a block: 7 blocks
+MODELS = ("regression", "mdn", "mdn_shared", "dialect")
 TEXT = "mode0tok0 ambtok1 mode1tok2 noisetok7"
 BBOX = "25,55,-110,-90"
 
@@ -46,7 +55,7 @@ def round_trip(d):
     (d / "queries.tsv").write_text("\n".join(test_rows + ["none\t0\t0\tzzz qqq"]) + "\n", encoding="utf-8")
     (d / "regions.tsv").write_text("north\t50,-100\tmode1tok0\nsouth\t30,-100\tmode0tok0\n", encoding="utf-8")
 
-    for model in ("regression", "mdn", "mdn_shared", "dialect"):
+    for model in MODELS:
         k = ("--k", K_SHARED) if model == "mdn_shared" else ()
         run("train", "--model", model, "--profile", "synth-" + model.replace("_", "-"), *k,
             "--train", d / "s-train.tsv", "--dev", d / "s-dev.tsv", "--max-epochs", "10",
@@ -70,12 +79,25 @@ def round_trip(d):
         "--train", d / "s-train.tsv", "--p", P_DIALECT, "--out-prefix", d / "ranking-")
 
 
+def decoded_digest(path):
+    model = data.load_model(path)
+    meta = {key: value for key, value in model.to_checkpoint().items()
+            if key not in ("params", "format_version")}
+    h = hashlib.sha256(json.dumps(meta, sort_keys=True).encode("utf-8"))
+    for name, arr in sorted(model.params.items()):
+        h.update(f"{name} {list(arr.shape)}\n".encode("utf-8"))
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         round_trip(d)
         for path in sorted(p for p in d.rglob("*") if p.is_file()):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(d)}")
+        for model in MODELS:
+            print(f"{decoded_digest(d / f'{model}.json')}  {model}.json decoded")
 
 
 if __name__ == "__main__":

@@ -7,11 +7,17 @@ users are sampled around mode centers and their text drawn from per-mode
 exclusive tokens, shared ambiguous tokens and location-independent noise.
 """
 
+import base64
+import binascii
 import json
+import math
+import re
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from .features import text_lines
 from .geo import GeoPoint
 from .models import MODEL_CLASSES, READABLE_VERSIONS, CheckpointError
 
@@ -33,24 +39,23 @@ class UserRecord:
 
 def read_corpus(path, report=None):
     """TSV rows: id, lat, lon, text.  Malformed rows are skipped and counted;
-    more than 10% malformed is a hard error."""
+    more than 10% malformed, or a byte that is not UTF-8, is a hard error."""
     records = []
     bad = []
     total = 0
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            total += 1
-            parts = line.split("\t")
-            try:
-                if len(parts) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(parts)}")
-                uid, lat, lon, text = parts
-                records.append(UserRecord(uid, GeoPoint(float(lat), float(lon)), text))
-            except ValueError as e:
-                bad.append((ln, str(e)))
+    for ln, line in text_lines(path, CorpusError):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        total += 1
+        parts = line.split("\t")
+        try:
+            if len(parts) != 4:
+                raise ValueError(f"expected 4 fields, got {len(parts)}")
+            uid, lat, lon, text = parts
+            records.append(UserRecord(uid, GeoPoint(float(lat), float(lon)), text))
+        except ValueError as e:
+            bad.append((ln, str(e)))
     if total and len(bad) / total > 0.10:
         raise CorpusError(f"{len(bad)} of {total} rows malformed in {path}")
     if report is not None:
@@ -134,22 +139,64 @@ def coords_array(records):
     return np.array([[r.location.lat, r.location.lon] for r in records])
 
 
+ZIP_MAGIC = b"PK\x03\x04"
+META_MEMBER = "checkpoint.json"
+
+
 def save_model(path, model):
-    text = json.dumps(model.to_checkpoint())
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    write_checkpoint(path, model.to_checkpoint())
+
+
+def write_checkpoint(path, ck):
+    """Write the checkpoint dict ``ck`` to ``path`` as format 3: an
+    uncompressed zip holding one ``<name>.npy`` member per entry of
+    ``ck["params"]`` (``<f8``, C order) and the other fields as the JSON
+    member ``checkpoint.json``.  ``ZipFile.open(name, "w")`` dates every
+    member 1980-01-01, so equal models give equal bytes; writing through an
+    open file keeps the file at exactly ``path``."""
+    meta = {key: value for key, value in ck.items() if key != "params"}
+    with open(path, "wb") as f, zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as zf:
+        for name, arr in ck["params"].items():
+            with zf.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.ascontiguousarray(arr, dtype="<f8"),
+                                          allow_pickle=False)
+        with zf.open(META_MEMBER, "w") as member:
+            member.write(json.dumps(meta).encode("utf-8"))
 
 
 def load_model(path):
+    """The model in the checkpoint at ``path``: format 3 if the file starts
+    like a zip, else the format-2 JSON object.  Any unreadable or
+    inconsistent file is a CheckpointError."""
     try:
-        with open(path, encoding="utf-8") as f:
-            ck = json.load(f)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        with open(path, "rb") as f:
+            if f.read(4) == ZIP_MAGIC:
+                with zipfile.ZipFile(f) as zf:
+                    return _model_from(_read_zip_checkpoint(zf), 3)
+            f.seek(0)
+            ck = json.loads(f.read().decode("utf-8"))
+            if isinstance(ck, dict) and isinstance(ck.get("params"), dict):
+                ck["params"] = {name: _Base64Block(name, entry)
+                                for name, entry in ck["params"].items()}
+            return _model_from(ck, 2)
+    except CheckpointError:
+        raise
+    # zipfile refuses an unknown zip version with NotImplementedError, and
+    # json.loads JSON nested too deep with RecursionError
+    except (EOFError, KeyError, NotImplementedError, OSError, RecursionError, ValueError,
+            zipfile.BadZipFile) as e:
         raise CheckpointError(f"cannot load checkpoint {path}: {e}") from e
+
+
+def _model_from(ck, container_version):
     if not isinstance(ck, dict):
-        raise CheckpointError(f"checkpoint {path} is not a JSON object")
-    if ck.get("format_version") not in READABLE_VERSIONS:
-        raise CheckpointError(f"unsupported checkpoint version: {ck.get('format_version')}")
+        raise CheckpointError("checkpoint metadata is not a JSON object")
+    version = ck.get("format_version")
+    if version not in READABLE_VERSIONS:
+        raise CheckpointError(f"unsupported checkpoint version: {version!r} "
+                              f"(readable: {', '.join(map(str, READABLE_VERSIONS))})")
+    if version != container_version:
+        raise CheckpointError(f"format {version} checkpoint in a format {container_version} file")
     name = ck.get("model")
     if name not in MODEL_CLASSES:
         raise CheckpointError(f"unknown model type: {name!r}")
@@ -158,3 +205,91 @@ def load_model(path):
         raise CheckpointError(
             f"slice layout mismatch: {ck.get('slice_layout')!r} vs {SLICE_LAYOUT!r}")
     return MODEL_CLASSES[name].from_checkpoint(ck)
+
+
+def _read_zip_checkpoint(zf):
+    """The metadata of a format-3 zip, with ``params`` mapping each block
+    name to its ``_NpyBlock``."""
+    infos = zf.infolist()
+    names = [info.filename for info in infos]
+    if len(set(names)) != len(names):
+        raise CheckpointError("checkpoint zip has duplicate members")
+    for info in infos:
+        if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+            raise CheckpointError(f"checkpoint member {info.filename} is compressed or encrypted")
+    if META_MEMBER not in names:
+        raise CheckpointError(f"checkpoint zip has no {META_MEMBER} member")
+    ck = json.loads(zf.read(META_MEMBER).decode("utf-8"))
+    if not isinstance(ck, dict):
+        raise CheckpointError(f"{META_MEMBER} is not a JSON object")
+    blocks = {}
+    for info in infos:
+        if info.filename == META_MEMBER:
+            continue
+        if not info.filename.endswith(".npy"):
+            raise CheckpointError(f"unexpected checkpoint member {info.filename}")
+        blocks[info.filename[:-len(".npy")]] = _NpyBlock(zf, info)
+    ck["params"] = blocks
+    return ck
+
+
+_READ_CHUNK = 1 << 18
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"  # .npy 1.0, which write_array writes for short headers
+_NPY_F8_HEADER = re.compile(
+    r"\{'descr': '<f8', 'fortran_order': False, 'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n")
+
+
+class _NpyBlock:
+    """A format-3 parameter block.  Making it reads only the member's
+    ``.npy`` header, which must be the one ``np.lib.format.write_array``
+    writes for a <f8 C-order array; ``read`` reads the data, which the model
+    calls once ``shape`` matches its network, so a forged header allocates
+    nothing.  The header is matched, not evaluated: the member's CRC is
+    checked only at its end, so the header may be corrupt."""
+
+    def __init__(self, zf, info):
+        self.name, self._zf, self._info = info.filename, zf, info
+        with zf.open(info) as fp:
+            magic = fp.read(len(_NPY_MAGIC) + 2)
+            header = fp.read(int.from_bytes(magic[len(_NPY_MAGIC):], "little")).decode("latin1")
+        match = _NPY_F8_HEADER.fullmatch(header) if magic[:len(_NPY_MAGIC)] == _NPY_MAGIC else None
+        if match is None:
+            raise CheckpointError(f"member {self.name} is not a .npy 1.0 array of <f8 in C order: "
+                                  f"{(magic + header.encode('latin1'))[:80]!r}")
+        self.shape = tuple(int(d) for d in match[1].split(",") if d)
+        self._data_start = len(magic) + len(header)
+
+    def read(self):
+        arr = np.empty(self.shape)
+        view = memoryview(arr.reshape(-1)).cast("B")
+        with self._zf.open(self._info) as fp:
+            fp.read(self._data_start)  # read, not seek, so the CRC covers the header too
+            # in chunks, as np.lib.format.read_array: one big read is slower
+            got = sum(fp.readinto(view[start:start + _READ_CHUNK])
+                      for start in range(0, len(view), _READ_CHUNK))
+            trailing = fp.read(1)
+        if got != len(view) or trailing:
+            raise CheckpointError(f"member {self.name}: data size does not match shape "
+                                  f"{list(self.shape)}")
+        return arr
+
+
+class _Base64Block:
+    """A format-2 parameter block: JSON ``{"shape": [...], "data": "<base64
+    of little-endian float64 bytes>"}``."""
+
+    def __init__(self, name, entry):
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise CheckpointError(f"parameter {name}: bad or missing shape")
+        self.name, self.shape, self._data = name, tuple(shape), entry.get("data")
+
+    def read(self):
+        try:
+            raw = base64.b64decode(self._data, validate=True)
+        except (TypeError, binascii.Error) as e:
+            raise CheckpointError(f"parameter {self.name}: invalid base64 data: {e}") from e
+        if len(raw) != 8 * math.prod(self.shape):
+            raise CheckpointError(f"parameter {self.name}: {len(raw)} bytes for shape "
+                                  f"{list(self.shape)}")
+        return np.frombuffer(raw, dtype="<f8").reshape(self.shape).astype(float)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import text_lines
 from .gaussian import log_softmax
 from .geo import GeoPoint, haversine_km
 from .heads import component_grads, component_terms
@@ -166,18 +167,17 @@ def region_membership(points, region, radius_km=161.0):
 def read_regions(path):
     """Region file: name TAB lat,lon;lat,lon TAB term,term per line."""
     regions = []
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            try:
-                name, pts, terms = line.split("\t")
-                points = [GeoPoint(*map(float, p.split(","))) for p in pts.split(";")]
-                regions.append(DialectRegion(name=name, points=[(c.lat, c.lon) for c in points],
-                                             terms=[t for t in terms.split(",") if t]))
-            except (ValueError, TypeError) as e:
-                raise ValueError(f"malformed region file line {ln}: {e}") from e
+    for ln, line in text_lines(path, ValueError):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        try:
+            name, pts, terms = line.split("\t")
+            points = [GeoPoint(*map(float, p.split(","))) for p in pts.split(";")]
+            regions.append(DialectRegion(name=name, points=[(c.lat, c.lon) for c in points],
+                                         terms=[t for t in terms.split(",") if t]))
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"{path}:{ln}: malformed region line: {e}") from e
     return regions
 
 

@@ -129,18 +129,34 @@ def save_vocab(path, vocab):
             f.write(f"{vocab.index[t]}\t{t}\t{vocab.df[t]}\n")
 
 
+def text_lines(path, error):
+    """``(line number, line)`` for each line of the UTF-8 text file at
+    ``path``, split as text mode splits them.  A byte that is not UTF-8
+    raises ``error`` naming the file and the line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for ln, line in enumerate(f, 1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:  # surrogateescape maps byte b to U+DC00 + b
+                    byte = ord(line[e.start]) - 0xDC00
+                    raise error(f"{path}:{ln}: byte 0x{byte:02x} is not UTF-8 text") from None
+            yield ln, line
+
+
 def load_vocab(path):
     index, df = {}, {}
-    with open(path, encoding="utf-8") as f:
+    lines = text_lines(path, PipelineError)
+    _, header = next(lines, (1, ""))
+    try:
+        doc_count, min_df, stop_hash = header.rstrip("\n").split("\t")
+        doc_count, min_df = int(doc_count), int(min_df)
+    except ValueError as e:
+        raise PipelineError(f"{path}:1: malformed vocabulary header: {e}") from e
+    for ln, line in lines:
         try:
-            doc_count, min_df, stop_hash = f.readline().rstrip("\n").split("\t")
-            doc_count, min_df = int(doc_count), int(min_df)
+            i, t, c = line.rstrip("\n").split("\t")
+            index[t], df[t] = int(i), int(c)
         except ValueError as e:
-            raise PipelineError(f"{path}:1: malformed vocabulary header: {e}") from e
-        for ln, line in enumerate(f, 2):
-            try:
-                i, t, c = line.rstrip("\n").split("\t")
-                index[t], df[t] = int(i), int(c)
-            except ValueError as e:
-                raise PipelineError(f"{path}:{ln}: malformed vocabulary line: {e}") from e
+            raise PipelineError(f"{path}:{ln}: malformed vocabulary line: {e}") from e
     return Vocabulary(index=index, df=df, doc_count=doc_count, min_df=min_df, stop_hash=stop_hash)

@@ -12,14 +12,14 @@ a training batch densifies only its own rows.  The dialect model's V-wide
 outputs (word log-probabilities, the dev loss) are computed in
 ``kernels.row_blocks``, never for all rows at once.
 
-Checkpoint format 2 stores each parameter block as ``{"shape": [...],
-"data": "<base64 of little-endian float64 bytes>"}``; format 1 stored
-``"data"`` as a JSON list of floats and is still read.  Every other field
-is plain JSON.  This module owns both encodings.
+``to_checkpoint`` gives a model's checkpoint as a dict: every field is
+plain JSON except ``params``, which maps each block name to its float64
+array.  ``from_checkpoint`` takes the same dict with each array replaced by
+a block that has a ``shape`` and a ``read()``, so the file format's reader
+(``data.load_model``: format 3, a zip of ``.npy`` members, or format 2,
+base64 inside JSON) reads a block's data only after its shape has been
+checked against the network.
 """
-
-import base64
-import binascii
 
 import numpy as np
 from scipy import sparse
@@ -29,8 +29,8 @@ from . import heads
 from .kernels import row_blocks
 from .network import NetworkSpec, backward, forward, init_network_params, regularization_penalty
 
-FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (2, 3)
 
 
 class CheckpointError(ValueError):
@@ -79,7 +79,7 @@ class _BaseModel:
                 "seed": self.spec.seed,
             },
             "vocab_hash": self.vocab_hash,
-            "params": {name: _encode_block(arr) for name, arr in sorted(self.params.items())},
+            "params": dict(sorted(self.params.items())),
         }
         ck.update(self._extra_checkpoint())
         return ck
@@ -99,7 +99,8 @@ class _BaseModel:
 
     def _load_params(self, ck):
         """Set ``params`` from the checkpoint's blocks, which must be the
-        network's blocks plus the extra blocks the constructor set."""
+        network's blocks plus the extra blocks the constructor set.  A
+        block is read only once its shape matches."""
         sizes = self.spec.layer_sizes
         shapes = {}
         for i in range(len(sizes) - 1):
@@ -109,47 +110,14 @@ class _BaseModel:
         if set(blocks) != set(shapes):
             raise CheckpointError(f"parameter blocks {sorted(blocks)} do not match the "
                                   f"model's {sorted(shapes)}")
-        v1 = ck.get("format_version") == 1
         params = {}
         for name, shape in shapes.items():
-            arr = _decode_block_v1(name, blocks[name]) if v1 else _decode_block(name, blocks[name])
-            if arr.shape != shape:
-                raise CheckpointError(f"parameter {name} has shape {arr.shape}, "
+            if blocks[name].shape != shape:
+                raise CheckpointError(f"parameter {name} has shape {blocks[name].shape}, "
                                       f"the model needs {shape}")
-            params[name] = arr
+            params[name] = blocks[name].read()
         self.params = params
         self.vocab_hash = ck.get("vocab_hash")
-
-
-def _encode_block(arr):
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
-
-
-def _block_shape(name, entry):
-    shape = entry.get("shape") if isinstance(entry, dict) else None
-    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
-        raise CheckpointError(f"parameter {name}: bad or missing shape")
-    return tuple(shape)
-
-
-def _decode_block(name, entry):
-    shape = _block_shape(name, entry)
-    try:
-        raw = base64.b64decode(entry.get("data"), validate=True)
-    except (TypeError, binascii.Error) as e:
-        raise CheckpointError(f"parameter {name}: invalid base64 data: {e}") from e
-    if len(raw) != 8 * int(np.prod(shape)):
-        raise CheckpointError(f"parameter {name}: {len(raw)} bytes for shape {list(shape)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
-
-
-def _decode_block_v1(name, entry):
-    shape = _block_shape(name, entry)
-    try:
-        return np.array(entry.get("data"), dtype=float).reshape(shape)
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"parameter {name}: bad float list: {e}") from e
 
 
 def _field(ck, key, kind):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from geomix import cli
+from geomix import cli, data
 
 
 def run(argv):
@@ -41,14 +41,23 @@ def test_synth_deterministic(tmp_path):
 
 
 def test_train_deterministic(corpus, tmp_path):
-    args = ["train", "--model", "regression", "--profile", "synth-regression",
-            "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
-            "--max-epochs", "5"]
-    for name in ("r1.json", "r2.json"):
-        assert run(args + ["--checkpoint", str(tmp_path / name),
-                           "--log", str(tmp_path / (name + ".log"))]) == 0
-    assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
-    assert (tmp_path / "r1.json.log").read_bytes() == (tmp_path / "r2.json.log").read_bytes()
+    """Two identical runs give byte-identical checkpoints and logs, for every
+    model, and each checkpoint lands exactly at --checkpoint."""
+    written = []
+    for model, epochs in (("regression", "5"), ("mdn", "2"), ("mdn_shared", "2"), ("dialect", "2")):
+        args = ["train", "--model", model, "--profile", "synth-" + model.replace("_", "-"),
+                "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
+                "--max-epochs", epochs]
+        names = [f"{model}-1.json", f"{model}-2.json"]
+        for name in names:
+            assert run(args + ["--checkpoint", str(tmp_path / name),
+                               "--log", str(tmp_path / (name + ".log"))]) == 0
+        first, second = (tmp_path / name for name in names)
+        assert first.read_bytes()[:4] == b"PK\x03\x04"
+        assert first.read_bytes() == second.read_bytes(), model
+        assert (tmp_path / (names[0] + ".log")).read_bytes() == (tmp_path / (names[1] + ".log")).read_bytes()
+        written += [*names, *(name + ".log" for name in names)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)  # no .npz siblings
 
 
 def test_train_log_format(trained):
@@ -234,11 +243,10 @@ def test_unknown_profile_and_missing_file(tmp_path, capsys):
 
 
 def test_malformed_checkpoint_is_an_error_line(trained, tmp_path, capsys):
-    import json
-    ck = json.loads((trained / "mdn.json").read_text())
+    ck = data.load_model(trained / "mdn.json").to_checkpoint()
     del ck["network_spec"]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(ck))
+    data.write_checkpoint(bad, ck)
     rc = run(["heatmap", "--checkpoint", str(bad), "--vocab", str(trained / "vocab.tsv"),
               "--text", "ambtok0", "--bbox", "25,55,-110,-90", "--output", str(tmp_path / "g.csv")])
     assert rc == 1
@@ -254,11 +262,10 @@ def test_config_file_and_flag_precedence(corpus, tmp_path):
               "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
               "--checkpoint", str(ck), "--max-epochs", "2"])
     assert rc == 0
-    import json
-    saved = json.loads(ck.read_text())
-    assert saved["model"] == "regression"
+    saved = data.load_model(ck)
+    assert saved.model_name == "regression"
     # hidden size from the config file, flag-overridden epoch count
-    assert saved["network_spec"]["layer_sizes"][1:] == [8, 2]
+    assert saved.spec.layer_sizes[1:] == (8, 2)
 
 
 def test_table_profiles_encode_reported_settings():

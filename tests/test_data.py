@@ -1,6 +1,10 @@
 """Corpus I/O, the synthetic corpus generator, and checkpoint persistence."""
 
+import base64
+import io
 import json
+import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -128,6 +132,33 @@ def all_model_instances():
     return [(reg, (6,)), (mdn, (6,)), (sh, (6,)), (dia, None)], coords
 
 
+def v2_checkpoint(model):
+    """``model`` as a format-2 JSON object: each block base64 of its <f8 bytes."""
+    ck = model.to_checkpoint()
+    ck["format_version"] = 2
+    ck["params"] = {name: {"shape": list(arr.shape), "data": base64.b64encode(
+                        np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")}
+                    for name, arr in ck["params"].items()}
+    return ck
+
+
+def zip_members(path):
+    with zipfile.ZipFile(path) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+def write_zip(path, members):
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, raw in members.items():
+            zf.writestr(name, raw)
+
+
+def npy_bytes(arr, allow_pickle=False):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
 def test_checkpoint_round_trip_bitwise(tmp_path):
     instances, coords = all_model_instances()
     rng = np.random.default_rng(1)
@@ -135,7 +166,10 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         model.vocab_hash = "cafe0123"
         path = tmp_path / f"m{i}.json"
         save_model(path, model)
-        assert json.loads(path.read_text())["format_version"] == 2
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
+        members = zip_members(path)
+        assert json.loads(members["checkpoint.json"])["format_version"] == 3
+        assert sorted(members) == sorted(["checkpoint.json", *(f"{n}.npy" for n in model.params)])
         loaded = load_model(path)
         assert type(loaded) is type(model)
         assert loaded.vocab_hash == "cafe0123"
@@ -149,6 +183,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
             np.testing.assert_array_equal(loaded.word_log_probs(coords[:5]),
                                           model.word_log_probs(coords[:5]))
             assert loaded.terms == model.terms
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"m{i}.json" for i in range(len(instances))]
 
 
 def test_checkpoint_errors(tmp_path):
@@ -157,55 +192,58 @@ def test_checkpoint_errors(tmp_path):
     save_model(path, model)
 
     truncated = tmp_path / "trunc.json"
-    truncated.write_text(path.read_text()[:50])
+    truncated.write_bytes(path.read_bytes()[:50])
     with pytest.raises(CheckpointError):
         load_model(truncated)
     with pytest.raises(CheckpointError):
         load_model(tmp_path / "missing.json")
 
-    ck = json.loads(path.read_text())
-    ck["format_version"] = 99
-    bad = tmp_path / "ver.json"
-    bad.write_text(json.dumps(ck))
-    with pytest.raises(CheckpointError):
-        load_model(bad)
-
-    ck = json.loads(path.read_text())
-    ck["slice_layout"] = "pi|mu1|mu2|sigma1|sigma2|rho"
-    bad2 = tmp_path / "layout.json"
-    bad2.write_text(json.dumps(ck))
-    with pytest.raises(CheckpointError):
-        load_model(bad2)
-
-    ck = json.loads(path.read_text())
-    ck["model"] = "transformer"
-    bad3 = tmp_path / "name.json"
-    bad3.write_text(json.dumps(ck))
-    with pytest.raises(CheckpointError):
-        load_model(bad3)
+    for key, value in (("format_version", 99), ("format_version", 2),
+                       ("slice_layout", "pi|mu1|mu2|sigma1|sigma2|rho"), ("model", "transformer")):
+        ck = model.to_checkpoint()
+        ck[key] = value
+        bad = tmp_path / "bad.json"
+        data.write_checkpoint(bad, ck)
+        with pytest.raises(CheckpointError):
+            load_model(bad)
+    ck = v2_checkpoint(model)
+    ck["format_version"] = 3
+    path.write_text(json.dumps(ck))
+    with pytest.raises(CheckpointError, match="format 3 checkpoint in a format 2 file"):
+        load_model(path)
 
 
-def test_v1_checkpoint_still_loads_bitwise(tmp_path):
+def test_v1_checkpoint_is_refused(tmp_path):
+    model, _ = all_model_instances()[0][0]
+    ck = model.to_checkpoint()
+    ck["format_version"] = 1
+    ck["params"] = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                    for name, arr in model.params.items()}
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(ck))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version: 1"):
+        load_model(path)
+
+
+def test_v2_checkpoint_loads_as_its_v3_save(tmp_path):
     instances, _ = all_model_instances()
     for i, (model, _) in enumerate(instances):
-        ck = model.to_checkpoint()
-        ck["format_version"] = 1
-        ck["params"] = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-                        for name, arr in model.params.items()}
-        path = tmp_path / f"v1-{i}.json"
-        path.write_text(json.dumps(ck))
-        loaded = load_model(path)
-        assert type(loaded) is type(model)
-        for name, arr in model.params.items():
-            assert loaded.params[name].tobytes() == arr.tobytes()
+        v2, v3 = tmp_path / f"v2-{i}.json", tmp_path / f"v3-{i}.json"
+        v2.write_text(json.dumps(v2_checkpoint(model)))
+        save_model(v3, model)
+        from_v2, from_v3 = load_model(v2), load_model(v3)
+        assert type(from_v2) is type(model) and list(from_v2.params) == list(from_v3.params)
+        for name, arr in from_v3.params.items():
+            assert from_v2.params[name].tobytes() == arr.tobytes() == model.params[name].tobytes()
 
 
 @pytest.mark.parametrize("breakage", [
     "drop network_spec", "drop params", "drop head", "unknown spec key", "bad base64",
     "short block", "missing block", "wrong block shape", "head K mismatch", "not an object"])
 def test_malformed_checkpoint_is_checkpoint_error(tmp_path, breakage):
+    """Format 2 files, which are still read."""
     mdn = models.MdnGeolocator(network.NetworkSpec((6, 5, 12), seed=0), heads.MdnHeadConfig(2))
-    ck = mdn.to_checkpoint()
+    ck = v2_checkpoint(mdn)
     block = ck["params"]["W0"]
     if breakage.startswith("drop "):
         del ck[breakage[len("drop "):]]
@@ -226,6 +264,88 @@ def test_malformed_checkpoint_is_checkpoint_error(tmp_path, breakage):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(ck))
     with pytest.raises(CheckpointError):
+        load_model(path)
+
+
+V3_BREAKAGES = {
+    "drop network_spec": "network_spec", "drop head": "head", "unknown spec key": "bad network_spec",
+    "head K mismatch": "bad model fields", "missing member": "do not match",
+    "extra member": "do not match", "stray member": "unexpected checkpoint member",
+    "wrong member shape": "has shape", "forged huge shape": "has shape",
+    "big-endian member": "'>f8'", "float32 member": "'<f4'",
+    "fortran member": "'fortran_order': True",
+    "pickled member": "'|O'", "short member": "data size", "long member": "data size",
+    "not npy": "not a .npy 1.0 array", "no metadata": "no checkpoint.json",
+    "metadata not an object": "not a JSON object", "metadata not JSON": "cannot load",
+    "metadata nested too deep": "cannot load",
+    "compressed member": "compressed", "duplicate member": "duplicate", "version 2 in zip": "format 2",
+}
+
+
+@pytest.mark.parametrize("breakage", sorted(V3_BREAKAGES))
+def test_malformed_v3_checkpoint_is_checkpoint_error(tmp_path, breakage):
+    mdn = models.MdnGeolocator(network.NetworkSpec((6, 5, 12), seed=0), heads.MdnHeadConfig(2))
+    path = tmp_path / "bad.json"
+    save_model(path, mdn)
+    members = zip_members(path)
+    meta = json.loads(members["checkpoint.json"])
+    W0 = mdn.params["W0"]
+    if breakage.startswith("drop "):
+        del meta[breakage[len("drop "):]]
+    elif breakage == "unknown spec key":
+        meta["network_spec"]["learning_rate"] = 0.5
+    elif breakage == "head K mismatch":
+        meta["head"]["K"] = 3
+    elif breakage == "version 2 in zip":
+        meta["format_version"] = 2
+    elif breakage == "missing member":
+        del members["b1.npy"]
+    elif breakage == "extra member":
+        members["W9.npy"] = members["b1.npy"]
+    elif breakage == "stray member":
+        members["notes.txt"] = b"hello"
+    elif breakage == "wrong member shape":
+        members["W0.npy"] = npy_bytes(W0.T.copy())
+    elif breakage == "forged huge shape":  # refused from the header, before any allocation
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buf, {"descr": "<f8", "fortran_order": False, "shape": (10 ** 12, 5)})
+        members["W0.npy"] = buf.getvalue()
+    elif breakage == "big-endian member":
+        members["W0.npy"] = npy_bytes(W0.astype(">f8"))
+    elif breakage == "float32 member":
+        members["W0.npy"] = npy_bytes(W0.astype("<f4"))
+    elif breakage == "fortran member":
+        members["W0.npy"] = npy_bytes(np.asfortranarray(W0))
+    elif breakage == "pickled member":
+        members["W0.npy"] = npy_bytes(np.array([{"W0": 1}], dtype=object), allow_pickle=True)
+    elif breakage == "short member":
+        members["W0.npy"] = members["W0.npy"][:-8]
+    elif breakage == "long member":
+        members["W0.npy"] += bytes(8)
+    elif breakage == "not npy":
+        members["W0.npy"] = b"this is not an array"
+    elif breakage == "no metadata":
+        del members["checkpoint.json"]
+    elif breakage == "metadata not an object":
+        meta = [meta]
+    elif breakage == "metadata not JSON":
+        members["checkpoint.json"] = b"{oops"
+    elif breakage == "metadata nested too deep":
+        members["checkpoint.json"] = b"[" * 200_000
+    if "checkpoint.json" in members and breakage not in ("metadata not JSON", "metadata nested too deep"):
+        members["checkpoint.json"] = json.dumps(meta).encode("utf-8")
+    if breakage == "compressed member":
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, raw in members.items():
+                zf.writestr(name, raw)
+    elif breakage == "duplicate member":
+        with pytest.warns(UserWarning, match="Duplicate name"), zipfile.ZipFile(path, "w") as zf:
+            for name, raw in [*members.items(), ("b0.npy", members["b0.npy"])]:
+                zf.writestr(name, raw)
+    else:
+        write_zip(path, members)
+    with pytest.raises(CheckpointError, match=re.escape(V3_BREAKAGES[breakage])):
         load_model(path)
 
 
