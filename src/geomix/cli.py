@@ -49,14 +49,17 @@ class UsageError(ValueError):
 
 def _load_config_file(path, allowed):
     parser = configparser.ConfigParser()
-    with open(path, encoding="utf-8") as f:
-        parser.read_file(f)
     flat = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            if key not in allowed:
-                raise UsageError(f"unknown key {key!r} in [{section}] of {path}")
-            flat[key] = value
+    with open(path, encoding="utf-8") as f:
+        try:
+            parser.read_file(f)
+            for section in parser.sections():
+                for key, value in parser.items(section):
+                    if key not in allowed:
+                        raise UsageError(f"unknown key {key!r} in [{section}] of {path}")
+                    flat[key] = value
+        except configparser.Error as e:
+            raise UsageError(f"bad config file {path}: {' '.join(str(e).split())}") from e
     return flat
 
 
@@ -116,18 +119,15 @@ def cmd_train(args):
         train_data = (Ytr, Xtr)
         dev_data = (Ydev, Xdev)
     else:
+        out = {"regression": 2, "mdn": 6 * K, "mdn_shared": K}[cfg["model"]]
+        spec = network.NetworkSpec((D, *cfg["hidden"], out), dropout_rate=cfg["dropout"],
+                                   l1_coeff=cfg["l1"], l2_coeff=cfg["l2"], seed=seed)
         if cfg["model"] == "regression":
-            spec = network.NetworkSpec((D, *cfg["hidden"], 2), dropout_rate=cfg["dropout"],
-                                       l1_coeff=cfg["l1"], l2_coeff=cfg["l2"], seed=seed)
             model = models.RegressionGeolocator(spec)
         elif cfg["model"] == "mdn":
-            spec = network.NetworkSpec((D, *cfg["hidden"], 6 * K), dropout_rate=cfg["dropout"],
-                                       l1_coeff=cfg["l1"], l2_coeff=cfg["l2"], seed=seed)
             model = models.MdnGeolocator(spec, heads.MdnHeadConfig(K, cfg["selection_rule"]))
             model.init_output_bias_from_labels(Ytr, mode=cfg["mu_init"], seed=seed)
         else:
-            spec = network.NetworkSpec((D, *cfg["hidden"], K), dropout_rate=cfg["dropout"],
-                                       l1_coeff=cfg["l1"], l2_coeff=cfg["l2"], seed=seed)
             model = models.SharedMdnGeolocator(spec, heads.MdnHeadConfig(K, cfg["selection_rule"]))
             model.init_shared_from_labels(Ytr, seed=seed)
         train_data = (Xtr, Ytr)

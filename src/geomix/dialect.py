@@ -9,7 +9,7 @@ import numpy as np
 from .features import text_lines
 from .gaussian import log_softmax
 from .geo import GeoPoint, haversine_km
-from .heads import component_grads, component_terms
+from .heads import bank_grads, component_grads, component_rows, component_terms
 from .kernels import component_log_pdf
 from .network import ContractError
 
@@ -34,16 +34,17 @@ def gaussian_layer_forward_batch(params, X, log_domain=False):
     with ``log_domain``); the layer has no mixing weights.  Returns
     (activations N x K, cache for backward).
     """
-    terms = component_terms(params, np.asarray(X, dtype=float))
+    terms = component_terms(component_rows(params), np.asarray(X, dtype=float))
     log_n = component_log_pdf(*terms[:5])
     acts = log_n if log_domain else np.exp(log_n)
-    return acts, (terms, log_n, log_domain)
+    return acts, (terms, acts, log_domain)
 
 
 def gaussian_layer_backward(params, cache, d_acts):
     """Gradients of the loss w.r.t. the layer parameters given dLoss/dActs."""
-    terms, log_n, log_domain = cache
-    return component_grads(params, terms, d_acts if log_domain else d_acts * np.exp(log_n))
+    terms, acts, log_domain = cache
+    w = d_acts if log_domain else d_acts * acts  # dN/dlog N is N, the kept activation
+    return bank_grads(component_grads(component_rows(params), terms, w))
 
 
 def target_log_likelihood(log_p, targets):

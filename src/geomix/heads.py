@@ -6,10 +6,11 @@ are pre-transform.  Losses return both the scalar and the gradient with
 respect to the raw output (and the shared parameters where applicable),
 factored through per-sample responsibilities.
 
-The K Gaussians that every user shares, in the shared MDN and in the dialect
-model's representation layer, are one component bank of ``params`` blocks
-(``mus``, ``raw_sigmas``, ``raw_rhos``) handled by the ``*_components`` and
-``component_*`` functions below.
+Every mixture reaches the Gaussian math as five component rows (mu1, mu2,
+raw sigma1, raw sigma2, raw rho): N x K blocks of the MDN's raw output, or
+1 x K views of the component bank, the ``params`` blocks ``mus``,
+``raw_sigmas`` and ``raw_rhos`` that the shared MDN and the dialect layer
+keep.  ``component_terms`` and ``component_grads`` serve both.
 """
 
 from dataclasses import dataclass
@@ -42,55 +43,59 @@ def _clamped_sigma(raw):
     return np.maximum(s, SIGMA_MIN), s > SIGMA_MIN
 
 
+def mdn_rows(raw, K):
+    """The MDN's raw N x 6K output as its five N x K component rows and its
+    N x K raw pi block (views)."""
+    *rows, raw_pi = np.split(raw, K * np.arange(1, 6), axis=1)
+    return rows, raw_pi
+
+
 def unpack_arrays(raw, K):
     """Raw N x 6K -> (mu1, mu2, sigma1, sigma2, rho, pi) arrays, each N x K."""
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != 6 * K:
         raise ContractError(f"raw width {raw.shape} incompatible with 6K = {6 * K}")
-    mu1, mu2 = raw[:, :K], raw[:, K:2 * K]
-    s1, _ = _clamped_sigma(raw[:, 2 * K:3 * K])
-    s2, _ = _clamped_sigma(raw[:, 3 * K:4 * K])
-    rho = softsign(raw[:, 4 * K:5 * K])
-    pi = np.exp(log_softmax(raw[:, 5 * K:]))
-    return mu1, mu2, s1, s2, rho, pi
+    return mixture_arrays(*mdn_rows(raw, K))
 
 
-def _mixture_terms(d1, d2, s1, s2, rho, log_pi):
-    log_joint = log_pi + component_log_pdf(d1, d2, s1, s2, rho)
+def mixture_arrays(rows, raw_pi):
+    """(mu1, mu2, sigma1, sigma2, rho, pi) of component rows and an N x K raw pi."""
+    mu1, mu2, rs1, rs2, rr = rows
+    return (mu1, mu2, _clamped_sigma(rs1)[0], _clamped_sigma(rs2)[0], softsign(rr),
+            np.exp(log_softmax(raw_pi)))
+
+
+def _mixture_nll(rows, raw_pi, labels):
+    """Mean NLL of the labels under the mixtures of component rows and raw pi.
+
+    Returns (loss, dLoss/dRawPi, the five dLoss/dRow in ``rows`` order).
+    """
+    if not all(np.isfinite(a).all() for a in (*rows, raw_pi)):
+        raise TrainingError("non-finite mixture parameters")
+    terms = component_terms(rows, np.asarray(labels, dtype=float))
+    log_pi = log_softmax(raw_pi)
+    log_joint = log_pi + component_log_pdf(*terms[:5])
     ll = logsumexp_rows(log_joint)
     gamma = np.exp(log_joint - ll[:, None])
-    return ll, gamma
+    N = len(ll)
+    # negated after the reduction: a negated weight would flip the sign of zero gradients
+    grads = [-g for g in component_grads(rows, terms, gamma / N)]
+    return -float(np.mean(ll)), -(gamma - np.exp(log_pi)) / N, grads
 
 
 def mdn_nll(raw, labels, K):
     """Mean NLL of the unpacked per-sample mixtures; returns (loss, dLoss/dRaw)."""
-    raw = np.asarray(raw, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if not np.all(np.isfinite(raw)):
-        raise TrainingError("non-finite raw MDN output")
-    N = raw.shape[0]
-    mu1, mu2 = raw[:, :K], raw[:, K:2 * K]
-    rs1, rs2 = raw[:, 2 * K:3 * K], raw[:, 3 * K:4 * K]
-    rr, rpi = raw[:, 4 * K:5 * K], raw[:, 5 * K:]
-    s1, live1 = _clamped_sigma(rs1)
-    s2, live2 = _clamped_sigma(rs2)
-    rho = softsign(rr)
-    log_pi = log_softmax(rpi)
-    pi = np.exp(log_pi)
-    d1 = labels[:, 0:1] - mu1
-    d2 = labels[:, 1:2] - mu2
-    ll, gamma = _mixture_terms(d1, d2, s1, s2, rho, log_pi)
-    loss = -float(np.mean(ll))
-    dmu1, dmu2, ds1, ds2, drho = log_pdf_partials(d1, d2, s1, s2, rho)
-    g = gamma / N
-    d_raw = np.empty_like(raw)
-    d_raw[:, :K] = -g * dmu1
-    d_raw[:, K:2 * K] = -g * dmu2
-    d_raw[:, 2 * K:3 * K] = -g * ds1 * softplus_grad(rs1) * live1
-    d_raw[:, 3 * K:4 * K] = -g * ds2 * softplus_grad(rs2) * live2
-    d_raw[:, 4 * K:5 * K] = -g * drho * softsign_grad(rr)
-    d_raw[:, 5 * K:] = -(gamma - pi) / N
-    return loss, d_raw
+    loss, d_pi, grads = _mixture_nll(*mdn_rows(np.asarray(raw, dtype=float), K), labels)
+    return loss, np.concatenate([*grads, d_pi], axis=1)
+
+
+def shared_nll(pi_raw, params, labels):
+    """NLL with per-sample pi and the globally shared component bank in ``params``.
+
+    Returns (loss, dLoss/dPiRaw, grads dict over mus / raw_sigmas / raw_rhos).
+    """
+    loss, d_pi, grads = _mixture_nll(component_rows(params), np.asarray(pi_raw, dtype=float), labels)
+    return loss, d_pi, bank_grads(grads)
 
 
 def unit_components(K):
@@ -115,60 +120,49 @@ def init_components(coords, K, sigma_range, seed=0):
             "raw_rhos": np.zeros(K)}
 
 
-def component_transforms(params):
-    """(sigma1, sigma2, rho, (live1, live2)) of the component bank, each of
-    length K; the live masks are False where SIGMA_MIN clamps a sigma."""
-    s1, live1 = _clamped_sigma(params["raw_sigmas"][:, 0])
-    s2, live2 = _clamped_sigma(params["raw_sigmas"][:, 1])
-    return s1, s2, softsign(params["raw_rhos"]), (live1, live2)
+def component_rows(params):
+    """The bank's component rows: 1 x K views of mus, raw_sigmas and raw_rhos."""
+    mus, raw_sigmas = params["mus"], params["raw_sigmas"]
+    return [mus[None, :, 0], mus[None, :, 1], raw_sigmas[None, :, 0], raw_sigmas[None, :, 1],
+            params["raw_rhos"][None]]
 
 
-def component_terms(params, X):
-    """The bank at the N points of X: (d1, d2, sigma1, sigma2, rho, live).
+def bank_grads(row_grads):
+    """The five 1 x K gradients of ``component_rows`` as mus / raw_sigmas / raw_rhos blocks."""
+    g1, g2, gs1, gs2, grho = (g[0] for g in row_grads)
+    return {"mus": np.stack([g1, g2], axis=1), "raw_sigmas": np.stack([gs1, gs2], axis=1),
+            "raw_rhos": grho}
 
-    d = x - mu are N x K offsets; sigma and rho are 1 x K rows; live is
-    ``component_transforms``' pair of masks.
+
+def component_terms(rows, X):
+    """Component rows at the N points of X: (d1, d2, sigma1, sigma2, rho, live).
+
+    ``rows`` are (mu1, mu2, raw sigma1, raw sigma2, raw rho), each N x K or a
+    1 x K row every point shares.  d = x - mu are N x K offsets; sigma, rho
+    and the pair of live masks, False where SIGMA_MIN clamps a sigma, have
+    the rows' shape.
     """
-    s1, s2, rho, live = component_transforms(params)
-    d1 = X[:, 0:1] - params["mus"][None, :, 0]
-    d2 = X[:, 1:2] - params["mus"][None, :, 1]
-    return d1, d2, s1[None], s2[None], rho[None], live
+    mu1, mu2, rs1, rs2, rr = rows
+    s1, live1 = _clamped_sigma(rs1)
+    s2, live2 = _clamped_sigma(rs2)
+    return X[:, 0:1] - mu1, X[:, 1:2] - mu2, s1, s2, softsign(rr), (live1, live2)
 
 
-def component_grads(params, terms, w):
-    """Gradients over mus / raw_sigmas / raw_rhos given ``w`` = dLoss/dlog N
-    (N x K) at the ``component_terms`` points; the SIGMA_MIN and Q_MIN clamp
-    zones get 0."""
+def component_grads(rows, terms, w):
+    """Gradients over the five component rows given ``w`` = dLoss/dlog N
+    (N x K) at the ``component_terms`` points, each of its row's shape: a
+    1 x K row sums over the points.  The SIGMA_MIN and Q_MIN clamp zones get 0."""
     d1, d2, s1, s2, rho, (live1, live2) = terms
     dmu1, dmu2, ds1, ds2, drho = log_pdf_partials(d1, d2, s1, s2, rho)
-    raw_sigmas = params["raw_sigmas"]
-    return {
-        "mus": np.stack([(w * dmu1).sum(axis=0), (w * dmu2).sum(axis=0)], axis=1),
-        "raw_sigmas": np.stack([
-            (w * ds1).sum(axis=0) * softplus_grad(raw_sigmas[:, 0]) * live1,
-            (w * ds2).sum(axis=0) * softplus_grad(raw_sigmas[:, 1]) * live2,
-        ], axis=1),
-        "raw_rhos": (w * drho).sum(axis=0) * softsign_grad(params["raw_rhos"]),
-    }
+    _, _, rs1, rs2, rr = rows
 
+    def reduce(g):
+        return g if g.shape == rr.shape else g.sum(axis=0, keepdims=True)
 
-def shared_nll(pi_raw, params, labels):
-    """NLL with per-sample pi and the globally shared component bank in ``params``.
-
-    Returns (loss, dLoss/dPiRaw, grads dict over mus / raw_sigmas / raw_rhos).
-    """
-    pi_raw = np.asarray(pi_raw, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if not np.all(np.isfinite(pi_raw)):
-        raise TrainingError("non-finite pi output")
-    N = pi_raw.shape[0]
-    terms = component_terms(params, labels)
-    log_pi = log_softmax(pi_raw)
-    ll, gamma = _mixture_terms(*terms[:5], log_pi)
-    loss = -float(np.mean(ll))
-    # negated after the reduction: a negated weight would flip the sign of zero gradients
-    grads = {k: -g for k, g in component_grads(params, terms, gamma / N).items()}
-    return loss, -(gamma - np.exp(log_pi)) / N, grads
+    return [reduce(w * dmu1), reduce(w * dmu2),
+            reduce(w * ds1) * softplus_grad(rs1) * live1,
+            reduce(w * ds2) * softplus_grad(rs2) * live2,
+            reduce(w * drho) * softsign_grad(rr)]
 
 
 def predict_arrays(mu1, mu2, s1, s2, rho, pi, rule="strongest_pi"):

@@ -2,7 +2,10 @@
 
 Each model exposes the same training surface (``params``, ``num_examples``,
 ``batch_loss_and_grads``, ``dev_metric``) consumed by ``network.train_loop``
-and ``network.gradient_check``, plus checkpoint (de)serialization.
+and ``network.gradient_check``, plus checkpoint (de)serialization.  A
+geolocator supplies only its ``_head``: one forward -> head -> backward step
+trains it, and the head's loss on one forward pass is its dev metric.  The
+dialect model, whose network sits on a Gaussian layer, has its own step.
 
 Training data is a ``(X, Y)`` pair of row-indexable arrays.  Geolocation
 models take X as an N x V CSR feature matrix, kept sparse through the first
@@ -50,8 +53,17 @@ class _BaseModel:
     def num_examples(self, data):
         return data[0].shape[0]
 
-    def _data_loss(self, X, Y, train_mode, rng):
+    def _head(self, out, Y):
+        """(loss, dLoss/dOut, gradients of the blocks outside the network) of
+        the network output ``out`` against the targets Y."""
         raise NotImplementedError
+
+    def _data_loss(self, X, Y, train_mode, rng):
+        acts = forward(self.params, self.spec, X, train_mode=train_mode, rng=rng)
+        loss, d_out, head_grads = self._head(acts.output, Y)
+        grads, _ = backward(self.params, self.spec, acts, d_out)
+        grads.update(head_grads)
+        return loss, grads
 
     def batch_loss_and_grads(self, data, idx=None, rng=None, train_mode=False):
         X, Y = data if idx is None else (data[0][idx], data[1][idx])
@@ -59,8 +71,9 @@ class _BaseModel:
         return loss + regularization_penalty(self.params, self.spec), grads
 
     def dev_metric(self, data):
-        loss, _ = self._data_loss(*data, train_mode=False, rng=None)
-        return loss
+        """The head's loss on one forward pass; no backward."""
+        X, Y = data
+        return self._head(forward(self.params, self.spec, X).output, Y)[0]
 
     def _extra_checkpoint(self):
         return {}
@@ -140,11 +153,8 @@ class RegressionGeolocator(_BaseModel):
 
     model_name = "regression"
 
-    def _data_loss(self, X, Y, train_mode, rng):
-        acts = forward(self.params, self.spec, X, train_mode=train_mode, rng=rng)
-        loss, d_raw = heads.regression_loss(acts.output, Y)
-        grads, _ = backward(self.params, self.spec, acts, d_raw)
-        return loss, grads
+    def _head(self, out, Y):
+        return (*heads.regression_loss(out, Y), {})
 
     def predict_points(self, X):
         return forward(self.params, self.spec, X).output
@@ -186,11 +196,8 @@ class MdnGeolocator(_MixtureGeolocator):
             raise ValueError(f"output size {spec.layer_sizes[-1]} != 6K = {6 * head.K}")
         super().__init__(spec, head, rng, params)
 
-    def _data_loss(self, X, Y, train_mode, rng):
-        acts = forward(self.params, self.spec, X, train_mode=train_mode, rng=rng)
-        loss, d_raw = heads.mdn_nll(acts.output, Y, self.head.K)
-        grads, _ = backward(self.params, self.spec, acts, d_raw)
-        return loss, grads
+    def _head(self, out, Y):
+        return (*heads.mdn_nll(out, Y, self.head.K), {})
 
     def init_output_bias_from_labels(self, train_labels, sigma=2.0, mode="mean", seed=0):
         """Seed the output bias so initial mus start at label scale.
@@ -234,18 +241,12 @@ class SharedMdnGeolocator(_MixtureGeolocator):
         """K-means mus over the training labels, effective sigmas in (0, 10)."""
         self.params.update(heads.init_components(train_labels, self.head.K, (0.0, 10.0), seed))
 
-    def _data_loss(self, X, Y, train_mode, rng):
-        acts = forward(self.params, self.spec, X, train_mode=train_mode, rng=rng)
-        loss, d_pi_raw, shared_grads = heads.shared_nll(acts.output, self.params, Y)
-        grads, _ = backward(self.params, self.spec, acts, d_pi_raw)
-        grads.update(shared_grads)
-        return loss, grads
+    def _head(self, out, Y):
+        return heads.shared_nll(out, self.params, Y)
 
     def mixture_arrays(self, X):
         pi_raw = forward(self.params, self.spec, X).output
-        s1, s2, rho, _ = heads.component_transforms(self.params)
-        return (*(v[None, :] for v in (*self.params["mus"].T, s1, s2, rho)),
-                np.exp(heads.log_softmax(pi_raw)))
+        return heads.mixture_arrays(heads.component_rows(self.params), pi_raw)
 
 
 class DialectModel(_BaseModel):

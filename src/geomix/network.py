@@ -34,6 +34,8 @@ class NetworkSpec:
             raise ValueError(f"bad layer sizes: {self.layer_sizes}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1): {self.dropout_rate}")
+        if self.hidden_activation != "tanh":  # forward has no other activation
+            raise ValueError(f"unknown hidden_activation: {self.hidden_activation!r}")
 
 
 @dataclass
@@ -243,7 +245,7 @@ def train_loop(model, train_data, dev_data, adam_cfg=None, stop_cfg=None,
     return best_params, log
 
 
-def gradient_check(model, data, tol=1e-4, h=1e-5):
+def gradient_check(model, data, h=1e-5):
     """Central-difference check of every parameter entry.
 
     Returns a dict: block name -> max relative error.  Relative error is

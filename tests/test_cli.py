@@ -410,19 +410,31 @@ def test_bad_input_is_an_error_line(case, request, tmp_path, capsys):
     assert not list(tmp_path.glob("out*"))
 
 
+def config_argv(command, cfg, corpus, tmp_path):
+    if command == "train":
+        return ["train", "--model", "regression", "--config", str(cfg),
+                "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
+                "--checkpoint", str(tmp_path / "typo.json")]
+    return ["synth", "--config", str(cfg), "--out-prefix", str(tmp_path / "s-")]
+
+
 @pytest.mark.parametrize("command", ["train", "synth"])
 def test_unknown_config_key_is_an_error(command, corpus, tmp_path, capsys):
     cfg = tmp_path / "typo.ini"
     cfg.write_text("[train]\nlearning_rate = 0.5\n")
-    if command == "train":
-        argv = ["train", "--model", "regression", "--config", str(cfg),
-                "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
-                "--checkpoint", str(tmp_path / "typo.json")]
-    else:
-        argv = ["synth", "--config", str(cfg), "--out-prefix", str(tmp_path / "s-")]
-    assert run(argv) == 1
+    assert run(config_argv(command, cfg, corpus, tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "learning_rate" in err
+
+
+@pytest.mark.parametrize("command, text", [("train", "lr = 0.5\n"),  # no [section] line
+                                           ("synth", "[synth]\nseed = 1\nseed = 2\n")])
+def test_unparsable_config_file_is_an_error_line(command, text, corpus, tmp_path, capsys):
+    cfg = tmp_path / "broken.ini"
+    cfg.write_text(text)
+    assert run(config_argv(command, cfg, corpus, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad config file {cfg}:") and err.count("\n") == 1
 
 
 def test_predict_tokenizes_each_row_once(trained, corpus, tmp_path, monkeypatch):

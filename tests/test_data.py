@@ -269,6 +269,7 @@ def test_malformed_checkpoint_is_checkpoint_error(tmp_path, breakage):
 
 V3_BREAKAGES = {
     "drop network_spec": "network_spec", "drop head": "head", "unknown spec key": "bad network_spec",
+    "relu activation": "unknown hidden_activation: 'relu'",
     "head K mismatch": "bad model fields", "missing member": "do not match",
     "extra member": "do not match", "stray member": "unexpected checkpoint member",
     "wrong member shape": "has shape", "forged huge shape": "has shape",
@@ -294,6 +295,8 @@ def test_malformed_v3_checkpoint_is_checkpoint_error(tmp_path, breakage):
         del meta[breakage[len("drop "):]]
     elif breakage == "unknown spec key":
         meta["network_spec"]["learning_rate"] = 0.5
+    elif breakage == "relu activation":
+        meta["network_spec"]["hidden_activation"] = "relu"
     elif breakage == "head K mismatch":
         meta["head"]["K"] = 3
     elif breakage == "version 2 in zip":

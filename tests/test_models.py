@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from geomix import heads, models
+from geomix import heads, models, network
 from geomix.network import NetworkSpec, train_loop
 
 V, K = 40, 3
@@ -74,7 +74,21 @@ def test_shared_mixture_arrays_keep_one_component_row():
     *comps, pi = model.mixture_arrays(X)
     assert pi.shape == (len(Y), K)
     np.testing.assert_allclose(pi.sum(axis=1), 1.0)
-    s1, s2, rho, _ = heads.component_transforms(model.params)
-    for got, want in zip(comps, (*model.params["mus"].T, s1, s2, rho)):
+    _, _, s1, s2, rho, _ = heads.component_terms(heads.component_rows(model.params), Y)
+    for got, want in zip(comps, (*model.params["mus"].T, s1[0], s2[0], rho[0])):
         assert got.shape == (1, K)
         np.testing.assert_array_equal(got[0], want)
+
+
+@pytest.mark.parametrize("name", GEOLOCATORS)
+def test_dev_metric_is_the_step_loss_without_backward(name, monkeypatch):
+    X, Y = corpus(10)
+    model = geolocator(name, Y, seed=11)
+    loss, _ = model._data_loss(X, Y, train_mode=False, rng=None)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dev_metric ran backward")
+
+    monkeypatch.setattr(models, "backward", refuse)
+    monkeypatch.setattr(network, "backward", refuse)
+    assert model.dev_metric((X, Y)) == loss

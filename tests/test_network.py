@@ -287,6 +287,8 @@ def test_spec_validation():
         NetworkSpec((5, 0, 2))
     with pytest.raises(ValueError):
         NetworkSpec((5, 3), dropout_rate=1.0)
+    with pytest.raises(ValueError, match="hidden_activation"):
+        NetworkSpec((5, 3), hidden_activation="relu")  # forward runs tanh only
     with pytest.raises(ValueError):
         EarlyStopConfig(patience=0)
     with pytest.raises(ValueError):
