@@ -3,8 +3,10 @@
 Runs synth; train for the regression, mdn, mdn_shared and dialect models;
 evaluate with --error-tsv; predict over an input file (with a row that has
 no features) and over --text under both selection rules; the three kinds
-of heatmap; and dialect scoring.  Every command runs in-process through
-``geomix.cli.main`` in a temporary directory.  The script prints one
+of heatmap; and dialect scoring.  Two more runs take their settings from a
+config file: synth with every synth key in the file and one overridden by a
+flag, and train with the file's l1 and l2 and no profile.  Every command
+runs in-process through ``geomix.cli.main`` in a temporary directory.  The script prints one
 ``sha256  path`` line per file written there, each command's stdout
 included.  For each checkpoint it also prints a ``sha256  path decoded``
 line: the digest of the model ``data.load_model`` reads back, its blocks
@@ -35,6 +37,30 @@ P_DIALECT = 30000  # about 430 terms, so 2**21 // 430 = 4 877 rows a block: 7 bl
 MODELS = ("regression", "mdn", "mdn_shared", "dialect")
 TEXT = "mode0tok0 ambtok1 mode1tok2 noisetok7"
 BBOX = "25,55,-110,-90"
+SYNTH_INI = """[synth]
+mode_centers = 30,-100;45,-90;50,-110
+mode_stddev = 0.7
+users_per_mode = 60,40,50
+tokens_per_user = 25
+exclusive_tokens_per_mode = 4
+ambiguous_tokens = 3
+noise_tokens = 50
+ambiguous_only_fraction = 0.3
+seed = 9
+"""
+TRAIN_INI = """[model]
+model = mdn
+hidden = 20
+k = 3
+mu_init = kmeans
+[train]
+l1 = 0.0001
+l2 = 0.0002
+lr = 0.02
+min_df = 1
+batch_size = 16
+max_epochs = 5
+"""
 
 
 def round_trip(d):
@@ -77,6 +103,12 @@ def round_trip(d):
         "--resolution", "100", "--output", d / "dialect-heatmap.csv")
     run("dialect", "--checkpoint", d / "dialect.json", "--regions", d / "regions.tsv",
         "--train", d / "s-train.tsv", "--p", P_DIALECT, "--out-prefix", d / "ranking-")
+
+    (d / "synth.ini").write_text(SYNTH_INI, encoding="utf-8")
+    run("synth", "--config", d / "synth.ini", "--exclusive-tokens", "6", "--out-prefix", d / "c-")
+    (d / "train.ini").write_text(TRAIN_INI, encoding="utf-8")
+    run("train", "--config", d / "train.ini", "--train", d / "c-train.tsv", "--dev", d / "c-dev.tsv",
+        "--checkpoint", d / "config-mdn.json", "--log", d / "config-mdn-log.tsv", "--seed", SEED)
 
 
 def decoded_digest(path):

@@ -32,15 +32,14 @@ PROFILES = {
                           min_df=1, lr=0.02, max_epochs=120, patience=15),
 }
 
-DEFAULTS = dict(model=None, hidden="100", k=100, dropout=0.0, regul=None,
+DEFAULTS = dict(model=None, hidden="100", k=100, dropout=0.0, regul=0.0,
                 l1=0.0, l2=0.0, min_df=10, lr=1e-3, beta1=0.9, beta2=0.999,
                 epsilon=1e-8, batch_size=32, max_epochs=100, patience=10,
                 seed=0, selection_rule="strongest_pi", mu_init="mean")
 
-
-SYNTH_KEYS = ("mode_centers", "mode_stddev", "users_per_mode", "tokens_per_user",
-              "exclusive_tokens_per_mode", "ambiguous_tokens", "noise_tokens",
-              "ambiguous_only_fraction", "seed")
+SYNTH_DEFAULTS = dict(mode_centers="30,-100;50,-100", mode_stddev=0.5, users_per_mode="100",
+                      tokens_per_user=30, exclusive_tokens_per_mode=5, ambiguous_tokens=2,
+                      noise_tokens=20, ambiguous_only_fraction=0.25, seed=0)
 
 
 class UsageError(ValueError):
@@ -63,64 +62,72 @@ def _load_config_file(path, allowed):
     return flat
 
 
-def resolve_config(args):
-    """Defaults < profile < config file < explicit flags."""
-    cfg = dict(DEFAULTS)
+def resolve_config(args, defaults, profiles=None):
+    """The settings ``defaults`` names: defaults < ``--profile`` < ``--config``
+    file < explicit flags, each value converted by the type of its default.
+
+    A ``regul`` sets l1 = l2 = regul / 2 in its own layer; an l1 or l2 in
+    that layer or a later one wins.
+    """
+    layers = []
     if getattr(args, "profile", None):
-        if args.profile not in PROFILES:
-            raise UsageError(f"unknown profile: {args.profile} (have {', '.join(sorted(PROFILES))})")
-        cfg.update(PROFILES[args.profile])
-    if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config, DEFAULTS))
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
+        if args.profile not in profiles:
+            raise UsageError(f"unknown profile: {args.profile} (have {', '.join(sorted(profiles))})")
+        layers.append(profiles[args.profile])
+    if args.config:
+        layers.append(_load_config_file(args.config, defaults))
+    layers.append({key: getattr(args, key) for key in defaults if getattr(args, key, None) is not None})
+    cfg = dict(defaults)
     try:
-        for key in ("k", "min_df", "batch_size", "max_epochs", "patience", "seed"):
-            cfg[key] = int(cfg[key])
-        for key in ("dropout", "l1", "l2", "lr", "beta1", "beta2", "epsilon"):
-            cfg[key] = float(cfg[key])
-        if cfg.get("regul") is not None:
-            cfg["l1"] = cfg["l2"] = float(cfg["regul"]) / 2.0
-        cfg["hidden"] = tuple(int(h) for h in str(cfg["hidden"]).split(",") if h)
+        for layer in layers:
+            layer = {key: value if defaults[key] is None else type(defaults[key])(value)
+                     for key, value in layer.items()}
+            if "regul" in layer:
+                cfg["l1"] = cfg["l2"] = layer["regul"] / 2.0
+            cfg.update(layer)
     except ValueError as e:
         raise UsageError(f"bad setting: {e}") from e
     return cfg
 
 
-def _read_features(path, vocab=None, min_df=10, scheme="l2_count"):
-    records = data.read_corpus(path)
-    tokens = [features.tokenize(r.text) for r in records]
+def _vectorize(texts, vocab=None, min_df=10, scheme="l2_count"):
+    """(vocabulary, N x V CSR) of the texts; ``vocab`` None builds one from them."""
+    tokens = [features.tokenize(t) for t in texts]
     if vocab is None:
         vocab = features.build_vocab(tokens, min_df=min_df)
-    return records, vocab, features.vectorize_matrix(tokens, vocab, scheme=scheme)
+    return vocab, features.vectorize_matrix(tokens, vocab, scheme=scheme)
 
 
 def cmd_train(args):
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, DEFAULTS, PROFILES)
+    try:
+        hidden = tuple(int(h) for h in cfg["hidden"].split(",") if h)
+    except ValueError as e:
+        raise UsageError(f"bad setting: {e}") from e
     if cfg["model"] not in ("regression", "mdn", "mdn_shared", "dialect"):
         raise UsageError(f"--model must be one of regression/mdn/mdn_shared/dialect, got {cfg['model']!r}")
     if cfg["model"] == "regression" and args.k is not None:
         print("warning: K is ignored for the regression model", file=sys.stderr)
     scheme = "l1_binary_idf" if cfg["model"] == "dialect" else "l2_count"
-    train_recs, vocab, Xtr = _read_features(args.train, min_df=cfg["min_df"], scheme=scheme)
-    dev_recs, _, Xdev = _read_features(args.dev, vocab=vocab, scheme=scheme)
+    train_recs = data.read_corpus(args.train)
+    vocab, Xtr = _vectorize([r.text for r in train_recs], min_df=cfg["min_df"], scheme=scheme)
+    dev_recs = data.read_corpus(args.dev)
+    _, Xdev = _vectorize([r.text for r in dev_recs], vocab, scheme=scheme)
     Ytr = data.coords_array(train_recs)
     Ydev = data.coords_array(dev_recs)
     D, K = len(vocab), cfg["k"]
     seed = cfg["seed"]
 
     if cfg["model"] == "dialect":
-        if len(cfg["hidden"]) != 1:
+        if len(hidden) != 1:
             raise UsageError("the dialect model needs exactly one --hidden size")
-        model = models.DialectModel.init(K, cfg["hidden"][0], vocab.terms, Ytr, seed=seed,
+        model = models.DialectModel.init(K, hidden[0], vocab.terms, Ytr, seed=seed,
                                          dropout_rate=cfg["dropout"], l1_coeff=cfg["l1"], l2_coeff=cfg["l2"])
         train_data = (Ytr, Xtr)
         dev_data = (Ydev, Xdev)
     else:
         out = {"regression": 2, "mdn": 6 * K, "mdn_shared": K}[cfg["model"]]
-        spec = network.NetworkSpec((D, *cfg["hidden"], out), dropout_rate=cfg["dropout"],
+        spec = network.NetworkSpec((D, *hidden, out), dropout_rate=cfg["dropout"],
                                    l1_coeff=cfg["l1"], l2_coeff=cfg["l2"], seed=seed)
         if cfg["model"] == "regression":
             model = models.RegressionGeolocator(spec)
@@ -177,7 +184,8 @@ def _load_geolocator(args):
 
 def cmd_evaluate(args):
     model, vocab = _load_geolocator(args)
-    records, _, X = _read_features(args.test, vocab=vocab)
+    records = data.read_corpus(args.test)
+    _, X = _vectorize([r.text for r in records], vocab)
     truths = data.coords_array(records)
     preds = np.clip(model.predict_points(X), [-90.0, -180.0], [90.0, 180.0])
     report = geo.evaluate(preds, truths)
@@ -197,10 +205,11 @@ def cmd_predict(args):
     model, vocab = _load_geolocator(args)
     rule = args.rule or getattr(getattr(model, "head", None), "selection_rule", "strongest_pi")
     if args.text is not None:
-        uids, X = ["stdin"], features.vectorize_matrix([features.tokenize(args.text)], vocab)
+        uids, texts = ["stdin"], [args.text]
     else:
-        records, _, X = _read_features(args.input, vocab=vocab)
-        uids = [r.user_id for r in records]
+        records = data.read_corpus(args.input)
+        uids, texts = [r.user_id for r in records], [r.text for r in records]
+    _, X = _vectorize(texts, vocab)
     if hasattr(model, "mixture_arrays"):
         arrays = model.mixture_arrays(X)
         preds = heads.predict_arrays(*arrays, rule)
@@ -286,7 +295,7 @@ def cmd_heatmap(args):
         if args.text is None or args.vocab is None:
             raise UsageError("geolocation heatmap needs --text and --vocab")
         vocab = _load_vocab_for(model, args.vocab)
-        X = features.vectorize_matrix([features.tokenize(args.text)], vocab)
+        _, X = _vectorize([args.text], vocab)
         if X.nnz == 0:
             raise UsageError("--text has no in-vocabulary token")
         values = heads.predictive_density_grid([a[0] for a in model.mixture_arrays(X)], points)
@@ -299,29 +308,13 @@ def cmd_heatmap(args):
     print(f"grid written to {args.output}", file=sys.stderr)
 
 
-def _synth_spec(args, cfg):
-    centers = [geo.GeoPoint(*map(float, p.split(",")))
-               for p in (args.mode_centers or cfg.get("mode_centers", "30,-100;50,-100")).split(";")]
-    users = args.users_per_mode or cfg.get("users_per_mode", "100")
-    users = [int(u) for u in str(users).split(",")]
-    return data.SyntheticSpec(
-        mode_centers=centers,
-        mode_stddev=float(args.mode_stddev or cfg.get("mode_stddev", 0.5)),
-        users_per_mode=users if len(users) > 1 else users[0],
-        tokens_per_user=int(args.tokens_per_user or cfg.get("tokens_per_user", 30)),
-        exclusive_tokens_per_mode=int(args.exclusive_tokens or cfg.get("exclusive_tokens_per_mode", 5)),
-        ambiguous_tokens=int(args.ambiguous_tokens or cfg.get("ambiguous_tokens", 2)),
-        noise_tokens=int(args.noise_tokens or cfg.get("noise_tokens", 20)),
-        ambiguous_only_fraction=float(args.ambiguous_fraction or cfg.get("ambiguous_only_fraction", 0.25)),
-        seed=int(args.seed if args.seed is not None else cfg.get("seed", 0)))
-
-
 def cmd_synth(args):
-    cfg = {}
-    if args.config:
-        cfg = _load_config_file(args.config, SYNTH_KEYS)
+    cfg = resolve_config(args, SYNTH_DEFAULTS)
     try:
-        spec = _synth_spec(args, cfg)
+        centers = [geo.GeoPoint(*map(float, p.split(","))) for p in cfg["mode_centers"].split(";")]
+        users = [int(u) for u in cfg["users_per_mode"].split(",")]
+        spec = data.SyntheticSpec(**dict(cfg, mode_centers=centers,
+                                         users_per_mode=users if len(users) > 1 else users[0]))
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad synth settings: {e}") from e
     train, dev, test = data.generate_synthetic(spec)
@@ -410,10 +403,10 @@ def build_parser():
     p.add_argument("--mode-stddev", dest="mode_stddev")
     p.add_argument("--users-per-mode", dest="users_per_mode")
     p.add_argument("--tokens-per-user", dest="tokens_per_user")
-    p.add_argument("--exclusive-tokens", dest="exclusive_tokens")
+    p.add_argument("--exclusive-tokens", dest="exclusive_tokens_per_mode")
     p.add_argument("--ambiguous-tokens", dest="ambiguous_tokens")
     p.add_argument("--noise-tokens", dest="noise_tokens")
-    p.add_argument("--ambiguous-fraction", dest="ambiguous_fraction")
+    p.add_argument("--ambiguous-fraction", dest="ambiguous_only_fraction")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
     return parser

@@ -46,12 +46,8 @@ class Vocabulary:
 
     @property
     def terms(self):
-        """Terms in index order (cached)."""
-        cached = self.__dict__.get("_terms")
-        if cached is None or len(cached) != len(self.index):
-            cached = sorted(self.index, key=self.index.get)
-            self.__dict__["_terms"] = cached
-        return cached
+        """Terms in index order."""
+        return sorted(self.index, key=self.index.get)
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -82,44 +78,32 @@ def build_vocab(token_docs, min_df=10, stopwords=STOPWORDS):
                       doc_count=n_docs, min_df=min_df)
 
 
-def vectorize(tokens, vocab, scheme="l2_count"):
-    """Sorted (index, weight) pairs of one document; [] when it has no
-    in-vocabulary weight.
+def vectorize_matrix(token_docs, vocab, scheme="l2_count"):
+    """N x |V| CSR of the N tokenized documents, sorted column indices in
+    each row; a row with no in-vocabulary weight is empty.
 
     l2_count: raw counts, l2-normalized.  l1_binary_idf: 1{tf>0} * idf,
-    l1-normalized.
+    l1-normalized, idf-0 terms dropped.
     """
-    counts = {}
-    for t in tokens:
-        i = vocab.index.get(t)
-        if i is not None:
-            counts[i] = counts.get(i, 0) + 1
-    if not counts:
-        return []
-    idx = sorted(counts)
-    if scheme == "l2_count":
-        w = np.array([counts[i] for i in idx], dtype=float)
-        w /= np.linalg.norm(w)
-    elif scheme == "l1_binary_idf":
-        terms = vocab.terms
-        w = np.array([np.log(vocab.doc_count / vocab.df[terms[i]]) for i in idx])
-        if w.sum() <= 0.0:
-            return []
-        w /= w.sum()
-    else:
+    if scheme not in ("l2_count", "l1_binary_idf"):
         raise ValueError(f"unknown scheme: {scheme}")
-    return [(i, float(x)) for i, x in zip(idx, w) if x != 0.0]
-
-
-def vectorize_matrix(token_docs, vocab, scheme="l2_count"):
-    """Stack vectorize() of each document into a CSR matrix (N x |V|)."""
-    rows, cols, vals = [], [], []
-    for r, toks in enumerate(token_docs):
-        for i, w in vectorize(toks, vocab, scheme):
-            rows.append(r)
-            cols.append(i)
-            vals.append(w)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(len(token_docs), len(vocab)))
+    cols, indptr = [], [0]
+    for toks in token_docs:
+        cols.extend(i for i in map(vocab.index.get, toks) if i is not None)
+        indptr.append(len(cols))
+    X = sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(indptr) - 1, len(vocab)))
+    X.sum_duplicates()  # counts, with sorted indices
+    rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    if scheme == "l2_count":  # integer counts: their sum of squares is exact in any order
+        X.data /= np.sqrt(np.bincount(rows, X.data ** 2, X.shape[0]))[rows]
+        return X
+    idf = np.log(vocab.doc_count / np.array([vocab.df[t] for t in vocab.terms], dtype=float))
+    X.data = idf[X.indices]
+    # np.sum of each row's slice, the order a per-document sum adds in; np.add.reduceat adds in another
+    sums = np.array([np.sum(X.data[a:b]) for a, b in zip(X.indptr[:-1], X.indptr[1:])])
+    X.data /= np.where(sums > 0.0, sums, np.inf)[rows]  # a row without positive weight empties
+    X.eliminate_zeros()
+    return X
 
 
 def save_vocab(path, vocab):

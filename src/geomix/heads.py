@@ -65,17 +65,24 @@ def mixture_arrays(rows, raw_pi):
             np.exp(log_softmax(raw_pi)))
 
 
-def _mixture_nll(rows, raw_pi, labels):
-    """Mean NLL of the labels under the mixtures of component rows and raw pi.
-
-    Returns (loss, dLoss/dRawPi, the five dLoss/dRow in ``rows`` order).
-    """
+def mixture_log_likelihood(rows, raw_pi, labels):
+    """Log-likelihood of each label under its mixture of component rows and
+    raw pi, which must be finite: (N log-likelihoods, N x K log pi + log N,
+    log pi, the ``component_terms``)."""
     if not all(np.isfinite(a).all() for a in (*rows, raw_pi)):
         raise TrainingError("non-finite mixture parameters")
     terms = component_terms(rows, np.asarray(labels, dtype=float))
     log_pi = log_softmax(raw_pi)
     log_joint = log_pi + component_log_pdf(*terms[:5])
-    ll = logsumexp_rows(log_joint)
+    return logsumexp_rows(log_joint), log_joint, log_pi, terms
+
+
+def _mixture_nll(rows, raw_pi, labels):
+    """Mean NLL of the labels under the mixtures of component rows and raw pi.
+
+    Returns (loss, dLoss/dRawPi, the five dLoss/dRow in ``rows`` order).
+    """
+    ll, log_joint, log_pi, terms = mixture_log_likelihood(rows, raw_pi, labels)
     gamma = np.exp(log_joint - ll[:, None])
     N = len(ll)
     # negated after the reduction: a negated weight would flip the sign of zero gradients

@@ -162,16 +162,27 @@ class RegressionGeolocator(_BaseModel):
 
 class _MixtureGeolocator(_BaseModel):
     """Geolocator whose prediction for each user is a mixture of K bivariate
-    Gaussians; subclasses differ in which mixture arrays the network emits."""
+    Gaussians; subclasses differ in which mixture the network emits, the
+    component rows and raw pi that ``_rows`` reads off its output."""
 
     def __init__(self, spec, head, rng=None, params=None):
         super().__init__(spec, rng, params)
         self.head = head
 
+    def _rows(self, out):
+        """(the five component rows, raw pi) of the network output ``out``."""
+        raise NotImplementedError
+
     def mixture_arrays(self, X):
         """(mu1, mu2, sigma1, sigma2, rho, pi) for the N rows of X: pi is N x K,
         the component arrays N x K, or 1 x K rows when all users share them."""
-        raise NotImplementedError
+        return heads.mixture_arrays(*self._rows(forward(self.params, self.spec, X).output))
+
+    def dev_metric(self, data):
+        """The head's loss on one forward pass; no backward, no gradients."""
+        X, Y = data
+        ll = heads.mixture_log_likelihood(*self._rows(forward(self.params, self.spec, X).output), Y)[0]
+        return -float(np.mean(ll))
 
     def predict_points(self, X, rule=None):
         mu1, mu2, s1, s2, rho, pi = self.mixture_arrays(X)
@@ -199,6 +210,9 @@ class MdnGeolocator(_MixtureGeolocator):
     def _head(self, out, Y):
         return (*heads.mdn_nll(out, Y, self.head.K), {})
 
+    def _rows(self, out):
+        return heads.mdn_rows(out, self.head.K)
+
     def init_output_bias_from_labels(self, train_labels, sigma=2.0, mode="mean", seed=0):
         """Seed the output bias so initial mus start at label scale.
 
@@ -221,10 +235,6 @@ class MdnGeolocator(_MixtureGeolocator):
         b[2 * K:4 * K] = float(heads.inv_softplus(sigma))
         b[4 * K:] = 0.0
 
-    def mixture_arrays(self, X):
-        raw = forward(self.params, self.spec, X).output
-        return heads.unpack_arrays(raw, self.head.K)
-
 
 class SharedMdnGeolocator(_MixtureGeolocator):
     """MDN with globally shared mus/Sigmas; the network predicts only pi."""
@@ -244,9 +254,8 @@ class SharedMdnGeolocator(_MixtureGeolocator):
     def _head(self, out, Y):
         return heads.shared_nll(out, self.params, Y)
 
-    def mixture_arrays(self, X):
-        pi_raw = forward(self.params, self.spec, X).output
-        return heads.mixture_arrays(heads.component_rows(self.params), pi_raw)
+    def _rows(self, out):
+        return heads.component_rows(self.params), out
 
 
 class DialectModel(_BaseModel):

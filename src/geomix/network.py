@@ -46,6 +46,8 @@ class AdamConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("betas must be in (0, 1)")
 
@@ -208,6 +210,8 @@ def train_loop(model, train_data, dev_data, adam_cfg=None, stop_cfg=None,
     and expose its trainable arrays as ``model.params`` (a name -> array
     dict).  Returns (best params dict, list of log records).
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     adam_cfg = adam_cfg or AdamConfig()
     stop_cfg = stop_cfg or EarlyStopConfig()
     rng = np.random.default_rng(seed)

@@ -268,6 +268,26 @@ def test_config_file_and_flag_precedence(corpus, tmp_path):
     assert saved.spec.layer_sizes[1:] == (8, 2)
 
 
+@pytest.mark.parametrize("flags, ini, l1_l2", [
+    (("--profile", "twitterus-mdn", "--l1", "0.5"), "", (0.5, 5e-6)),
+    (("--profile", "twitterus-mdn"), "l2 = 0.25\n", (5e-6, 0.25)),
+    (("--profile", "twitterus-mdn"), "regul = 0.5\nl1 = 0.1\n", (0.1, 0.25)),
+    (("--regul", "0.5"), "l1 = 0.1\n", (0.25, 0.25)),
+], ids=["profile regul, flag l1", "profile regul, config l2", "config regul and l1",
+        "config l1, flag regul"])
+def test_regul_yields_to_l1_l2_of_its_layer_or_a_later_one(flags, ini, l1_l2, corpus, tmp_path):
+    """regul sets l1 = l2 = regul / 2 in its own layer (profile < config
+    file < flags); an l1 or l2 in that layer or a later one wins."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[train]\n" + ini)
+    ck = tmp_path / "reg.json"
+    assert run(["train", "--model", "mdn", *flags, "--config", str(cfg), "--hidden", "4", "--k", "2",
+                "--min-df", "1", "--max-epochs", "1", "--train", str(corpus / "s-train.tsv"),
+                "--dev", str(corpus / "s-dev.tsv"), "--checkpoint", str(ck)]) == 0
+    spec = data.load_model(ck).spec
+    assert (spec.l1_coeff, spec.l2_coeff) == l1_l2
+
+
 def test_table_profiles_encode_reported_settings():
     p = cli.PROFILES
     assert p["geotext-mdn"]["k"] == 100 and p["geotext-mdn"]["dropout"] == 0.5
@@ -312,6 +332,10 @@ TRAIN_CASES = {
     "dialect k above distinct points": ("dialect", "--k", "500"),
     "dialect empty hidden": ("dialect", "--hidden", ""),
     "dialect two hidden sizes": ("dialect", "--hidden", "16,8"),
+    "train batch size 0": ("mdn", "--batch-size", "0"),
+    "train batch size -5": ("mdn", "--batch-size", "-5"),
+    "train lr 0": ("mdn", "--lr", "0"),
+    "train lr below 0": ("mdn", "--lr", "-0.01"),
 }
 DIALECT_CASES = {
     "malformed regions line": ("north\t50,-100\tmode1tok0\nnot a region\n",),
@@ -334,6 +358,10 @@ ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must b
                   "predict with text and input": "exactly one of --text and --input",
                   "predict top below 0": "--top must be >= 0",
                   "heatmap text without features": "no in-vocabulary token",
+                  "train batch size 0": "batch_size must be >= 1",
+                  "train batch size -5": "batch_size must be >= 1",
+                  "train lr 0": "learning_rate must be > 0",
+                  "train lr below 0": "learning_rate must be > 0",
                   **{case: "out of range" for case in BBOX_CASES}}
 
 

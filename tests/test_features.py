@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from geomix import features
-from geomix.features import (PipelineError, build_vocab, load_vocab, save_vocab,
-                             tokenize, vectorize, vectorize_matrix)
+from geomix.features import (PipelineError, build_vocab, load_vocab, save_vocab, tokenize,
+                             vectorize_matrix)
 
 
 def test_tokenize_examples():
@@ -42,9 +45,16 @@ def test_build_vocab_errors():
         build_vocab([["the", "and"]] * 5, min_df=1)  # all stopwords
 
 
+def rows(docs, vocab, scheme="l2_count"):
+    """Each document's (index, weight) pairs: its row of ``vectorize_matrix``."""
+    X = vectorize_matrix(docs, vocab, scheme)
+    return [list(zip(X.indices[a:b].tolist(), X.data[a:b].tolist()))
+            for a, b in zip(X.indptr[:-1], X.indptr[1:])]
+
+
 def test_vectorize_l2():
     vocab = build_vocab([["axx", "bxx"]] * 3, min_df=1)
-    pairs = vectorize(["axx"] * 3 + ["bxx"] * 4, vocab, scheme="l2_count")
+    (pairs,) = rows([["axx"] * 3 + ["bxx"] * 4], vocab, scheme="l2_count")
     weights = dict(pairs)
     assert abs(weights[vocab.index["axx"]] - 0.6) < 1e-12
     assert abs(weights[vocab.index["bxx"]] - 0.8) < 1e-12
@@ -53,43 +63,43 @@ def test_vectorize_l2():
 
 def test_vectorize_oov_and_norms():
     vocab = build_vocab([["axx", "bxx", "cxx"]] * 3, min_df=1)
-    assert vectorize(["zzz"], vocab) == []
+    assert rows([["zzz"]], vocab) == [[]]
     rng = np.random.default_rng(0)
     pool = ["axx", "bxx", "cxx", "oov"]
-    for _ in range(50):
-        toks = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 12))]
-        pairs2 = vectorize(toks, vocab, scheme="l2_count")
+    docs = [[pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 12))] for _ in range(50)]
+    for pairs2 in rows(docs, vocab, scheme="l2_count"):
         if pairs2:
             assert abs(np.linalg.norm([w for _, w in pairs2]) - 1.0) < 1e-9
-        pairs1 = vectorize(toks, vocab, scheme="l1_binary_idf")
+    for pairs1 in rows(docs, vocab, scheme="l1_binary_idf"):
         if pairs1:
             assert abs(sum(w for _, w in pairs1) - 1.0) < 1e-9
 
 
 def test_vectorize_order_independent():
     vocab = build_vocab([["axx", "bxx", "cxx"]] * 3, min_df=1)
-    assert vectorize(["axx", "bxx", "bxx", "cxx"], vocab) == vectorize(["cxx", "bxx", "axx", "bxx"], vocab)
+    first, second = rows([["axx", "bxx", "bxx", "cxx"], ["cxx", "bxx", "axx", "bxx"]], vocab)
+    assert first == second
 
 
 def test_idf_zero_term_contributes_nothing():
     # "evry" appears in every document -> idf log(1) = 0
     docs = [["evry", "rare1"], ["evry", "rare2"], ["evry", "rare1"]]
     vocab = build_vocab(docs, min_df=1)
-    pairs = vectorize(["evry", "rare1"], vocab, scheme="l1_binary_idf")
+    pairs, evry_only = rows([["evry", "rare1"], ["evry"]], vocab, scheme="l1_binary_idf")
     assert vocab.index["evry"] not in dict(pairs)
-    assert vectorize(["evry"], vocab, scheme="l1_binary_idf") == []
+    assert evry_only == []
 
 
 def test_single_term_l1_weight_one():
     docs = [["axx", "bxx"], ["axx"], ["bxx"]]
     vocab = build_vocab(docs, min_df=1)
-    assert vectorize(["bxx"], vocab, scheme="l1_binary_idf") == [(vocab.index["bxx"], 1.0)]
+    assert rows([["bxx"]], vocab, scheme="l1_binary_idf") == [[(vocab.index["bxx"], 1.0)]]
 
 
 def test_unknown_scheme():
     vocab = build_vocab([["axx"]] * 2, min_df=1)
     with pytest.raises(ValueError):
-        vectorize(["axx"], vocab, scheme="tfidf")
+        vectorize_matrix([["axx"]], vocab, scheme="tfidf")
 
 
 def test_vectorize_matrix_shape_and_rows():
@@ -99,6 +109,45 @@ def test_vectorize_matrix_shape_and_rows():
     assert X.shape == (3, 3)
     assert X[1].nnz == 0  # all-OOV row is empty
     assert abs(np.linalg.norm(X[0].toarray()) - 1.0) < 1e-9
+
+
+def oracle_pairs(tokens, vocab, scheme):
+    """One document's sorted (index, weight) pairs, computed on its own."""
+    counts = {}
+    for t in tokens:
+        if t in vocab.index:
+            counts[vocab.index[t]] = counts.get(vocab.index[t], 0) + 1
+    if not counts:
+        return []
+    idx = sorted(counts)
+    if scheme == "l2_count":
+        w = np.array([counts[i] for i in idx], dtype=float)
+        w /= np.linalg.norm(w)
+    else:
+        w = np.array([np.log(vocab.doc_count / vocab.df[vocab.terms[i]]) for i in idx])
+        if w.sum() <= 0.0:
+            return []
+        w /= w.sum()
+    return [(i, x) for i, x in zip(idx, w) if x != 0.0]
+
+
+TERMS = [f"t{i}" for i in range(24)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.sampled_from(TERMS), max_size=30), min_size=1, max_size=12),
+       st.lists(st.lists(st.sampled_from(TERMS + ["oov1", "oov2"]), max_size=40), max_size=10),
+       st.sampled_from(["l2_count", "l1_binary_idf"]))
+def test_vectorize_matrix_equals_per_document_oracle(vocab_docs, docs, scheme):
+    """Bit for bit, for empty and OOV-only documents, and with "evry", a term
+    of every vocabulary document, at idf 0."""
+    vocab = build_vocab([d + ["evry"] for d in vocab_docs], min_df=1)
+    X = vectorize_matrix(docs, vocab, scheme)
+    want = [oracle_pairs(d, vocab, scheme) for d in docs]
+    assert X.shape == (len(docs), len(vocab))
+    assert X.indptr.tolist() == np.cumsum([0] + [len(p) for p in want]).tolist()
+    assert X.indices.tolist() == [i for p in want for i, _ in p]
+    assert X.data.tobytes() == np.array([w for p in want for _, w in p], dtype=float).tobytes()
 
 
 def test_vocab_round_trip(tmp_path):
@@ -112,7 +161,7 @@ def test_vocab_round_trip(tmp_path):
     assert loaded.content_hash() == vocab.content_hash()
     toks = ["apple", "plum", "plum"]
     for scheme in ("l2_count", "l1_binary_idf"):
-        assert vectorize(toks, loaded, scheme) == vectorize(toks, vocab, scheme)
+        assert rows([toks], loaded, scheme) == rows([toks], vocab, scheme)
 
 
 def test_content_hash_changes_with_df():

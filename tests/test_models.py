@@ -82,13 +82,15 @@ def test_shared_mixture_arrays_keep_one_component_row():
 
 @pytest.mark.parametrize("name", GEOLOCATORS)
 def test_dev_metric_is_the_step_loss_without_backward(name, monkeypatch):
+    """Bit for bit, with no backward pass and no mixture gradient."""
     X, Y = corpus(10)
     model = geolocator(name, Y, seed=11)
     loss, _ = model._data_loss(X, Y, train_mode=False, rng=None)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dev_metric ran backward")
+        raise AssertionError("dev_metric ran a gradient")
 
     monkeypatch.setattr(models, "backward", refuse)
     monkeypatch.setattr(network, "backward", refuse)
+    monkeypatch.setattr(heads, "log_pdf_partials", refuse)
     assert model.dev_metric((X, Y)) == loss
