@@ -104,6 +104,8 @@ def cmd_train(args):
         hidden = tuple(int(h) for h in cfg["hidden"].split(",") if h)
     except ValueError as e:
         raise UsageError(f"bad setting: {e}") from e
+    if cfg["max_epochs"] < 0:
+        raise UsageError("--max-epochs must be >= 0")
     if cfg["model"] not in ("regression", "mdn", "mdn_shared", "dialect"):
         raise UsageError(f"--model must be one of regression/mdn/mdn_shared/dialect, got {cfg['model']!r}")
     if cfg["model"] == "regression" and args.k is not None:

@@ -86,6 +86,22 @@ class SyntheticSpec:
             raise ValueError("need at least 2 modes")
         if self.ambiguous_tokens < 1:
             raise ValueError("need at least 1 ambiguous token")
+        counts = self.mode_counts()
+        if len(counts) != len(self.mode_centers):
+            raise ValueError(f"{len(counts)} users_per_mode counts for {len(self.mode_centers)} modes")
+        if min(counts) < 1:
+            raise ValueError(f"users_per_mode must be >= 1, got {self.users_per_mode}")
+        if not 0.0 <= self.ambiguous_only_fraction <= 1.0:
+            raise ValueError(f"ambiguous_only_fraction must be in [0, 1], got {self.ambiguous_only_fraction}")
+        if self.noise_tokens < 0:
+            raise ValueError(f"noise_tokens must be >= 0, got {self.noise_tokens}")
+        if not (np.isfinite(self.mode_stddev) and self.mode_stddev >= 0.0):
+            raise ValueError(f"mode_stddev must be finite and >= 0, got {self.mode_stddev}")
+
+    def mode_counts(self):
+        """Users per mode, one count per mode centre."""
+        n = self.users_per_mode
+        return [n] * len(self.mode_centers) if isinstance(n, int) else list(n)
 
     def vocabulary_plan(self):
         exclusive = {m: [f"mode{m}tok{i}" for i in range(self.exclusive_tokens_per_mode)]
@@ -104,9 +120,7 @@ def generate_synthetic(spec):
     rng = np.random.default_rng(spec.seed)
     exclusive, ambiguous, noise = spec.vocabulary_plan()
     records = []
-    per_mode = spec.users_per_mode
-    if isinstance(per_mode, int):
-        per_mode = [per_mode] * len(spec.mode_centers)
+    per_mode = spec.mode_counts()
     for m, center in enumerate(spec.mode_centers):
         for u in range(per_mode[m]):
             lat = float(np.clip(center.lat + spec.mode_stddev * rng.standard_normal(), -90, 90))

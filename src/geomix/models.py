@@ -9,9 +9,10 @@ dialect model, whose network sits on a Gaussian layer, has its own step.
 
 Training data is a ``(X, Y)`` pair of row-indexable arrays.  Geolocation
 models take X as an N x V CSR feature matrix, kept sparse through the first
-layer, and Y as an N x 2 coordinate array; the dialect model takes X as a
-dense N x 2 coordinate array and Y as an N x V CSR target matrix, of which
-a training batch densifies only its own rows.  The dialect model's V-wide
+layer (without elastic net, W0's gradient is a ``network.RowGrad`` of the
+batch's rows), and Y as an N x 2 coordinate array; the dialect model takes
+X as a dense N x 2 coordinate array and Y as an N x V CSR target matrix, of
+which a training batch densifies only its own rows.  The dialect model's V-wide
 outputs (word log-probabilities, the dev loss) are computed in
 ``kernels.row_blocks``, never for all rows at once.
 

@@ -6,6 +6,7 @@ audited against central differences.
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -115,11 +116,43 @@ def forward(params, spec, X, train_mode=False, rng=None):
     return Activations(layer_inputs=layer_inputs, pre_acts=pre_acts, masks=masks, output=h)
 
 
+class RowGrad(NamedTuple):
+    """A weight block's gradient that is exactly zero outside ``rows``:
+    ``values[j]`` is the gradient of row ``rows[j]``, ``rows`` sorted and
+    unique."""
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def dense_gradient(g, shape):
+    """A gradient block as a dense array of ``shape``: a RowGrad with
+    zeros on the rows it leaves out, any other block as it is."""
+    if not isinstance(g, RowGrad):
+        return g
+    dense = np.zeros(shape)
+    dense[g.rows] = g.values
+    return dense
+
+
+def row_gradient(X, delta):
+    """``X.T @ delta`` of a CSR batch X as a RowGrad over the columns X uses.
+
+    With the columns renumbered to ``0..len(rows)-1`` the product adds the
+    same terms in the same order as ``X.T @ delta``, so each row is bit for
+    bit the dense one, and no V-row array is made.
+    """
+    rows, cols = np.unique(X.indices, return_inverse=True)
+    Xc_T = sparse.csc_matrix((X.data, cols, X.indptr), shape=(len(rows), X.shape[0]))
+    return RowGrad(rows, Xc_T @ delta)
+
+
 def backward(params, spec, acts, d_output, input_grad=False):
     """Reverse-mode gradients; elastic-net terms added to weight grads only.
 
     Returns (grads dict matching params, dLoss/dInput).  dLoss/dInput is
-    computed only with ``input_grad``, and is None otherwise.
+    computed only with ``input_grad``, and is None otherwise.  A CSR first
+    layer input without an elastic-net term gives W0's gradient as a
+    ``row_gradient``; every other block is dense.
     """
     n_layers = len(spec.layer_sizes) - 1
     grads = {}
@@ -130,12 +163,16 @@ def backward(params, spec, acts, d_output, input_grad=False):
                 delta = delta * acts.masks[i]
             delta = delta * (1.0 - np.tanh(acts.pre_acts[i]) ** 2)
         W = params[f"W{i}"]
-        gW = acts.layer_inputs[i].T @ delta
-        # a zero coefficient adds exactly 0.0, so its pass over W is skipped
-        if spec.l1_coeff:
-            gW += spec.l1_coeff * np.sign(W)
-        if spec.l2_coeff:
-            gW += 2.0 * spec.l2_coeff * W
+        h = acts.layer_inputs[i]
+        if sparse.issparse(h) and h.format == "csr" and not (spec.l1_coeff or spec.l2_coeff):
+            gW = row_gradient(h, delta)
+        else:
+            gW = h.T @ delta
+            # a zero coefficient adds exactly 0.0, so its pass over W is skipped
+            if spec.l1_coeff:
+                gW += spec.l1_coeff * np.sign(W)
+            if spec.l2_coeff:
+                gW += 2.0 * spec.l2_coeff * W
         grads[f"W{i}"] = gW
         grads[f"b{i}"] = delta.sum(axis=0)
         if i == 0 and not input_grad:
@@ -157,7 +194,8 @@ def regularization_penalty(params, spec):
 @dataclass
 class AdamState:
     """Adam moments per parameter block, plus two work arrays per block so
-    that a step allocates nothing."""
+    that a step allocates nothing for a dense block; a RowGrad block's
+    ``m[rows] +=`` and ``v[rows] +=`` each make one len(rows) x H copy."""
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
@@ -170,15 +208,22 @@ def adam_step(adam, params, grads, cfg):
     Every gradient is checked before any state changes.  The update runs
     in place in the order of ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + ((1-b2)*g)*g`` and ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``.
+    A block's gradient terms are added on its rows: a RowGrad's rows, or
+    all rows of a dense block.  Elsewhere they would add exact zeros, so
+    every row's moments still decay and every parameter still moves (this
+    is not lazy Adam).
     """
-    for name, g in grads.items():
-        # min and max are NaN if any entry is NaN and infinite if any is
-        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+    blocks = {name: (g.rows, g.values) if isinstance(g, RowGrad) else (slice(None), g)
+              for name, g in grads.items()}
+    for name, (_, g) in blocks.items():
+        # min and max are NaN if any entry is NaN and infinite if any is;
+        # a block of no rows reads 0
+        if not (np.isfinite(g.min(initial=0.0)) and np.isfinite(g.max(initial=0.0))):
             raise TrainingError(f"non-finite gradient in block {name}")
     adam.t += 1
     c1 = 1.0 - cfg.beta1 ** adam.t
     c2 = 1.0 - cfg.beta2 ** adam.t
-    for name, g in grads.items():
+    for name, (rows, g) in blocks.items():
         p = params[name]
         if name not in adam.m:
             adam.m[name] = np.zeros_like(p)
@@ -186,13 +231,14 @@ def adam_step(adam, params, grads, cfg):
             adam.buffers[name] = (np.empty_like(p), np.empty_like(p))
         m, v = adam.m[name], adam.v[name]
         a, b = adam.buffers[name]
+        terms = a[:len(g)]  # all of a for a dense block
         m *= cfg.beta1
-        np.multiply(g, 1.0 - cfg.beta1, out=a)
-        m += a
+        np.multiply(g, 1.0 - cfg.beta1, out=terms)
+        m[rows] += terms
         v *= cfg.beta2
-        np.multiply(g, 1.0 - cfg.beta2, out=a)
-        a *= g
-        v += a
+        np.multiply(g, 1.0 - cfg.beta2, out=terms)
+        terms *= g
+        v[rows] += terms
         np.divide(m, c1, out=a)
         a *= cfg.learning_rate
         np.divide(v, c2, out=b)
@@ -258,7 +304,7 @@ def gradient_check(model, data, h=1e-5):
     _, grads = model.batch_loss_and_grads(data, None, train_mode=False)
     report = {}
     for name, arr in model.params.items():
-        g = grads[name]
+        g = dense_gradient(grads[name], arr.shape)
         worst = 0.0
         flat = arr.ravel()
         for i in range(flat.size):

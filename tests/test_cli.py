@@ -336,6 +336,15 @@ TRAIN_CASES = {
     "train batch size -5": ("mdn", "--batch-size", "-5"),
     "train lr 0": ("mdn", "--lr", "0"),
     "train lr below 0": ("mdn", "--lr", "-0.01"),
+    "train max epochs below 0": ("mdn", "--max-epochs", "-1"),
+}
+SYNTH_CASES = {
+    "synth more counts than modes": ("--users-per-mode", "5,5,5"),
+    "synth count 0": ("--users-per-mode", "0"),
+    "synth ambiguous fraction above 1": ("--ambiguous-fraction", "2"),
+    "synth noise tokens below 0": ("--noise-tokens", "-3"),
+    "synth mode stddev below 0": ("--mode-stddev", "-1"),
+    "synth mode stddev nan": ("--mode-stddev", "nan"),
 }
 DIALECT_CASES = {
     "malformed regions line": ("north\t50,-100\tmode1tok0\nnot a region\n",),
@@ -362,6 +371,13 @@ ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must b
                   "train batch size -5": "batch_size must be >= 1",
                   "train lr 0": "learning_rate must be > 0",
                   "train lr below 0": "learning_rate must be > 0",
+                  "train max epochs below 0": "--max-epochs must be >= 0",
+                  "synth more counts than modes": "bad synth settings: 3 users_per_mode counts for 2 modes",
+                  "synth count 0": "bad synth settings: users_per_mode must be >= 1",
+                  "synth ambiguous fraction above 1": "bad synth settings: ambiguous_only_fraction must be in [0, 1]",
+                  "synth noise tokens below 0": "bad synth settings: noise_tokens must be >= 0",
+                  "synth mode stddev below 0": "bad synth settings: mode_stddev must be finite and >= 0",
+                  "synth mode stddev nan": "bad synth settings: mode_stddev must be finite and >= 0",
                   **{case: "out of range" for case in BBOX_CASES}}
 
 
@@ -369,6 +385,8 @@ def bad_input_argv(case, request, tmp_path):
     out = str(tmp_path / "out.csv")
     if case == "synth center out of range":
         return ["synth", "--out-prefix", str(tmp_path / "s-"), "--mode-centers", "100,-100;50,-100"]
+    if case in SYNTH_CASES:
+        return ["synth", "--out-prefix", str(tmp_path / "out-"), *SYNTH_CASES[case]]
     if case == "malformed vocab":
         trained, corpus = request.getfixturevalue("trained"), request.getfixturevalue("corpus")
         vocab = tmp_path / "bad-vocab.tsv"
@@ -424,7 +442,7 @@ def bad_input_argv(case, request, tmp_path):
 
 @pytest.mark.parametrize("case", ["three-value bbox", "degenerate bbox", "dialect degenerate bbox",
                                   *BBOX_CASES, "heatmap text without features",
-                                  "regression heatmap", "synth center out of range",
+                                  "regression heatmap", "synth center out of range", *SYNTH_CASES,
                                   "malformed vocab", "bad config value", *TRAIN_CASES,
                                   *DIALECT_CASES, "predict on dialect checkpoint",
                                   *PREDICT_CASES, "evaluate empty test file"])

@@ -20,10 +20,11 @@ def corpus(seed=0, n=24):
     return X, Y
 
 
-def geolocator(name, Y, seed=0):
-    """Two hidden layers with dropout and elastic net, so every gradient term runs."""
+def geolocator(name, Y, seed=0, regul=1e-3):
+    """Two hidden layers with dropout and elastic net, so every gradient term
+    runs; ``regul=0`` leaves W0's gradient a row gradient."""
     out = {"regression": 2, "mdn": 6 * K, "mdn_shared": K}[name]
-    spec = NetworkSpec((V, 8, 6, out), dropout_rate=0.5, l1_coeff=1e-3, l2_coeff=1e-3, seed=seed)
+    spec = NetworkSpec((V, 8, 6, out), dropout_rate=0.5, l1_coeff=regul, l2_coeff=regul, seed=seed)
     if name == "regression":
         return models.RegressionGeolocator(spec)
     if name == "mdn":
@@ -38,16 +39,19 @@ def geolocator(name, Y, seed=0):
 @pytest.mark.parametrize("name", GEOLOCATORS)
 def test_csr_batch_matches_dense_rows(name):
     X, Y = corpus(1)
-    model = geolocator(name, Y, seed=2)
-    idx = np.random.default_rng(3).permutation(len(Y))[:10]
-    loss_s, grads_s = model.batch_loss_and_grads((X, Y), idx, rng=np.random.default_rng(4),
-                                                 train_mode=True)
-    loss_d, grads_d = model.batch_loss_and_grads((X.toarray(), Y), idx,
-                                                 rng=np.random.default_rng(4), train_mode=True)
-    assert abs(loss_s - loss_d) <= 1e-12 * abs(loss_d)
-    assert set(grads_s) == set(grads_d) == set(model.params)
-    for block, g in grads_d.items():
-        assert np.max(np.abs(grads_s[block] - g)) <= 1e-12 * np.max(np.abs(g)), block
+    for regul in (1e-3, 0.0):
+        model = geolocator(name, Y, seed=2, regul=regul)
+        idx = np.random.default_rng(3).permutation(len(Y))[:10]
+        loss_s, grads_s = model.batch_loss_and_grads((X, Y), idx, rng=np.random.default_rng(4),
+                                                     train_mode=True)
+        loss_d, grads_d = model.batch_loss_and_grads((X.toarray(), Y), idx,
+                                                     rng=np.random.default_rng(4), train_mode=True)
+        assert abs(loss_s - loss_d) <= 1e-12 * abs(loss_d)
+        assert set(grads_s) == set(grads_d) == set(model.params)
+        assert isinstance(grads_s["W0"], network.RowGrad) == (regul == 0.0)
+        for block, g in grads_d.items():
+            got = network.dense_gradient(grads_s[block], model.params[block].shape)
+            assert np.max(np.abs(got - g)) <= 1e-12 * np.max(np.abs(g)), (regul, block)
 
 
 @pytest.mark.parametrize("name", GEOLOCATORS)

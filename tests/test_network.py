@@ -1,14 +1,20 @@
-"""Feedforward core: forward oracle, backprop vs finite differences, Adam,
-dropout, elastic net and the training loop."""
+"""Feedforward core: forward oracle, backprop vs finite differences, the
+first layer's row gradient, Adam, dropout, elastic net and the training
+loop."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
-from geomix import network
+from geomix import heads, models, network
 from geomix.network import (AdamConfig, AdamState, ContractError, EarlyStopConfig,
-                            NetworkSpec, TrainingError, adam_step, backward,
-                            forward, init_network_params, regularization_penalty,
-                            train_loop)
+                            NetworkSpec, RowGrad, TrainingError, adam_step, backward,
+                            dense_gradient, forward, init_network_params,
+                            regularization_penalty, row_gradient, train_loop)
 
 
 def small_net(seed=0, **kw):
@@ -90,6 +96,32 @@ def test_backward_input_gradient_only_on_request():
     assert d_input.shape == (4, 3)
     for name in params:
         np.testing.assert_array_equal(grads[name], asked[name])
+
+
+@st.composite
+def csr_batches(draw):
+    """(a CSR batch of rows drawn with repeats, a delta for it); a sparse
+    density leaves rows empty, a zero density leaves the whole batch empty."""
+    n, V, H = draw(st.integers(1, 12)), draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    X = sparse.random(n, V, density=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+                      format="csr", random_state=rng)
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=16))
+    return X[idx], rng.normal(size=(len(idx), H))
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_batches())
+@example((sparse.csr_matrix((3, 5)), np.ones((3, 2))))  # an all-empty batch: zero rows
+def test_row_gradient_is_the_dense_gradient_bitwise(batch):
+    X, delta = batch
+    g = row_gradient(X, delta)
+    want = X.T @ delta
+    np.testing.assert_array_equal(g.rows, np.unique(X.indices))
+    assert g.values.shape == (len(g.rows), delta.shape[1])
+    assert g.values.tobytes() == want[g.rows].tobytes()
+    # and exactly zero on every row the batch leaves out
+    assert dense_gradient(g, want.shape).tobytes() == want.tobytes()
 
 
 def test_dropout_zero_equals_eval_mode():
@@ -213,6 +245,66 @@ def test_adam_keeps_its_moment_arrays():
         adam_step(adam, params, {k: rng.normal(size=a.shape) for k, a in params.items()},
                   AdamConfig())
         assert all(now is then for now, then in zip(arrays(), held))
+
+
+def test_adam_row_gradients_match_their_dense_expansion():
+    rng = np.random.default_rng(14)
+    V, H = 9, 4
+    start = {"W0": rng.normal(size=(V, H)), "b0": rng.normal(size=H)}
+    cfg = AdamConfig(learning_rate=0.03, beta1=0.8, beta2=0.99, epsilon=1e-7)
+    steps = []
+    for t in range(40):
+        # rows 7 and 8 only at the first step, row 6 only in the first six
+        pool = np.arange(V if t == 0 else 7 if t < 6 else 6)
+        rows = np.sort(rng.choice(pool, size=rng.integers(0, len(pool) + 1), replace=False))
+        values = rng.normal(size=(len(rows), H)) * 10.0 ** rng.integers(-6, 3)
+        steps.append({"W0": RowGrad(rows, values), "b0": rng.normal(size=H)})
+    assert any(len(g["W0"].rows) == 0 for g in steps)
+    by_rows, by_dense = ({k: a.copy() for k, a in start.items()} for _ in range(2))
+    adam_rows, adam_dense = AdamState(), AdamState()
+    for grads in steps:
+        adam_step(adam_rows, by_rows, grads, cfg)
+        adam_step(adam_dense, by_dense, {k: dense_gradient(g, start[k].shape)
+                                         for k, g in grads.items()}, cfg)
+    for k in start:
+        assert by_rows[k].tobytes() == by_dense[k].tobytes()
+        # under ==: the sign of an underflowed zero is all that may differ
+        np.testing.assert_array_equal(adam_rows.m[k], adam_dense.m[k])
+        np.testing.assert_array_equal(adam_rows.v[k], adam_dense.v[k])
+
+    before = [{k: a.copy() for k, a in d.items()} for d in (by_rows, adam_rows.m, adam_rows.v)]
+    values = rng.normal(size=(2, H))
+    values[1, 3] = np.inf
+    with pytest.raises(TrainingError, match="block W0"):
+        adam_step(adam_rows, by_rows, {"W0": RowGrad(np.array([1, 6]), values),
+                                       "b0": rng.normal(size=H)}, cfg)
+    assert adam_rows.t == len(steps)
+    for now, then in zip((by_rows, adam_rows.m, adam_rows.v), before):
+        for k in then:
+            assert now[k].tobytes() == then[k].tobytes()
+
+
+def test_sparse_batch_step_makes_no_first_layer_sized_array():
+    V, H, K = 20000, 100, 3
+    rng = np.random.default_rng(15)
+    X = sparse.random(64, V, density=0.003, format="csr", random_state=rng)
+    Y = np.stack([rng.normal(40.0, 4.0, 64), rng.normal(-100.0, 8.0, 64)], axis=1)
+    spec = NetworkSpec((V, H, 6 * K), dropout_rate=0.5, seed=16)
+    model = models.MdnGeolocator(spec, heads.MdnHeadConfig(K))
+    adam, cfg = AdamState(), AdamConfig()
+
+    def step(idx):
+        _, grads = model.batch_loss_and_grads((X, Y), idx, rng=rng, train_mode=True)
+        adam_step(adam, model.params, grads, cfg)
+
+    step(np.arange(32))  # the first step makes Adam's moments and work arrays
+    tracemalloc.start()
+    try:
+        step(np.arange(32, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < V * H * 8, peak
 
 
 def test_adam_descends_quadratic():
