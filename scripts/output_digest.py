@@ -12,9 +12,14 @@ included.  For each checkpoint it also prints a ``sha256  path decoded``
 line: the digest of the model ``data.load_model`` reads back, its blocks
 (name, shape and bytes, in sorted order) and its metadata without
 ``format_version``.  That line is the same for the same model in any
-checkpoint format, so it compares trees that write different formats.  Run
+checkpoint format, so it compares trees that write different formats.  For
+each vocabulary file it prints a ``sha256  <model>-vocab.tsv decoded`` line:
+the digest of the terms ``features.load_vocab`` reads back, their
+``content_hash`` and the CSR matrices ``features.vectorize_matrix`` makes of
+the test corpus through that vocabulary under both weighting schemes.  Run
 it on two source trees and diff the listings; equal lines mean
-byte-identical outputs (equal ``decoded`` lines: equal checkpointed models):
+byte-identical outputs (equal ``decoded`` lines: equal checkpointed models
+and equal vocabularies):
 
     PYTHONPATH=<tree>/src python scripts/output_digest.py > digest.txt
 """
@@ -29,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from geomix import cli, data
+from geomix import cli, data, features
 
 SEED = "5"
 K_SHARED = 1000  # 2**21 // 1000 = 2 097 rows a block: the 100 x 100 heatmap takes 5
@@ -122,6 +127,18 @@ def decoded_digest(path):
     return h.hexdigest()
 
 
+def vocab_digest(path, corpus):
+    vocab = features.load_vocab(path)
+    tokens = [features.tokenize(r.text) for r in data.read_corpus(corpus)]
+    h = hashlib.sha256(json.dumps([list(vocab.terms), vocab.content_hash()]).encode("utf-8"))
+    for scheme in ("l2_count", "l1_binary_idf"):
+        X = features.vectorize_matrix(tokens, vocab, scheme=scheme)
+        h.update(f"{scheme} {list(X.shape)}\n".encode("utf-8"))
+        for arr, dtype in ((X.indptr, "<i8"), (X.indices, "<i8"), (X.data, "<f8")):
+            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
@@ -130,6 +147,8 @@ def main():
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(d)}")
         for model in MODELS:
             print(f"{decoded_digest(d / f'{model}.json')}  {model}.json decoded")
+        for model in MODELS:
+            print(f"{vocab_digest(d / f'{model}-vocab.tsv', d / 's-test.tsv')}  {model}-vocab.tsv decoded")
 
 
 if __name__ == "__main__":

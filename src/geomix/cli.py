@@ -98,6 +98,14 @@ def _vectorize(texts, vocab=None, min_df=10, scheme="l2_count"):
     return vocab, features.vectorize_matrix(tokens, vocab, scheme=scheme)
 
 
+def _read_users(path):
+    """The corpus at ``path``, refused if it holds no user."""
+    records = data.read_corpus(path)
+    if not records:
+        raise UsageError(f"{path} has no users")
+    return records
+
+
 def cmd_train(args):
     cfg = resolve_config(args, DEFAULTS, PROFILES)
     try:
@@ -111,9 +119,8 @@ def cmd_train(args):
     if cfg["model"] == "regression" and args.k is not None:
         print("warning: K is ignored for the regression model", file=sys.stderr)
     scheme = "l1_binary_idf" if cfg["model"] == "dialect" else "l2_count"
-    train_recs = data.read_corpus(args.train)
+    train_recs, dev_recs = _read_users(args.train), _read_users(args.dev)
     vocab, Xtr = _vectorize([r.text for r in train_recs], min_df=cfg["min_df"], scheme=scheme)
-    dev_recs = data.read_corpus(args.dev)
     _, Xdev = _vectorize([r.text for r in dev_recs], vocab, scheme=scheme)
     Ytr = data.coords_array(train_recs)
     Ydev = data.coords_array(dev_recs)
@@ -169,9 +176,8 @@ def cmd_train(args):
 def _load_vocab_for(model, path):
     """The vocabulary at ``path``, refused unless ``model`` was trained on it."""
     vocab = features.load_vocab(path)
-    if model.vocab_hash is not None and model.vocab_hash != vocab.content_hash():
-        raise UsageError(f"vocabulary hash mismatch: checkpoint {model.vocab_hash}, "
-                         f"file {vocab.content_hash()}")
+    if model.vocab_hash not in (None, file_hash := vocab.content_hash()):
+        raise UsageError(f"vocabulary hash mismatch: checkpoint {model.vocab_hash}, file {file_hash}")
     return vocab
 
 
@@ -238,12 +244,13 @@ def cmd_dialect(args):
         raise UsageError("--p must be >= 1")
     if args.k < 1:
         raise UsageError("--k must be >= 1")
+    if not (np.isfinite(args.radius_km) and args.radius_km > 0.0):
+        raise UsageError(f"--radius-km must be finite and > 0, got {args.radius_km}")
     model = data.load_model(args.checkpoint)
     if model.model_name != "dialect":
         raise UsageError(f"dialect scoring needs a dialect checkpoint, got {model.model_name!r}")
     regions = dl.read_regions(args.regions)
-    train_recs = data.read_corpus(args.train)
-    coords = data.coords_array(train_recs)
+    coords = data.coords_array(_read_users(args.train))
     rng = np.random.default_rng(args.seed)
     pts = coords[rng.integers(len(coords), size=args.p)]
     scored, masks = [], []
@@ -279,12 +286,12 @@ def _edit_distance(a, b):
 
 
 def cmd_heatmap(args):
-    model = data.load_model(args.checkpoint)
     res = args.resolution
     try:
         lats, lons, points = heads.grid_cells(tuple(float(x) for x in args.bbox.split(",")), res)
     except ValueError as e:
         raise UsageError(f"bad --bbox {args.bbox!r} or --resolution {res}: {e}") from e
+    model = data.load_model(args.checkpoint)
     if model.model_name == "dialect":
         if args.word is None:
             raise UsageError("dialect heatmap needs --word")

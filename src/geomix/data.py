@@ -148,7 +148,7 @@ def generate_synthetic(spec):
 
 
 def coords_array(records):
-    return np.array([[r.location.lat, r.location.lon] for r in records])
+    return np.array([[r.location.lat, r.location.lon] for r in records]).reshape(-1, 2)
 
 
 ZIP_MAGIC = b"PK\x03\x04"

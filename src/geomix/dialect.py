@@ -157,7 +157,7 @@ def recall_at_k(ranked_terms, gold_terms, k, vocab_terms):
 def region_membership(points, region, radius_km=161.0):
     """N-length mask: which of the N x 2 points lie within radius_km of any
     of the region's city points."""
-    if radius_km <= 0.0:
+    if not radius_km > 0.0:
         raise ValueError("radius_km must be positive")
     if not len(region.points):
         raise ContractError(f"region {region.name!r} has no points")

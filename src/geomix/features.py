@@ -2,7 +2,7 @@
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -14,8 +14,7 @@ class PipelineError(ValueError):
     pass
 
 
-def stopword_hash(stopwords=STOPWORDS):
-    return hashlib.sha256("\n".join(sorted(stopwords)).encode("utf-8")).hexdigest()[:16]
+STOP_HASH = hashlib.sha256("\n".join(sorted(STOPWORDS)).encode("utf-8")).hexdigest()[:16]
 
 
 _STRIP = re.compile(r"^[^\w#]+|[^\w#]+$", re.UNICODE)
@@ -35,29 +34,32 @@ def tokenize(text):
 
 @dataclass
 class Vocabulary:
-    index: dict  # term -> dense index
-    df: dict  # term -> document frequency
+    terms: list  # column j's term
+    df: list  # df[j]: the document frequency of terms[j]
     doc_count: int
     min_df: int
-    stop_hash: str = field(default_factory=stopword_hash)
+    stop_hash: str = STOP_HASH
+
+    def __post_init__(self):
+        self.index = {t: j for j, t in enumerate(self.terms)}  # term -> column
+        if len(self.index) != len(self.terms):
+            raise PipelineError("repeated vocabulary term")
+        if len(self.df) != len(self.terms):
+            raise PipelineError(f"{len(self.df)} document frequencies for {len(self.terms)} terms")
 
     def __len__(self):
-        return len(self.index)
+        return len(self.terms)
 
-    @property
-    def terms(self):
-        """Terms in index order."""
-        return sorted(self.index, key=self.index.get)
+    def text(self):
+        """The vocabulary file: its header, then ``index TAB term TAB df`` per column."""
+        return "".join([f"{self.doc_count}\t{self.min_df}\t{self.stop_hash}\n",
+                        *(f"{j}\t{t}\t{c}\n" for j, (t, c) in enumerate(zip(self.terms, self.df)))])
 
     def content_hash(self):
-        h = hashlib.sha256()
-        h.update(f"{self.doc_count}\t{self.min_df}\t{self.stop_hash}\n".encode())
-        for t in self.terms:
-            h.update(f"{self.index[t]}\t{t}\t{self.df[t]}\n".encode())
-        return h.hexdigest()[:16]
+        return hashlib.sha256(self.text().encode("utf-8")).hexdigest()[:16]
 
 
-def build_vocab(token_docs, min_df=10, stopwords=STOPWORDS):
+def build_vocab(token_docs, min_df=10):
     """Vocabulary over tokenized documents; df >= min_df, stopwords removed.
 
     Index order is descending df, ties broken lexicographically.
@@ -70,12 +72,11 @@ def build_vocab(token_docs, min_df=10, stopwords=STOPWORDS):
         n_docs += 1
         for t in set(toks):
             df[t] = df.get(t, 0) + 1
-    kept = {t: c for t, c in df.items() if c >= min_df and t not in stopwords}
+    kept = {t: c for t, c in df.items() if c >= min_df and t not in STOPWORDS}
     if not kept:
         raise PipelineError("vocabulary is empty after filtering")
-    ordered = sorted(kept, key=lambda t: (-kept[t], t))
-    return Vocabulary(index={t: i for i, t in enumerate(ordered)}, df=kept,
-                      doc_count=n_docs, min_df=min_df)
+    terms = sorted(kept, key=lambda t: (-kept[t], t))
+    return Vocabulary(terms, [kept[t] for t in terms], doc_count=n_docs, min_df=min_df)
 
 
 def vectorize_matrix(token_docs, vocab, scheme="l2_count"):
@@ -97,7 +98,7 @@ def vectorize_matrix(token_docs, vocab, scheme="l2_count"):
     if scheme == "l2_count":  # integer counts: their sum of squares is exact in any order
         X.data /= np.sqrt(np.bincount(rows, X.data ** 2, X.shape[0]))[rows]
         return X
-    idf = np.log(vocab.doc_count / np.array([vocab.df[t] for t in vocab.terms], dtype=float))
+    idf = np.log(vocab.doc_count / np.array(vocab.df, dtype=float))
     X.data = idf[X.indices]
     # np.sum of each row's slice, the order a per-document sum adds in; np.add.reduceat adds in another
     sums = np.array([np.sum(X.data[a:b]) for a, b in zip(X.indptr[:-1], X.indptr[1:])])
@@ -108,9 +109,7 @@ def vectorize_matrix(token_docs, vocab, scheme="l2_count"):
 
 def save_vocab(path, vocab):
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{vocab.doc_count}\t{vocab.min_df}\t{vocab.stop_hash}\n")
-        for t in vocab.terms:
-            f.write(f"{vocab.index[t]}\t{t}\t{vocab.df[t]}\n")
+        f.write(vocab.text())
 
 
 def text_lines(path, error):
@@ -129,7 +128,10 @@ def text_lines(path, error):
 
 
 def load_vocab(path):
-    index, df = {}, {}
+    """The vocabulary file at ``path``.  A malformed line, an index that is not
+    its line's position, a repeated term or a df outside [1, doc_count] is a
+    ``PipelineError`` naming the file and line."""
+    terms, df, first_line = [], [], {}
     lines = text_lines(path, PipelineError)
     _, header = next(lines, (1, ""))
     try:
@@ -140,7 +142,16 @@ def load_vocab(path):
     for ln, line in lines:
         try:
             i, t, c = line.rstrip("\n").split("\t")
-            index[t], df[t] = int(i), int(c)
+            i, c = int(i), int(c)
         except ValueError as e:
             raise PipelineError(f"{path}:{ln}: malformed vocabulary line: {e}") from e
-    return Vocabulary(index=index, df=df, doc_count=doc_count, min_df=min_df, stop_hash=stop_hash)
+        if i != len(terms):
+            raise PipelineError(f"{path}:{ln}: index {i} is not the line's position {len(terms)}")
+        if t in first_line:
+            raise PipelineError(f"{path}:{ln}: term {t!r} repeats line {first_line[t]}")
+        if not 1 <= c <= doc_count:
+            raise PipelineError(f"{path}:{ln}: df {c} outside [1, {doc_count}]")
+        first_line[t] = ln
+        terms.append(t)
+        df.append(c)
+    return Vocabulary(terms, df, doc_count, min_df, stop_hash)

@@ -2,9 +2,14 @@
 
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geomix
 from geomix import cli, data
 
 
@@ -124,6 +129,29 @@ def test_vocab_hash_mismatch(trained, corpus, tmp_path, capsys):
     assert run(["evaluate", "--checkpoint", str(trained / "mdn.json"),
                 "--vocab", str(other), "--test", str(corpus / "s-test.tsv")]) == 1
     assert capsys.readouterr().err.startswith("error: vocabulary hash mismatch")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_vocab_index_past_every_column_is_an_error_line(command, trained, corpus, tmp_path):
+    """A checkpoint saved from code has no vocab_hash, so no hash check stops
+    a vocabulary line indexed past every column; such a line once sent scipy
+    outside the CSR arrays.  The command runs in a child process, so a crash
+    fails this test instead of ending pytest."""
+    model = data.load_model(trained / "mdn.json")
+    model.vocab_hash = None
+    data.save_model(tmp_path / "nohash.ckpt", model)
+    lines = (trained / "vocab.tsv").read_text().splitlines()
+    lines[1] = "100000000\t" + lines[1].split("\t", 1)[1]
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("\n".join(lines) + "\n")
+    queries = {"evaluate": ["--test", corpus / "s-test.tsv"],
+               "predict": ["--input", corpus / "s-test.tsv", "--output", tmp_path / "p.tsv"]}[command]
+    argv = [command, "--checkpoint", tmp_path / "nohash.ckpt", "--vocab", vocab, *queries]
+    proc = subprocess.run([sys.executable, "-m", "geomix.cli", *map(str, argv)], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=str(Path(geomix.__file__).parents[1])))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {vocab}:2: index 100000000 is not the line's position 0\n"
 
 
 @pytest.fixture(scope="module")
@@ -410,6 +438,23 @@ PREDICT_CASES = {
     "predict with text and input": ("--text", "mode0tok0", "--input", "s-test.tsv"),
     "predict top below 0": ("--text", "mode0tok0", "--top", "-1"),
 }
+# flags refused before any file is read: each case runs against a checkpoint that does not exist
+FLAG_CASES = {
+    "dialect radius 0, no checkpoint": ("dialect", "--radius-km", "0"),
+    "dialect radius nan, no checkpoint": ("dialect", "--radius-km", "nan"),
+    "dialect radius inf, no checkpoint": ("dialect", "--radius-km", "inf"),
+    "heatmap three-value bbox, no checkpoint": ("heatmap", "--bbox", "1,2,3"),
+    "heatmap nan bbox, no checkpoint": ("heatmap", "--bbox", "nan,60,-120,-70"),
+    "heatmap resolution 0, no checkpoint": ("heatmap", "--resolution", "0"),
+}
+# the model and the flag of each train run given a corpus file with no users
+EMPTY_CORPUS_CASES = {
+    "train empty train file": ("mdn", "--train"),
+    "regression empty dev file": ("regression", "--dev"),
+    "mdn empty dev file": ("mdn", "--dev"),
+    "shared empty dev file": ("mdn_shared", "--dev"),
+    "dialect train empty dev file": ("dialect", "--dev"),
+}
 BBOX_CASES = {"nan bbox": "nan,60,-120,-70", "infinite bbox": "20,inf,-120,-70",
               "latitude out of range bbox": "80,120,-120,-70",
               "longitude out of range bbox": "20,60,-300,-70"}
@@ -431,7 +476,11 @@ ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must b
                   "synth noise tokens below 0": "bad synth settings: noise_tokens must be >= 0",
                   "synth mode stddev below 0": "bad synth settings: mode_stddev must be finite and >= 0",
                   "synth mode stddev nan": "bad synth settings: mode_stddev must be finite and >= 0",
-                  **{case: "out of range" for case in BBOX_CASES}}
+                  **{case: "out of range" for case in BBOX_CASES},
+                  **{case: "--radius-km must be finite and > 0" for case in FLAG_CASES if "radius" in case},
+                  **{case: "bad --bbox" for case in FLAG_CASES if case.startswith("heatmap")},
+                  **{case: "empty.tsv has no users"
+                     for case in [*EMPTY_CORPUS_CASES, "dialect empty train file"]}}
 
 
 def bad_input_argv(case, request, tmp_path):
@@ -453,6 +502,26 @@ def bad_input_argv(case, request, tmp_path):
         return ["train", "--model", "regression", "--config", str(cfg),
                 "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
                 "--checkpoint", out]
+    if case in FLAG_CASES:
+        command, *flags = FLAG_CASES[case]
+        ck = ["--checkpoint", str(tmp_path / "nothere.ckpt")]
+        if command == "dialect":
+            return ["dialect", *ck, "--regions", str(tmp_path / "regions.tsv"),
+                    "--train", str(tmp_path / "train.tsv"), "--out-prefix", str(tmp_path / "out-"), *flags]
+        return ["heatmap", *ck, "--word", "mode0tok0", "--bbox", "25,55,-105,-95", "--output", out, *flags]
+    if case in EMPTY_CORPUS_CASES:
+        corpus = request.getfixturevalue("corpus")
+        (tmp_path / "empty.tsv").write_text("")
+        model, flag = EMPTY_CORPUS_CASES[case]
+        files = {"--train": str(corpus / "s-train.tsv"), "--dev": str(corpus / "s-dev.tsv"),
+                 flag: str(tmp_path / "empty.tsv")}
+        return ["train", "--model", model, "--profile", f"synth-{model.replace('_', '-')}",
+                *(arg for pair in files.items() for arg in pair), "--checkpoint", out]
+    if case == "dialect empty train file":
+        d = request.getfixturevalue("dialect_run")
+        (tmp_path / "empty.tsv").write_text("")
+        return ["dialect", "--checkpoint", str(d / "dia.json"), "--regions", str(d / "regions.tsv"),
+                "--train", str(tmp_path / "empty.tsv"), "--out-prefix", str(tmp_path / "out-")]
     if case in TRAIN_CASES:
         corpus = request.getfixturevalue("corpus")
         model, *flags = TRAIN_CASES[case]
@@ -498,7 +567,8 @@ def bad_input_argv(case, request, tmp_path):
                                   "regression heatmap", "synth center out of range", *SYNTH_CASES,
                                   "malformed vocab", "bad config value", *TRAIN_CASES,
                                   *DIALECT_CASES, "predict on dialect checkpoint",
-                                  *PREDICT_CASES, "evaluate empty test file"])
+                                  *PREDICT_CASES, "evaluate empty test file", *FLAG_CASES,
+                                  *EMPTY_CORPUS_CASES, "dialect empty train file"])
 def test_bad_input_is_an_error_line(case, request, tmp_path, capsys):
     argv = bad_input_argv(case, request, tmp_path)
     capsys.readouterr()

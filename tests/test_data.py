@@ -117,6 +117,7 @@ def test_synthetic_spec_validation():
 def test_coords_array():
     arr = coords_array(sample_records())
     np.testing.assert_array_equal(arr, [[40.5, -74.2], [-33.9, 151.2]])
+    assert coords_array([]).shape == (0, 2)
 
 
 def all_model_instances():

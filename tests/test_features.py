@@ -1,5 +1,7 @@
 """Tokenization, vocabulary construction and feature weighting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomix import features
-from geomix.features import (PipelineError, build_vocab, load_vocab, save_vocab, tokenize,
-                             vectorize_matrix)
+from geomix.features import (PipelineError, Vocabulary, build_vocab, load_vocab, save_vocab,
+                             tokenize, vectorize_matrix)
 
 
 def test_tokenize_examples():
@@ -124,7 +126,7 @@ def oracle_pairs(tokens, vocab, scheme):
         w = np.array([counts[i] for i in idx], dtype=float)
         w /= np.linalg.norm(w)
     else:
-        w = np.array([np.log(vocab.doc_count / vocab.df[vocab.terms[i]]) for i in idx])
+        w = np.array([np.log(vocab.doc_count / vocab.df[i]) for i in idx])
         if w.sum() <= 0.0:
             return []
         w /= w.sum()
@@ -155,9 +157,9 @@ def test_vocab_round_trip(tmp_path):
     vocab = build_vocab(docs, min_df=1)
     path = tmp_path / "vocab.tsv"
     save_vocab(path, vocab)
+    assert path.read_text(encoding="utf-8") == vocab.text()
     loaded = load_vocab(path)
-    assert loaded.index == vocab.index
-    assert loaded.df == vocab.df
+    assert loaded == vocab
     assert loaded.content_hash() == vocab.content_hash()
     toks = ["apple", "plum", "plum"]
     for scheme in ("l2_count", "l1_binary_idf"):
@@ -176,3 +178,36 @@ def test_malformed_vocab_names_the_line(tmp_path):
     vocab.write_text("3\t1\tabc\n0\tfoo\t2\nx\ty\n")
     with pytest.raises(PipelineError, match=r"v\.tsv:3:"):
         load_vocab(vocab)
+
+
+def test_vocab_file_and_hash_are_one_text():
+    """The file layout and the hash every checkpoint's ``vocab_hash`` holds."""
+    vocab = build_vocab([["axx", "bxx"], ["axx"]], min_df=1)
+    assert vocab.terms == ["axx", "bxx"] and vocab.df == [2, 1]
+    assert vocab.text() == f"2\t1\t{features.STOP_HASH}\n0\taxx\t2\n1\tbxx\t1\n"
+    assert vocab.content_hash() == hashlib.sha256(vocab.text().encode("utf-8")).hexdigest()[:16]
+
+
+def test_vocabulary_refuses_repeated_terms_and_wrong_df_length():
+    with pytest.raises(PipelineError, match="repeated"):
+        Vocabulary(["axx", "bxx", "axx"], [3, 2, 1], doc_count=3, min_df=1)
+    with pytest.raises(PipelineError, match="2 document frequencies for 3 terms"):
+        Vocabulary(["axx", "bxx", "cxx"], [3, 2], doc_count=3, min_df=1)
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("2\tbar\t1", "index 2 is not the line's position 1"),
+    ("100000000\tbar\t1", "index 100000000 is not the line's position 1"),
+    ("-1\tbar\t1", "index -1 is not the line's position 1"),
+    ("0\tbar\t1", "index 0 is not the line's position 1"),  # a repeated index
+    ("1\tfoo\t1", "term 'foo' repeats line 2"),
+    ("1\tbar\t0", r"df 0 outside \[1, 3\]"),
+    ("1\tbar\t4", r"df 4 outside \[1, 3\]"),
+], ids=["index skips one", "index out of range", "negative index", "repeated index", "repeated term",
+        "df 0", "df above doc_count"])
+def test_load_vocab_refuses_what_no_vocabulary_holds(line, problem, tmp_path):
+    """Every loaded vocabulary names only columns 0..V-1, each term once."""
+    path = tmp_path / "v.tsv"
+    path.write_text(f"3\t1\tabc\n0\tfoo\t2\n{line}\n2\tbaz\t1\n")
+    with pytest.raises(PipelineError, match=rf"v\.tsv:3: {problem}$"):
+        load_vocab(path)
