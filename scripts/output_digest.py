@@ -5,7 +5,7 @@ evaluate with --error-tsv; predict over an input file (with a row that has
 no features) and over --text under both selection rules; the three kinds
 of heatmap; and dialect scoring.  Two more runs take their settings from a
 config file: synth with every synth key in the file and one overridden by a
-flag, and train with the file's l1 and l2 and no profile.  Every command
+flag, and train on that corpus with the file's l1 and l2 and no profile.  Every command
 runs in-process through ``geomix.cli.main`` in a temporary directory.  The script prints one
 ``sha256  path`` line per file written there, each command's stdout
 included.  For each checkpoint it also prints a ``sha256  path decoded``
@@ -13,10 +13,13 @@ line: the digest of the model ``data.load_model`` reads back, its blocks
 (name, shape and bytes, in sorted order) and its metadata without
 ``format_version``.  That line is the same for the same model in any
 checkpoint format, so it compares trees that write different formats.  For
-each vocabulary file it prints a ``sha256  <model>-vocab.tsv decoded`` line:
+each vocabulary file it prints a ``sha256  <name>-vocab.tsv decoded`` line:
 the digest of the terms ``features.load_vocab`` reads back, their
 ``content_hash`` and the CSR matrices ``features.vectorize_matrix`` makes of
-the test corpus through that vocabulary under both weighting schemes.  Run
+the test split of the vocabulary's own corpus through that vocabulary under
+both weighting schemes.  The four profile runs share one min-df-1
+vocabulary of ``s-train.tsv``; the config run's ``config-mdn-vocab.tsv``,
+of ``c-train.tsv``, is a second one.  Run
 it on two source trees and diff the listings; equal lines mean
 byte-identical outputs (equal ``decoded`` lines: equal checkpointed models
 and equal vocabularies):
@@ -40,6 +43,9 @@ SEED = "5"
 K_SHARED = 1000  # 2**21 // 1000 = 2 097 rows a block: the 100 x 100 heatmap takes 5
 P_DIALECT = 30000  # about 430 terms, so 2**21 // 430 = 4 877 rows a block: 7 blocks
 MODELS = ("regression", "mdn", "mdn_shared", "dialect")
+# each vocabulary file with the test split of the corpus it was built from
+VOCAB_TESTS = {**{f"{model}-vocab.tsv": "s-test.tsv" for model in MODELS},
+               "config-mdn-vocab.tsv": "c-test.tsv"}
 TEXT = "mode0tok0 ambtok1 mode1tok2 noisetok7"
 BBOX = "25,55,-110,-90"
 SYNTH_INI = """[synth]
@@ -113,7 +119,8 @@ def round_trip(d):
     run("synth", "--config", d / "synth.ini", "--exclusive-tokens", "6", "--out-prefix", d / "c-")
     (d / "train.ini").write_text(TRAIN_INI, encoding="utf-8")
     run("train", "--config", d / "train.ini", "--train", d / "c-train.tsv", "--dev", d / "c-dev.tsv",
-        "--checkpoint", d / "config-mdn.json", "--log", d / "config-mdn-log.tsv", "--seed", SEED)
+        "--checkpoint", d / "config-mdn.json", "--vocab", d / "config-mdn-vocab.tsv",
+        "--log", d / "config-mdn-log.tsv", "--seed", SEED)
 
 
 def decoded_digest(path):
@@ -147,8 +154,8 @@ def main():
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(d)}")
         for model in MODELS:
             print(f"{decoded_digest(d / f'{model}.json')}  {model}.json decoded")
-        for model in MODELS:
-            print(f"{vocab_digest(d / f'{model}-vocab.tsv', d / 's-test.tsv')}  {model}-vocab.tsv decoded")
+        for vocab, test in VOCAB_TESTS.items():
+            print(f"{vocab_digest(d / vocab, d / test)}  {vocab} decoded")
 
 
 if __name__ == "__main__":

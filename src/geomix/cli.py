@@ -114,6 +114,7 @@ def cmd_train(args):
         raise UsageError(f"bad setting: {e}") from e
     if cfg["max_epochs"] < 0:
         raise UsageError("--max-epochs must be >= 0")
+    adam_cfg = network.AdamConfig(cfg["lr"], cfg["beta1"], cfg["beta2"], cfg["epsilon"])
     if cfg["model"] not in ("regression", "mdn", "mdn_shared", "dialect"):
         raise UsageError(f"--model must be one of regression/mdn/mdn_shared/dialect, got {cfg['model']!r}")
     if cfg["model"] == "regression" and args.k is not None:
@@ -158,9 +159,7 @@ def cmd_train(args):
         print(f"epoch {epoch}: train={train_loss:.6f} dev={dev_metric:.6f} ({elapsed:.2f}s)",
               file=sys.stderr)
 
-    network.train_loop(model, train_data, dev_data,
-                       network.AdamConfig(cfg["lr"], cfg["beta1"], cfg["beta2"], cfg["epsilon"]),
-                       network.EarlyStopConfig(cfg["patience"]),
+    network.train_loop(model, train_data, dev_data, adam_cfg, network.EarlyStopConfig(cfg["patience"]),
                        batch_size=cfg["batch_size"], max_epochs=cfg["max_epochs"],
                        seed=seed, log_sink=sink)
     data.save_model(args.checkpoint, model)
@@ -173,11 +172,16 @@ def cmd_train(args):
     print(f"checkpoint written to {args.checkpoint}", file=sys.stderr)
 
 
-def _load_vocab_for(model, path):
-    """The vocabulary at ``path``, refused unless ``model`` was trained on it."""
-    vocab = features.load_vocab(path)
+def _load_vocab_for(model, args):
+    """The ``--vocab`` file, refused unless the ``--checkpoint`` model was
+    trained on it, or, for a checkpoint with no vocab_hash, unless it has
+    one term per network input."""
+    vocab = features.load_vocab(args.vocab)
     if model.vocab_hash not in (None, file_hash := vocab.content_hash()):
         raise UsageError(f"vocabulary hash mismatch: checkpoint {model.vocab_hash}, file {file_hash}")
+    if len(vocab) != (width := model.spec.layer_sizes[0]):
+        raise UsageError(f"vocabulary {args.vocab} has {len(vocab)} terms but checkpoint "
+                         f"{args.checkpoint} takes {width} inputs")
     return vocab
 
 
@@ -187,7 +191,7 @@ def _load_geolocator(args):
     if model.model_name == "dialect":
         raise UsageError(f"{args.command} expects a geolocation checkpoint; "
                          "use the dialect subcommand for dialect models")
-    return model, _load_vocab_for(model, args.vocab)
+    return model, _load_vocab_for(model, args)
 
 
 def cmd_evaluate(args):
@@ -305,7 +309,7 @@ def cmd_heatmap(args):
             raise UsageError(f"heatmap needs a mixture or dialect checkpoint, got {model.model_name!r}")
         if args.text is None or args.vocab is None:
             raise UsageError("geolocation heatmap needs --text and --vocab")
-        vocab = _load_vocab_for(model, args.vocab)
+        vocab = _load_vocab_for(model, args)
         _, X = _vectorize([args.text], vocab)
         if X.nnz == 0:
             raise UsageError("--text has no in-vocabulary token")

@@ -51,6 +51,8 @@ class AdamConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("betas must be in (0, 1)")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 @dataclass
@@ -193,9 +195,9 @@ def regularization_penalty(params, spec):
 
 @dataclass
 class AdamState:
-    """Adam moments per parameter block, plus two work arrays per block so
-    that a step allocates nothing for a dense block; a RowGrad block's
-    ``m[rows] +=`` and ``v[rows] +=`` each make one len(rows) x H copy."""
+    """Adam moments per block and one work array per block, holding the
+    gradient terms, then the step: a dense block's step allocates nothing, a
+    RowGrad block's ``m[rows] +=`` and ``v[rows] +=`` one len(rows) x H copy each."""
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
@@ -205,13 +207,14 @@ class AdamState:
 def adam_step(adam, params, grads, cfg):
     """Bias-corrected Adam update, in place on params.
 
-    Every gradient is checked before any state changes.  The update runs
-    in place in the order of ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + ((1-b2)*g)*g`` and ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``.
-    A block's gradient terms are added on its rows: a RowGrad's rows, or
-    all rows of a dense block.  Elsewhere they would add exact zeros, so
-    every row's moments still decay and every parameter still moves (this
-    is not lazy Adam).
+    Every gradient is checked before any state changes.  Then, in place,
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and the step in the
+    order of Kingma & Ba (arXiv 1412.6980) Section 2, the textbook one in exact
+    arithmetic: ``p -= lr_t*(m/(sqrt(v) + eps_hat))`` with ``lr_t = lr*sqrt(c2)/c1``
+    and ``eps_hat = eps*sqrt(c2)``; seven passes over a block, one work array.
+    Gradient terms are added on a RowGrad's rows (all rows of a dense block);
+    elsewhere they would add exact zeros, so every row's moments still decay
+    and every parameter still moves (this is not lazy Adam).
     """
     blocks = {name: (g.rows, g.values) if isinstance(g, RowGrad) else (slice(None), g)
               for name, g in grads.items()}
@@ -221,17 +224,16 @@ def adam_step(adam, params, grads, cfg):
         if not (np.isfinite(g.min(initial=0.0)) and np.isfinite(g.max(initial=0.0))):
             raise TrainingError(f"non-finite gradient in block {name}")
     adam.t += 1
-    c1 = 1.0 - cfg.beta1 ** adam.t
-    c2 = 1.0 - cfg.beta2 ** adam.t
+    lr_t = cfg.learning_rate * np.sqrt(1.0 - cfg.beta2 ** adam.t) / (1.0 - cfg.beta1 ** adam.t)
+    eps_hat = cfg.epsilon * np.sqrt(1.0 - cfg.beta2 ** adam.t)
     for name, (rows, g) in blocks.items():
         p = params[name]
         if name not in adam.m:
             adam.m[name] = np.zeros_like(p)
             adam.v[name] = np.zeros_like(p)
-            adam.buffers[name] = (np.empty_like(p), np.empty_like(p))
-        m, v = adam.m[name], adam.v[name]
-        a, b = adam.buffers[name]
-        terms = a[:len(g)]  # all of a for a dense block
+            adam.buffers[name] = np.empty_like(p)
+        m, v, b = adam.m[name], adam.v[name], adam.buffers[name]
+        terms = b[:len(g)]  # all of b for a dense block
         m *= cfg.beta1
         np.multiply(g, 1.0 - cfg.beta1, out=terms)
         m[rows] += terms
@@ -239,13 +241,11 @@ def adam_step(adam, params, grads, cfg):
         np.multiply(g, 1.0 - cfg.beta2, out=terms)
         terms *= g
         v[rows] += terms
-        np.divide(m, c1, out=a)
-        a *= cfg.learning_rate
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += cfg.epsilon
-        a /= b
-        p -= a
+        np.sqrt(v, out=b)
+        b += eps_hat
+        np.divide(m, b, out=b)
+        b *= lr_t
+        p -= b
 
 
 def train_loop(model, train_data, dev_data, adam_cfg=None, stop_cfg=None,

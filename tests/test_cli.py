@@ -455,6 +455,10 @@ EMPTY_CORPUS_CASES = {
     "shared empty dev file": ("mdn_shared", "--dev"),
     "dialect train empty dev file": ("dialect", "--dev"),
 }
+# an epsilon in a config file: a zero one makes a row no batch touches 0/0
+EPSILON_CASES = {"train epsilon 0": "0", "train epsilon below 0": "-1e-3", "train epsilon nan": "nan"}
+# a vocabulary of another width than the network's input, read with a checkpoint that has no vocab_hash
+NARROW_VOCAB_CASES = ("evaluate narrow vocab", "predict narrow vocab", "heatmap narrow vocab")
 BBOX_CASES = {"nan bbox": "nan,60,-120,-70", "infinite bbox": "20,inf,-120,-70",
               "latitude out of range bbox": "80,120,-120,-70",
               "longitude out of range bbox": "20,60,-300,-70"}
@@ -480,7 +484,10 @@ ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must b
                   **{case: "--radius-km must be finite and > 0" for case in FLAG_CASES if "radius" in case},
                   **{case: "bad --bbox" for case in FLAG_CASES if case.startswith("heatmap")},
                   **{case: "empty.tsv has no users"
-                     for case in [*EMPTY_CORPUS_CASES, "dialect empty train file"]}}
+                     for case in [*EMPTY_CORPUS_CASES, "dialect empty train file"]},
+                  **{case: "epsilon must be finite and > 0" for case in EPSILON_CASES},
+                  **{case: "vocabulary {tmp}/narrow-vocab.tsv has 2 terms but checkpoint "
+                           "{tmp}/nohash.ckpt takes 32 inputs" for case in NARROW_VOCAB_CASES}}
 
 
 def bad_input_argv(case, request, tmp_path):
@@ -502,6 +509,25 @@ def bad_input_argv(case, request, tmp_path):
         return ["train", "--model", "regression", "--config", str(cfg),
                 "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
                 "--checkpoint", out]
+    if case in EPSILON_CASES:
+        corpus = request.getfixturevalue("corpus")
+        cfg = tmp_path / "eps.ini"
+        cfg.write_text(f"[train]\nepsilon = {EPSILON_CASES[case]}\n")
+        return ["train", "--model", "mdn", "--profile", "synth-mdn", "--config", str(cfg),
+                "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
+                "--checkpoint", out]
+    if case in NARROW_VOCAB_CASES:
+        trained, corpus = request.getfixturevalue("trained"), request.getfixturevalue("corpus")
+        model = data.load_model(trained / "mdn.json")
+        model.vocab_hash = None
+        data.save_model(tmp_path / "nohash.ckpt", model)
+        (tmp_path / "narrow-vocab.tsv").write_text(
+            "".join((trained / "vocab.tsv").read_text().splitlines(keepends=True)[:3]))
+        ck = ["--checkpoint", str(tmp_path / "nohash.ckpt"), "--vocab", str(tmp_path / "narrow-vocab.tsv")]
+        return {"evaluate": ["evaluate", *ck, "--test", str(corpus / "s-test.tsv"), "--error-tsv", out],
+                "predict": ["predict", *ck, "--text", "mode0tok0", "--output", out],
+                "heatmap": ["heatmap", *ck, "--text", "mode0tok0", "--bbox", "25,55,-105,-95",
+                            "--output", out]}[case.split()[0]]
     if case in FLAG_CASES:
         command, *flags = FLAG_CASES[case]
         ck = ["--checkpoint", str(tmp_path / "nothere.ckpt")]
@@ -568,14 +594,15 @@ def bad_input_argv(case, request, tmp_path):
                                   "malformed vocab", "bad config value", *TRAIN_CASES,
                                   *DIALECT_CASES, "predict on dialect checkpoint",
                                   *PREDICT_CASES, "evaluate empty test file", *FLAG_CASES,
-                                  *EMPTY_CORPUS_CASES, "dialect empty train file"])
+                                  *EMPTY_CORPUS_CASES, "dialect empty train file", *EPSILON_CASES,
+                                  *NARROW_VOCAB_CASES])
 def test_bad_input_is_an_error_line(case, request, tmp_path, capsys):
     argv = bad_input_argv(case, request, tmp_path)
     capsys.readouterr()
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert ERROR_MESSAGES.get(case, "") in err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert ERROR_MESSAGES.get(case, "").format(tmp=tmp_path) in err
     assert not list(tmp_path.glob("out*"))
 
 

@@ -173,41 +173,134 @@ def test_adam_rejects_non_finite():
                   AdamConfig())
 
 
-def textbook_adam(params, grads_seq, cfg):
-    """Bias-corrected Adam written out step by step, one new array per term."""
+def textbook_step(m, v, t, cfg):
+    """The step of Kingma & Ba's Algorithm 1: ``lr*m_hat / (sqrt(v_hat) + eps)``."""
+    m_hat = m / (1.0 - cfg.beta1 ** t)
+    v_hat = v / (1.0 - cfg.beta2 ** t)
+    return (cfg.learning_rate * m_hat) / (np.sqrt(v_hat) + cfg.epsilon)
+
+
+def reordered_step(m, v, t, cfg):
+    """The same step as Kingma & Ba reorder it in their Section 2."""
+    lr_t = cfg.learning_rate * np.sqrt(1.0 - cfg.beta2 ** t) / (1.0 - cfg.beta1 ** t)
+    eps_hat = cfg.epsilon * np.sqrt(1.0 - cfg.beta2 ** t)
+    return lr_t * (m / (np.sqrt(v) + eps_hat))
+
+
+def textbook_adam(params, grads_seq, cfg, step=textbook_step):
+    """Bias-corrected Adam written out step by step, one new array per term.
+
+    Returns the params, m, v and each entry's travel: the sum of the sizes
+    of its steps."""
     params = {k: v.copy() for k, v in params.items()}
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
+    travel = {k: np.zeros_like(p) for k, p in params.items()}
     for t, grads in enumerate(grads_seq, 1):
         for k, g in grads.items():
             m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
             v[k] = cfg.beta2 * v[k] + ((1.0 - cfg.beta2) * g) * g
-            m_hat = m[k] / (1.0 - cfg.beta1 ** t)
-            v_hat = v[k] / (1.0 - cfg.beta2 ** t)
-            params[k] = params[k] - (cfg.learning_rate * m_hat) / (np.sqrt(v_hat) + cfg.epsilon)
-    return params, m, v
+            delta = step(m[k], v[k], t, cfg)
+            params[k] = params[k] - delta
+            travel[k] = travel[k] + np.abs(delta)
+    return params, m, v, travel
+
+
+# The reordered step rounds differently from the textbook one: a step's
+# size differs by at most ~14 roundings (2**-53 each) of itself, and each of
+# up to 100 steps rounds p - step on its own in each path, by at most 2**-53
+# of |p| <= |p0| + travel.  Together that is below 3e-14 of |p0| + travel.
+ROUNDING_RTOL = 1e-13
+
+
+def assert_within_rounding(params, want, start, travel):
+    for k in start:
+        bound = ROUNDING_RTOL * (np.abs(start[k]) + travel[k])
+        assert np.all(np.abs(params[k] - want[k]) <= bound), k
 
 
 def two_blocks(rng):
     return {"W": rng.normal(size=(7, 5)), "b": rng.normal(size=5)}
 
 
-def test_adam_matches_textbook_formula_bitwise():
-    rng = np.random.default_rng(11)
+def scaled_two_block_steps(seed):
+    rng = np.random.default_rng(seed)
     start = two_blocks(rng)
-    cfg = AdamConfig(learning_rate=0.03, beta1=0.8, beta2=0.99, epsilon=1e-7)
     grads_seq = [{k: rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 3)
                   for k, a in start.items()} for _ in range(6)]
+    return start, grads_seq
+
+
+def run_adam(start, grads_seq, cfg):
+    """(params, AdamState) after adam_step over ``grads_seq`` from ``start``."""
     params = {k: a.copy() for k, a in start.items()}
     adam = AdamState()
     for grads in grads_seq:
         adam_step(adam, params, grads, cfg)
-    want, m, v = textbook_adam(start, grads_seq, cfg)
+    return params, adam
+
+
+ADAM_CFG = AdamConfig(learning_rate=0.03, beta1=0.8, beta2=0.99, epsilon=1e-7)
+
+
+def test_adam_matches_reordered_formula_bitwise():
+    start, grads_seq = scaled_two_block_steps(11)
+    params, adam = run_adam(start, grads_seq, ADAM_CFG)
+    want, m, v, _ = textbook_adam(start, grads_seq, ADAM_CFG, step=reordered_step)
     assert adam.t == len(grads_seq)
     for k in start:
         np.testing.assert_array_equal(params[k], want[k])
         np.testing.assert_array_equal(adam.m[k], m[k])
         np.testing.assert_array_equal(adam.v[k], v[k])
+
+
+def test_adam_is_the_textbook_formula_up_to_rounding():
+    start, grads_seq = scaled_two_block_steps(11)
+    params, adam = run_adam(start, grads_seq, ADAM_CFG)
+    want, m, v, travel = textbook_adam(start, grads_seq, ADAM_CFG)
+    assert_within_rounding(params, want, start, travel)
+    for k in start:
+        np.testing.assert_array_equal(adam.m[k], m[k])
+        np.testing.assert_array_equal(adam.v[k], v[k])
+
+
+@st.composite
+def adam_runs(draw):
+    """(config, start params, 50-100 steps of gradients, never-touched rows):
+    a RowGrad block "W" whose row sets may be empty and leave its last rows
+    untouched at every step, and a dense block "b"; each block's gradient at
+    each step is scaled by 10**s, s in [-12, 3]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    V, H, T = draw(st.integers(2, 12)), draw(st.integers(1, 4)), draw(st.integers(50, 100))
+    n_never = draw(st.integers(1, V - 1))
+    cfg = AdamConfig(learning_rate=draw(st.sampled_from([1e-3, 0.03, 0.1])),
+                     beta1=draw(st.sampled_from([0.8, 0.9])),
+                     beta2=draw(st.sampled_from([0.99, 0.999])),
+                     epsilon=draw(st.sampled_from([1e-8, 1e-7])))
+    start = {"W": rng.normal(size=(V, H)), "b": rng.normal(size=H)}
+    empty_at = draw(st.integers(0, T - 1))
+    steps = []
+    for t in range(T):
+        size = 0 if t == empty_at else rng.integers(0, V - n_never + 1)
+        rows = np.sort(rng.choice(V - n_never, size=size, replace=False))
+        steps.append({"W": RowGrad(rows, rng.normal(size=(len(rows), H)) * 10.0 ** rng.uniform(-12, 3)),
+                      "b": rng.normal(size=H) * 10.0 ** rng.uniform(-12, 3)})
+    return cfg, start, steps, np.arange(V - n_never, V)
+
+
+@settings(max_examples=100, deadline=None)
+@given(adam_runs())
+def test_reordered_adam_tracks_the_textbook_step(run):
+    cfg, start, steps, never = run
+    params, adam = run_adam(start, steps, cfg)
+    want, m, v, travel = textbook_adam(start, [{k: dense_gradient(g, start[k].shape)
+                                                for k, g in grads.items()} for grads in steps], cfg)
+    assert_within_rounding(params, want, start, travel)
+    for k in start:
+        np.testing.assert_array_equal(adam.m[k], m[k])
+        np.testing.assert_array_equal(adam.v[k], v[k])
+    # a row no gradient touched has m = 0, so neither form moves it
+    assert params["W"][never].tobytes() == want["W"][never].tobytes() == start["W"][never].tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -238,9 +331,10 @@ def test_adam_keeps_its_moment_arrays():
               AdamConfig())
 
     def arrays():
-        return [arr for k in params for arr in (adam.m[k], adam.v[k], *adam.buffers[k])]
+        return [arr for k in params for arr in (adam.m[k], adam.v[k], adam.buffers[k])]
 
     held = arrays()
+    assert all(adam.buffers[k].shape == params[k].shape for k in params)  # one work array a block
     for _ in range(3):
         adam_step(adam, params, {k: rng.normal(size=a.shape) for k, a in params.items()},
                   AdamConfig())
@@ -385,6 +479,9 @@ def test_spec_validation():
         EarlyStopConfig(patience=0)
     with pytest.raises(ValueError):
         AdamConfig(beta1=1.0)
+    for epsilon in (0.0, -1e-3, np.nan, np.inf):  # eps 0 makes an untouched row 0/0
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            AdamConfig(epsilon=epsilon)
 
 
 def test_glorot_init_bounds():
