@@ -19,7 +19,9 @@ the digest of the terms ``features.load_vocab`` reads back, their
 the test split of the vocabulary's own corpus through that vocabulary under
 both weighting schemes.  The four profile runs share one min-df-1
 vocabulary of ``s-train.tsv``; the config run's ``config-mdn-vocab.tsv``,
-of ``c-train.tsv``, is a second one.  Run
+of ``c-train.tsv``, is a second one.  A last ``sha256  tokenize`` line is
+the digest of ``features.tokenize`` over ``TOKEN_TEXTS``, non-ASCII texts
+that no corpus above holds.  Run
 it on two source trees and diff the listings; equal lines mean
 byte-identical outputs (equal ``decoded`` lines: equal checkpointed models
 and equal vocabularies):
@@ -48,6 +50,22 @@ VOCAB_TESTS = {**{f"{model}-vocab.tsv": "s-test.tsv" for model in MODELS},
                "config-mdn-vocab.tsv": "c-test.tsv"}
 TEXT = "mode0tok0 ambtok1 mode1tok2 noisetok7"
 BBOX = "25,55,-110,-90"
+# the 29 characters str.split splits on
+SPLIT_WHITESPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680" + \
+    "".join(map(chr, range(0x2000, 0x200b))) + "\u2028\u2029\u202f\u205f\u3000"
+# every whitespace between tokens; @- and #-led tokens; tokens of punctuation or
+# marks only; combining marks; "İ", which lowercases to two characters; "ß";
+# a word-final and a word-inner capital sigma
+TOKEN_TEXTS = [
+    SPLIT_WHITESPACE.join(["W\u00f6rd", "@m\u00e9ntion", "#Ta\u011f", "\u00bf\u00bf", "\u2026#\u2026",
+                           "(caf\u00e9)", "@", "x@y", "e\u0301\u0301", "\u0301a", "--a-b--", "#", "_",
+                           "\u4e2d\u6587\u3002", "\u0663\u0664"]),
+    "\u0130stanbul \u0130 \u0130\u0130 STRA\u00dfE \u00df\u00df! "
+    "\u039f\u0394\u039f\u03a3 \u03a3\u039f\u03a6\u0399\u0391 \u03a3.",
+    "\u00a0@\u00e0\u3000#\u00e0#\u2028\u0085\u00ab\u00bb "
+    "\u201cquoted\u201d \u2014dash\u2014 \u20dd\u20dd @@ ##",
+    "",
+]
 SYNTH_INI = """[synth]
 mode_centers = 30,-100;45,-90;50,-110
 mode_stddev = 0.7
@@ -156,6 +174,8 @@ def main():
             print(f"{decoded_digest(d / f'{model}.json')}  {model}.json decoded")
         for vocab, test in VOCAB_TESTS.items():
             print(f"{vocab_digest(d / vocab, d / test)}  {vocab} decoded")
+    tokens = json.dumps([features.tokenize(text) for text in TOKEN_TEXTS])
+    print(f"{hashlib.sha256(tokens.encode('utf-8')).hexdigest()}  tokenize")
 
 
 if __name__ == "__main__":

@@ -115,6 +115,9 @@ def cmd_train(args):
     if cfg["max_epochs"] < 0:
         raise UsageError("--max-epochs must be >= 0")
     adam_cfg = network.AdamConfig(cfg["lr"], cfg["beta1"], cfg["beta2"], cfg["epsilon"])
+    stop_cfg = network.EarlyStopConfig(cfg["patience"])
+    if cfg["batch_size"] < 1:
+        raise UsageError(f"batch_size must be >= 1, got {cfg['batch_size']}")
     if cfg["model"] not in ("regression", "mdn", "mdn_shared", "dialect"):
         raise UsageError(f"--model must be one of regression/mdn/mdn_shared/dialect, got {cfg['model']!r}")
     if cfg["model"] == "regression" and args.k is not None:
@@ -159,9 +162,8 @@ def cmd_train(args):
         print(f"epoch {epoch}: train={train_loss:.6f} dev={dev_metric:.6f} ({elapsed:.2f}s)",
               file=sys.stderr)
 
-    network.train_loop(model, train_data, dev_data, adam_cfg, network.EarlyStopConfig(cfg["patience"]),
-                       batch_size=cfg["batch_size"], max_epochs=cfg["max_epochs"],
-                       seed=seed, log_sink=sink)
+    network.train_loop(model, train_data, dev_data, adam_cfg, stop_cfg, batch_size=cfg["batch_size"],
+                       max_epochs=cfg["max_epochs"], seed=seed, log_sink=sink)
     data.save_model(args.checkpoint, model)
     if args.vocab:
         features.save_vocab(args.vocab, vocab)
@@ -254,21 +256,22 @@ def cmd_dialect(args):
     if model.model_name != "dialect":
         raise UsageError(f"dialect scoring needs a dialect checkpoint, got {model.model_name!r}")
     regions = dl.read_regions(args.regions)
+    if not regions:
+        raise UsageError(f"{args.regions} has no regions")
     coords = data.coords_array(_read_users(args.train))
     rng = np.random.default_rng(args.seed)
     pts = coords[rng.integers(len(coords), size=args.p)]
-    scored, masks = [], []
-    for region in regions:
-        mask = dl.region_membership(pts, region, args.radius_km)
+    masks = [dl.region_membership(pts, region, args.radius_km) for region in regions]
+    if not any(mask.any() for mask in masks):
+        raise UsageError(f"no sampled point lies inside any region of {args.regions}")
+    for region, mask in zip(regions, masks):
         if not mask.any():
             print(f"warning: no sampled points inside {region.name}; skipped", file=sys.stderr)
-            continue
-        scored.append(region)
-        masks.append(mask)
+    scored = [(region, mask) for region, mask in zip(regions, masks) if mask.any()]
     terms = model.terms
     summary = []
-    for region, mask, scores in zip(scored, masks,
-                                    dl.score_vocabulary(model.word_log_prob_blocks(pts), masks)):
+    for (region, mask), scores in zip(scored, dl.score_vocabulary(model.word_log_prob_blocks(pts),
+                                                                  [mask for _, mask in scored])):
         ranked = dl.dialect_rank(terms, scores)
         recall, oov = dl.recall_at_k([t for t, _ in ranked], region.terms, args.k, terms)
         dl.write_ranking_tsv(f"{args.out_prefix}{region.name}.tsv", ranked)

@@ -2,7 +2,9 @@
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -17,19 +19,14 @@ class PipelineError(ValueError):
 STOP_HASH = hashlib.sha256("\n".join(sorted(STOPWORDS)).encode("utf-8")).hexdigest()[:16]
 
 
-_STRIP = re.compile(r"^[^\w#]+|[^\w#]+$", re.UNICODE)
+# A whitespace token not led by "@", less its leading and trailing characters
+# other than \w and "#".  \s is the whitespace str.split splits on.
+_TOKEN = re.compile(r"(?<!\S)(?!@)[^\w#\s]*([\w#](?:\S*[\w#])?)[^\w#\s]*(?!\S)")
 
 
 def tokenize(text):
     """Lowercase whitespace tokens; @-mentions dropped, hashtags kept whole."""
-    out = []
-    for tok in text.lower().split():
-        if tok.startswith("@"):
-            continue
-        tok = _STRIP.sub("", tok)
-        if tok:
-            out.append(tok)
-    return out
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass
@@ -60,23 +57,18 @@ class Vocabulary:
 
 
 def build_vocab(token_docs, min_df=10):
-    """Vocabulary over tokenized documents; df >= min_df, stopwords removed.
+    """Vocabulary over a list of tokenized documents; df >= min_df, stopwords removed.
 
     Index order is descending df, ties broken lexicographically.
     """
     if min_df < 1:
         raise ValueError("min_df must be >= 1")
-    df = {}
-    n_docs = 0
-    for toks in token_docs:
-        n_docs += 1
-        for t in set(toks):
-            df[t] = df.get(t, 0) + 1
+    df = Counter(chain.from_iterable(map(set, token_docs)))
     kept = {t: c for t, c in df.items() if c >= min_df and t not in STOPWORDS}
     if not kept:
         raise PipelineError("vocabulary is empty after filtering")
-    terms = sorted(kept, key=lambda t: (-kept[t], t))
-    return Vocabulary(terms, [kept[t] for t in terms], doc_count=n_docs, min_df=min_df)
+    terms = sorted(sorted(kept), key=kept.__getitem__, reverse=True)  # stable: ties stay lexical
+    return Vocabulary(terms, [kept[t] for t in terms], doc_count=len(token_docs), min_df=min_df)
 
 
 def vectorize_matrix(token_docs, vocab, scheme="l2_count"):

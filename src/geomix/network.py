@@ -47,8 +47,8 @@ class AdamConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("betas must be in (0, 1)")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):

@@ -415,6 +415,7 @@ TRAIN_CASES = {
     "train batch size -5": ("mdn", "--batch-size", "-5"),
     "train lr 0": ("mdn", "--lr", "0"),
     "train lr below 0": ("mdn", "--lr", "-0.01"),
+    "train lr inf": ("mdn", "--lr", "inf"),
     "train max epochs below 0": ("mdn", "--max-epochs", "-1"),
 }
 SYNTH_CASES = {
@@ -432,6 +433,8 @@ DIALECT_CASES = {
     "dialect k -2": ("north\t50,-100\tmode1tok0\n", "--k", "-2"),
     "dialect p 0": ("north\t50,-100\tmode1tok0\n", "--p", "0"),
     "dialect p -3": ("north\t50,-100\tmode1tok0\n", "--p", "-3"),
+    "regions file without regions": ("# a comment\n\n",),
+    "no region holds a sampled point": ("far\t-40,150\tmode1tok0\nfarther\t-45,170\tmode0tok0\n",),
 }
 PREDICT_CASES = {
     "predict without text or input": (),
@@ -447,6 +450,10 @@ FLAG_CASES = {
     "heatmap nan bbox, no checkpoint": ("heatmap", "--bbox", "nan,60,-120,-70"),
     "heatmap resolution 0, no checkpoint": ("heatmap", "--resolution", "0"),
 }
+# train settings refused before any file is read: each case names a --train file that does not exist
+EARLY_TRAIN_CASES = {"train patience 0, no train file": ("--patience", "0"),
+                     "train batch size 0, no train file": ("--batch-size", "0"),
+                     "train lr inf, no train file": ("--lr", "inf")}
 # the model and the flag of each train run given a corpus file with no users
 EMPTY_CORPUS_CASES = {
     "train empty train file": ("mdn", "--train"),
@@ -469,10 +476,17 @@ ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must b
                   "predict with text and input": "exactly one of --text and --input",
                   "predict top below 0": "--top must be >= 0",
                   "heatmap text without features": "no in-vocabulary token",
+                  "train patience 0": "patience must be >= 1",
+                  "train patience 0, no train file": "patience must be >= 1",
                   "train batch size 0": "batch_size must be >= 1",
                   "train batch size -5": "batch_size must be >= 1",
-                  "train lr 0": "learning_rate must be > 0",
-                  "train lr below 0": "learning_rate must be > 0",
+                  "train batch size 0, no train file": "batch_size must be >= 1",
+                  "train lr 0": "learning_rate must be finite and > 0",
+                  "train lr below 0": "learning_rate must be finite and > 0",
+                  "train lr inf": "learning_rate must be finite and > 0",
+                  "train lr inf, no train file": "learning_rate must be finite and > 0",
+                  "regions file without regions": "regions.tsv has no regions",
+                  "no region holds a sampled point": "no sampled point lies inside any region of",
                   "train max epochs below 0": "--max-epochs must be >= 0",
                   "synth more counts than modes": "bad synth settings: 3 users_per_mode counts for 2 modes",
                   "synth count 0": "bad synth settings: users_per_mode must be >= 1",
@@ -535,6 +549,10 @@ def bad_input_argv(case, request, tmp_path):
             return ["dialect", *ck, "--regions", str(tmp_path / "regions.tsv"),
                     "--train", str(tmp_path / "train.tsv"), "--out-prefix", str(tmp_path / "out-"), *flags]
         return ["heatmap", *ck, "--word", "mode0tok0", "--bbox", "25,55,-105,-95", "--output", out, *flags]
+    if case in EARLY_TRAIN_CASES:
+        missing = str(tmp_path / "nothere.tsv")
+        return ["train", "--model", "mdn", "--profile", "synth-mdn", "--train", missing, "--dev", missing,
+                "--checkpoint", out, *EARLY_TRAIN_CASES[case]]
     if case in EMPTY_CORPUS_CASES:
         corpus = request.getfixturevalue("corpus")
         (tmp_path / "empty.tsv").write_text("")
@@ -593,7 +611,7 @@ def bad_input_argv(case, request, tmp_path):
                                   "regression heatmap", "synth center out of range", *SYNTH_CASES,
                                   "malformed vocab", "bad config value", *TRAIN_CASES,
                                   *DIALECT_CASES, "predict on dialect checkpoint",
-                                  *PREDICT_CASES, "evaluate empty test file", *FLAG_CASES,
+                                  *PREDICT_CASES, "evaluate empty test file", *FLAG_CASES, *EARLY_TRAIN_CASES,
                                   *EMPTY_CORPUS_CASES, "dialect empty train file", *EPSILON_CASES,
                                   *NARROW_VOCAB_CASES])
 def test_bad_input_is_an_error_line(case, request, tmp_path, capsys):

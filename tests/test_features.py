@@ -1,6 +1,7 @@
 """Tokenization, vocabulary construction and feature weighting."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,44 @@ from hypothesis import strategies as st
 from geomix import features
 from geomix.features import (PipelineError, Vocabulary, build_vocab, load_vocab, save_vocab,
                              tokenize, vectorize_matrix)
+from geomix.stopwords import STOPWORDS
+
+_STRIP = re.compile(r"^[^\w#]+|[^\w#]+$")
+
+
+def reference_tokenize(text):
+    """The tokenizer as a per-token loop: split, drop @-led tokens, strip."""
+    out = []
+    for tok in text.lower().split():
+        if tok.startswith("@"):
+            continue
+        tok = _STRIP.sub("", tok)
+        if tok:
+            out.append(tok)
+    return out
+
+
+def reference_build_vocab(token_docs, min_df):
+    """The vocabulary by a dict of document frequencies and a (-df, term) sort."""
+    df = {}
+    n_docs = 0
+    for toks in token_docs:
+        n_docs += 1
+        for t in set(toks):
+            df[t] = df.get(t, 0) + 1
+    kept = {t: c for t, c in df.items() if c >= min_df and t not in STOPWORDS}
+    if not kept:
+        raise PipelineError("vocabulary is empty after filtering")
+    terms = sorted(kept, key=lambda t: (-kept[t], t))
+    return Vocabulary(terms, [kept[t] for t in terms], doc_count=n_docs, min_df=min_df)
+
+
+# every character str.split splits on, found by splitting on it
+SPLIT_WHITESPACE = [chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".split()) == 2]
+# "İ" lowercases to "i" and a combining dot; "Σ" lowercases to "ς" at a word's end
+TOKEN_CHARS = [*SPLIT_WHITESPACE, "@", "#", "_", "!", "?", ".", ",", "'", "(", ")", "-", "\u2026", "\u00bf",
+               "\u0301", "\u0307", "\u20dd", "\u0130", "\u00df", "\u03a3", "\u03c3", "a", "B", "7", "\u00e9",
+               "\u4e2d", "\u0663"]
 
 
 def test_tokenize_examples():
@@ -19,6 +58,28 @@ def test_tokenize_examples():
     assert tokenize("") == []
     assert tokenize("  (wow)  ...  ") == ["wow"]
     assert tokenize("#TagCase @Mention") == ["#tagcase"]
+
+
+def test_every_split_whitespace_separates_tokens():
+    assert len(SPLIT_WHITESPACE) >= 25
+    # the regex's \s is the same set, so no character splits one way only
+    assert re.findall(r"\s", "".join(map(chr, range(0x110000)))) == SPLIT_WHITESPACE
+    for ws in SPLIT_WHITESPACE:
+        assert tokenize(f"ab{ws}@cd{ws}#ef!{ws}{ws}!!") == ["ab", "#ef"], hex(ord(ws))
+
+
+def test_tokenize_strips_marks_and_punctuation_at_the_ends_only():
+    assert tokenize("e\u0301t\u00e9\u0301 \u0130stanbul \u039f\u0394\u039f\u03a3 STRA\u00dfE") == \
+        ["e\u0301t\u00e9", "i\u0307stanbul", "\u03bf\u03b4\u03bf\u03c2", "stra\u00dfe"]
+    assert tokenize("\u00bf\u00bfqu\u00e9?? ...#... @ @@x x@y --a-b--") == ["qu\u00e9", "#", "x@y", "a-b"]
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(st.text(st.sampled_from(TOKEN_CHARS) | st.characters(), max_size=60))
+def test_tokenize_equals_the_reference_on_unicode_text(text):
+    """Whitespace of every kind, @- and #-led tokens, tokens of punctuation
+    or marks only, and characters whose lowercase form is longer."""
+    assert tokenize(text) == reference_tokenize(text)
 
 
 def test_build_vocab_df_boundary():
@@ -45,6 +106,24 @@ def test_build_vocab_errors():
         build_vocab([["axx"]], min_df=0)
     with pytest.raises(PipelineError):
         build_vocab([["the", "and"]] * 5, min_df=1)  # all stopwords
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.sampled_from(["axx", "bxx", "cxx", "dxx", "the", "and", "#x", "b"]), max_size=8),
+                min_size=1, max_size=25),
+       st.integers(1, 26))
+def test_build_vocab_equals_the_reference(docs, min_df):
+    """Terms, df and file text, on few terms (many df ties) with stopwords
+    and min_df at, above and below every df."""
+    try:
+        want = reference_build_vocab(docs, min_df)
+    except PipelineError:
+        with pytest.raises(PipelineError, match="empty after filtering"):
+            build_vocab(docs, min_df)
+        return
+    vocab = build_vocab(docs, min_df)
+    assert (vocab.terms, vocab.df, vocab.doc_count) == (want.terms, want.df, want.doc_count)
+    assert vocab.text() == want.text()
 
 
 def rows(docs, vocab, scheme="l2_count"):

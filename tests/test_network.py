@@ -482,6 +482,9 @@ def test_spec_validation():
     for epsilon in (0.0, -1e-3, np.nan, np.inf):  # eps 0 makes an untouched row 0/0
         with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
             AdamConfig(epsilon=epsilon)
+    for lr in (0.0, -1e-3, np.nan, np.inf):  # an infinite lr leaves non-finite params after one step
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            AdamConfig(learning_rate=lr)
 
 
 def test_glorot_init_bounds():
