@@ -198,7 +198,7 @@ def _load_geolocator(args):
 
 def cmd_evaluate(args):
     model, vocab = _load_geolocator(args)
-    records = data.read_corpus(args.test)
+    records = _read_users(args.test)
     _, X = _vectorize([r.text for r in records], vocab)
     truths = data.coords_array(records)
     preds = np.clip(model.predict_points(X), [-90.0, -180.0], [90.0, 180.0])
@@ -308,7 +308,7 @@ def cmd_heatmap(args):
         j = model.terms.index(args.word)
         values = np.concatenate([lp[:, j] for _, lp in model.word_log_prob_blocks(points)])
     else:
-        if not hasattr(model, "mixture_arrays"):
+        if not hasattr(model, "mixture_rows"):
             raise UsageError(f"heatmap needs a mixture or dialect checkpoint, got {model.model_name!r}")
         if args.text is None or args.vocab is None:
             raise UsageError("geolocation heatmap needs --text and --vocab")
@@ -316,7 +316,7 @@ def cmd_heatmap(args):
         _, X = _vectorize([args.text], vocab)
         if X.nnz == 0:
             raise UsageError("--text has no in-vocabulary token")
-        values = heads.predictive_density_grid([a[0] for a in model.mixture_arrays(X)], points)
+        values = heads.predictive_density_grid(*model.mixture_rows(X), points)
     values = values.reshape(res, res)
     with open(args.output, "w", encoding="utf-8") as f:
         f.write("lat,lon,log_value\n")

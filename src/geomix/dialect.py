@@ -7,10 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import text_lines
-from .gaussian import log_softmax
 from .geo import GeoPoint, haversine_km
 from .heads import bank_grads, component_grads, component_rows, component_terms
-from .kernels import component_log_pdf
+from .kernels import component_log_pdf, log_softmax
 from .network import ContractError
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import kmeans
-from .gaussian import inv_softplus, log_softmax, softplus, softplus_grad, softsign, softsign_grad
 from .geo import GeoPoint
-from .kernels import SIGMA_MIN, component_log_pdf, log_pdf_partials, logsumexp_rows, row_blocks
+from .kernels import (clamped_sigma, component_log_pdf, inv_softplus, log_pdf_partials, log_softmax,
+                      logsumexp_rows, row_blocks, softplus_grad, softsign, softsign_grad)
 from .network import ContractError, TrainingError
 
 SLICE_LAYOUT = "mu1|mu2|sigma1|sigma2|rho|pi"
@@ -38,11 +38,6 @@ class MdnHeadConfig:
             raise ValueError(f"unknown selection rule: {self.selection_rule}")
 
 
-def _clamped_sigma(raw):
-    s = softplus(raw)
-    return np.maximum(s, SIGMA_MIN), s > SIGMA_MIN
-
-
 def mdn_rows(raw, K):
     """The MDN's raw N x 6K output as its five N x K component rows and its
     N x K raw pi block (views)."""
@@ -53,7 +48,7 @@ def mdn_rows(raw, K):
 def mixture_arrays(rows, raw_pi):
     """(mu1, mu2, sigma1, sigma2, rho, pi) of component rows and an N x K raw pi."""
     mu1, mu2, rs1, rs2, rr = rows
-    return (mu1, mu2, _clamped_sigma(rs1)[0], _clamped_sigma(rs2)[0], softsign(rr),
+    return (mu1, mu2, clamped_sigma(rs1)[0], clamped_sigma(rs2)[0], softsign(rr),
             np.exp(log_softmax(raw_pi)))
 
 
@@ -142,8 +137,8 @@ def component_terms(rows, X):
     the rows' shape.
     """
     mu1, mu2, rs1, rs2, rr = rows
-    s1, live1 = _clamped_sigma(rs1)
-    s2, live2 = _clamped_sigma(rs2)
+    s1, live1 = clamped_sigma(rs1)
+    s2, live2 = clamped_sigma(rs2)
     return X[:, 0:1] - mu1, X[:, 1:2] - mu2, s1, s2, softsign(rr), (live1, live2)
 
 
@@ -213,17 +208,11 @@ def grid_cells(bbox, resolution):
     return lats, lons, np.stack([glat.ravel(), glon.ravel()], axis=1)
 
 
-def predictive_density_grid(mixture, points):
-    """Mixture log-density at each of the P x 2 (lat, lon) ``points``.
-
-    ``mixture`` is one sample's (mu1, mu2, sigma1, sigma2, rho, pi), each of
-    length K, in ``mixture_arrays`` order; pi is renormalised to sum to 1.
-    """
-    mu1, mu2, s1, s2, rho, pi = mixture
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(pi / pi.sum())
+def predictive_density_grid(rows, raw_pi, points):
+    """Log-density at each of the P x 2 (lat, lon) ``points`` of the one
+    mixture of 1 x K component rows and 1 x K raw pi: its
+    ``mixture_log_likelihood``, in row blocks of the points."""
     out = np.empty(len(points))
-    for rows in row_blocks(len(points), len(pi)):
-        out[rows] = logsumexp_rows(log_pi + component_log_pdf(
-            points[rows, 0:1] - mu1, points[rows, 1:2] - mu2, s1, s2, rho))
+    for block in row_blocks(len(points), raw_pi.shape[1]):
+        out[block] = mixture_log_likelihood(rows, raw_pi, points[block])[0]
     return out

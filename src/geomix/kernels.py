@@ -1,4 +1,6 @@
-"""Hot numeric kernels for the bivariate Gaussian mixture math.
+"""The bivariate Gaussian core, numpy alone: the transforms of raw network
+outputs (softplus floored at SIGMA_MIN for sigmas, softsign for rhos,
+log-softmax for mixing weights), the clamp floors and the mixture density.
 
 The Gaussian kernels broadcast: N x K offsets take sigma and rho as N x K
 arrays or as shared 1 x K rows, whose K-only subterms are then computed once
@@ -15,6 +17,46 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 SIGMA_MIN = 1e-6
 Q_MIN = 1e-9
 ROW_BLOCK_ELEMS = 1 << 21  # float64 values in one row block of a wide output (16 MB)
+
+
+def softplus(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 0.0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(np.minimum(x, 0.0))))
+
+
+def softplus_grad(x):
+    """The logistic function, softplus's derivative."""
+    with np.errstate(over="ignore"):  # exp(-x) overflows to inf below x ~ -709, giving 0
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+def inv_softplus(y):
+    """Raw value whose softplus is y (y > 0)."""
+    y = np.asarray(y, dtype=float)
+    return np.where(y > 30.0, y, np.log(np.expm1(np.maximum(y, 1e-300))))
+
+
+def clamped_sigma(raw):
+    """(softplus(raw) floored at SIGMA_MIN, the mask where the floor is not hit)."""
+    s = softplus(raw)
+    return np.maximum(s, SIGMA_MIN), s > SIGMA_MIN
+
+
+def softsign(x):
+    x = np.asarray(x, dtype=float)
+    return x / (1.0 + np.abs(x))
+
+
+def softsign_grad(x):
+    x = np.asarray(x, dtype=float)
+    return 1.0 / (1.0 + np.abs(x)) ** 2
+
+
+def log_softmax(v):
+    v = np.asarray(v, dtype=float)
+    shifted = v - np.max(v, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def row_blocks(n_rows, width):

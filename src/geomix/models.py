@@ -31,7 +31,7 @@ from scipy import sparse
 
 from . import dialect as dl
 from . import heads
-from .kernels import row_blocks
+from .kernels import inv_softplus, log_softmax, row_blocks
 from .network import NetworkSpec, backward, forward, init_network_params, regularization_penalty
 
 FORMAT_VERSION = 3
@@ -107,7 +107,7 @@ class _BaseModel:
     def _load_params(self, ck):
         """Set ``params`` from the checkpoint's blocks, which must be the
         network's blocks plus the extra blocks the constructor set.  A
-        block is read only once its shape matches."""
+        block is read only once its shape matches, and must be finite."""
         sizes = self.spec.layer_sizes
         shapes = {}
         for i in range(len(sizes) - 1):
@@ -123,6 +123,8 @@ class _BaseModel:
                 raise CheckpointError(f"parameter {name} has shape {blocks[name].shape}, "
                                       f"the model needs {shape}")
             params[name] = blocks[name].read()
+            if not np.isfinite(params[name]).all():
+                raise CheckpointError(f"parameter {name} holds a non-finite value")
         self.params = params
         self.vocab_hash = ck.get("vocab_hash")
 
@@ -167,16 +169,19 @@ class _MixtureGeolocator(_BaseModel):
         """(the five component rows, raw pi) of the network output ``out``."""
         raise NotImplementedError
 
+    def mixture_rows(self, X):
+        """(the five component rows, raw pi) of one forward pass over the N rows
+        of X: each N x K, or 1 x K rows when all users share them."""
+        return self._rows(forward(self.params, self.spec, X).output)
+
     def mixture_arrays(self, X):
-        """(mu1, mu2, sigma1, sigma2, rho, pi) for the N rows of X: pi is N x K,
-        the component arrays N x K, or 1 x K rows when all users share them."""
-        return heads.mixture_arrays(*self._rows(forward(self.params, self.spec, X).output))
+        """(mu1, mu2, sigma1, sigma2, rho, pi) of ``mixture_rows(X)``, each of its shape."""
+        return heads.mixture_arrays(*self.mixture_rows(X))
 
     def dev_metric(self, data):
         """The head's loss on one forward pass; no backward, no gradients."""
         X, Y = data
-        ll = heads.mixture_log_likelihood(*self._rows(forward(self.params, self.spec, X).output), Y)[0]
-        return -float(np.mean(ll))
+        return -float(np.mean(heads.mixture_log_likelihood(*self.mixture_rows(X), Y)[0]))
 
     def predict_points(self, X, rule=None):
         mu1, mu2, s1, s2, rho, pi = self.mixture_arrays(X)
@@ -226,7 +231,7 @@ class MdnGeolocator(_MixtureGeolocator):
         b = self.params[f"b{len(self.spec.layer_sizes) - 2}"]
         b[:K] = centers[:, 0]
         b[K:2 * K] = centers[:, 1]
-        b[2 * K:4 * K] = float(heads.inv_softplus(sigma))
+        b[2 * K:4 * K] = float(inv_softplus(sigma))
         b[4 * K:] = 0.0
 
 
@@ -296,7 +301,7 @@ class DialectModel(_BaseModel):
         """N x V log-probabilities over the vocabulary for N coordinates."""
         acts_in, _ = dl.gaussian_layer_forward_batch(self.params, coords, self.log_domain)
         logits = forward(self.params, self.spec, acts_in).output
-        return heads.log_softmax(logits)
+        return log_softmax(logits)
 
     def word_log_prob_blocks(self, coords):
         """``(start, word_log_probs(coords[rows]))`` for the V-wide

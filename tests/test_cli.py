@@ -498,7 +498,9 @@ ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must b
                   **{case: "--radius-km must be finite and > 0" for case in FLAG_CASES if "radius" in case},
                   **{case: "bad --bbox" for case in FLAG_CASES if case.startswith("heatmap")},
                   **{case: "empty.tsv has no users"
-                     for case in [*EMPTY_CORPUS_CASES, "dialect empty train file"]},
+                     for case in [*EMPTY_CORPUS_CASES, "dialect empty train file",
+                                  "evaluate empty test file"]},
+                  "evaluate non-finite checkpoint": "parameter b1 holds a non-finite value",
                   **{case: "epsilon must be finite and > 0" for case in EPSILON_CASES},
                   **{case: "vocabulary {tmp}/narrow-vocab.tsv has 2 terms but checkpoint "
                            "{tmp}/nohash.ckpt takes 32 inputs" for case in NARROW_VOCAB_CASES}}
@@ -594,6 +596,14 @@ def bad_input_argv(case, request, tmp_path):
         return ["evaluate", "--checkpoint", str(trained / "mdn.json"),
                 "--vocab", str(trained / "vocab.tsv"), "--test", str(tmp_path / "empty.tsv"),
                 "--error-tsv", out]
+    if case == "evaluate non-finite checkpoint":
+        trained, corpus = request.getfixturevalue("trained"), request.getfixturevalue("corpus")
+        model = data.load_model(trained / "mdn.json")
+        model.params["b1"][0] = float("nan")
+        data.save_model(tmp_path / "nan.ckpt", model)
+        return ["evaluate", "--checkpoint", str(tmp_path / "nan.ckpt"),
+                "--vocab", str(trained / "vocab.tsv"), "--test", str(corpus / "s-test.tsv"),
+                "--error-tsv", out]
     if case.startswith("dialect"):
         ck = request.getfixturevalue("dialect_run") / "dia.json"
         return ["heatmap", "--checkpoint", str(ck), "--word", "mode0tok0",
@@ -611,7 +621,8 @@ def bad_input_argv(case, request, tmp_path):
                                   "regression heatmap", "synth center out of range", *SYNTH_CASES,
                                   "malformed vocab", "bad config value", *TRAIN_CASES,
                                   *DIALECT_CASES, "predict on dialect checkpoint",
-                                  *PREDICT_CASES, "evaluate empty test file", *FLAG_CASES, *EARLY_TRAIN_CASES,
+                                  *PREDICT_CASES, "evaluate empty test file",
+                                  "evaluate non-finite checkpoint", *FLAG_CASES, *EARLY_TRAIN_CASES,
                                   *EMPTY_CORPUS_CASES, "dialect empty train file", *EPSILON_CASES,
                                   *NARROW_VOCAB_CASES])
 def test_bad_input_is_an_error_line(case, request, tmp_path, capsys):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from geomix import dialect as dl
 from geomix import heads
-from geomix.gaussian import inv_softplus, softplus, softsign
-from geomix.kernels import Q_MIN, SIGMA_MIN, component_log_pdf, log_pdf_partials
+from geomix.kernels import (Q_MIN, SIGMA_MIN, component_log_pdf, inv_softplus, log_pdf_partials,
+                            softplus, softsign)
 
 H = 1e-5  # central-difference step
 SIGMA_EDGE = float(inv_softplus(SIGMA_MIN))  # raw sigma below which SIGMA_MIN clamps

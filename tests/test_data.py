@@ -225,6 +225,8 @@ V3_BREAKAGES = {
     "head K mismatch": "bad model fields", "missing member": "do not match",
     "extra member": "do not match", "stray member": "unexpected checkpoint member",
     "wrong member shape": "has shape", "forged huge shape": "has shape",
+    "nan member": "parameter b1 holds a non-finite value",
+    "inf member": "parameter W0 holds a non-finite value",
     "big-endian member": "'>f8'", "float32 member": "'<f4'",
     "fortran member": "'fortran_order': True",
     "pickled member": "'|O'", "short member": "data size", "long member": "data size",
@@ -274,6 +276,12 @@ def test_malformed_v3_checkpoint_is_checkpoint_error(tmp_path, breakage):
         members["notes.txt"] = b"hello"
     elif breakage == "wrong member shape":
         members["W0.npy"] = npy_bytes(W0.T.copy())
+    elif breakage == "nan member":
+        b1 = model.params["b1"].copy()
+        b1[0] = np.nan
+        members["b1.npy"] = npy_bytes(b1)
+    elif breakage == "inf member":
+        members["W0.npy"] = npy_bytes(np.where(W0 == W0.max(), -np.inf, W0))
     elif breakage == "forged huge shape":  # refused from the header, before any allocation
         buf = io.BytesIO()
         np.lib.format.write_array_header_1_0(

@@ -9,7 +9,7 @@ from scipy.stats import multivariate_normal
 
 from geomix import dialect as dl
 from geomix import kernels, models
-from geomix.gaussian import inv_softplus, softsign
+from geomix.kernels import inv_softplus, softsign
 from geomix.geo import EARTH_RADIUS_KM, haversine_km
 from geomix.network import ContractError, gradient_check
 

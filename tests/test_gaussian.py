@@ -1,13 +1,20 @@
 """Bivariate Gaussian kernels against an independent matrix-form oracle,
-mixtures in array form, plus the constraint transforms."""
+mixtures in array form, plus the constraint transforms, which need no scipy."""
+
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 from scipy.stats import multivariate_normal
 
+import geomix
 from geomix import kernels
-from geomix.gaussian import inv_softplus, log_softmax, softplus, softplus_grad, softsign, softsign_grad
+from geomix.kernels import inv_softplus, log_softmax, softplus, softplus_grad, softsign, softsign_grad
 
 
 def log_pdf(g, x):
@@ -90,6 +97,39 @@ def test_softplus_properties():
     vals = np.array([1e-6, 0.1, 1.0, 10.0, 35.0])
     np.testing.assert_allclose(softplus(inv_softplus(vals)), vals, rtol=1e-9)
     assert abs(softplus(np.array(0.0)) - np.log(2.0)) < 1e-15
+
+
+def test_softplus_grad_is_the_logistic():
+    """softplus_grad against scipy's expit, from 0 and -0 out to +-1e6 and +-inf,
+    across the range where exp(-x) overflows and the logistic underflows."""
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-1e6, 1e6, 20_000), rng.normal(scale=40.0, size=20_000),
+                        rng.normal(size=20_000), np.linspace(-760.0, -700.0, 20_001),
+                        [0.0, -0.0, 1e6, -1e6, np.inf, -np.inf]])
+    np.testing.assert_allclose(softplus_grad(x), expit(x), rtol=1e-15, atol=0.0)
+    assert softplus_grad(np.inf) == 1.0 and softplus_grad(-np.inf) == 0.0
+    assert softplus_grad(0.0) == softplus_grad(-0.0) == 0.5
+
+
+def test_softplus_grad_warns_nowhere():
+    """exp(-x) overflows at x = -800; the logistic is then 0, with no warning
+    under numpy's default error state."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert softplus_grad(-800.0) == 0.0
+        assert np.all(softplus_grad(np.array([-800.0, -1e6, -np.inf])) == 0.0)
+
+
+def test_cli_loads_only_scipy_sparse():
+    """The Gaussian core is numpy alone: importing the CLI in a fresh
+    interpreter loads no public scipy subpackage besides sparse (and the
+    version module scipy itself imports)."""
+    code = ("import sys, geomix.cli; print(' '.join(sorted({m.split('.')[1] for m in sys.modules "
+            "if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(Path(geomix.__file__).parents[1])))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["sparse", "version"]
 
 
 def test_softsign_properties():

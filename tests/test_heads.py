@@ -9,8 +9,8 @@ from scipy.stats import multivariate_normal
 
 from geomix import heads, kernels
 from geomix.cluster import KMeansInitError, kmeans
-from geomix.gaussian import softplus
-from geomix.network import ContractError
+from geomix.kernels import inv_softplus, softplus
+from geomix.network import ContractError, TrainingError
 
 
 def mixture_rows(components, weights):
@@ -258,39 +258,78 @@ def test_regression_gradient_fd():
             assert abs(grad[i, j] - numeric) < 1e-6
 
 
+def raw_mixture(components, weights):
+    """1 x K raw component rows and raw pi whose mixture has the per-component
+    (mu1, mu2, sigma1, sigma2, rho) tuples and the weights."""
+    mu1, mu2, s1, s2, rho, pi = mixture_rows(components, weights)
+    return [mu1, mu2, inv_softplus(s1), inv_softplus(s2), rho / (1.0 - np.abs(rho))], np.log(pi)
+
+
+def reference_density_grid(rows, raw_pi, points):
+    """The grid as it was drawn before it shared ``mixture_log_likelihood``:
+    transformed components, pi renormalised to sum to 1."""
+    mu1, mu2, s1, s2, rho, pi = heads.mixture_arrays(rows, raw_pi)
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(pi / pi.sum())
+    return kernels.logsumexp_rows(log_pi + kernels.component_log_pdf(
+        points[:, 0:1] - mu1, points[:, 1:2] - mu2, s1, s2, rho))
+
+
 def test_density_grid_integrates_to_one():
-    mixture = [a[0] for a in mixture_rows(
-        ((40.0, -100.0, 0.8, 1.1, 0.2), (43.0, -96.0, 1.2, 0.7, -0.4)), (0.55, 0.45))]
+    rows, raw_pi = raw_mixture(((40.0, -100.0, 0.8, 1.1, 0.2), (43.0, -96.0, 1.2, 0.7, -0.4)),
+                               (0.55, 0.45))
     bbox = (30.0, 53.0, -112.0, -84.0)
     lats, lons, points = heads.grid_cells(bbox, 200)
-    grid = heads.predictive_density_grid(mixture, points).reshape(200, 200)
+    grid = heads.predictive_density_grid(rows, raw_pi, points).reshape(200, 200)
     assert grid.shape == (200, 200)
     cell = (bbox[1] - bbox[0]) / 200 * (bbox[3] - bbox[2]) / 200
     assert abs(np.exp(grid).sum() * cell - 1.0) < 1e-2
-    # pi is renormalised: doubled weights give the same grid
-    doubled = mixture[:5] + [2.0 * mixture[5]]
-    np.testing.assert_allclose(heads.predictive_density_grid(doubled, points), grid.ravel(),
-                               rtol=1e-12)
+    # pi is a softmax of raw pi: a constant added to raw pi gives the same grid
+    np.testing.assert_allclose(heads.predictive_density_grid(rows, raw_pi + 7.5, points),
+                               grid.ravel(), rtol=1e-12)
     # grid peak sits near the heavier component's mean
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     assert abs(lats[i] - 40.0) < 0.2 and abs(lons[j] + 100.0) < 0.2
 
 
+def test_density_grid_matches_the_renormalised_reference():
+    rng = np.random.default_rng(12)
+    _, _, points = heads.grid_cells((25.0, 50.0, -125.0, -65.0), 20)
+    for K in [1, 2, 7, 50, 300, 900] * 8 + [900, 900]:
+        rows = [rng.normal(38.0, 6.0, (1, K)), rng.normal(-95.0, 12.0, (1, K)),
+                rng.normal(0.5, 1.5, (1, K)), rng.normal(0.5, 1.5, (1, K)), rng.normal(0.0, 2.0, (1, K))]
+        raw_pi = rng.uniform(-15.0, 15.0, (1, K))
+        np.testing.assert_allclose(heads.predictive_density_grid(rows, raw_pi, points),
+                                   reference_density_grid(rows, raw_pi, points), rtol=1e-12)
+
+
 @pytest.mark.parametrize("block_elems, K", [(35, 5), (3, 5)])
 def test_density_grid_in_row_blocks_is_bitwise_one_block(monkeypatch, block_elems, K):
     rng = np.random.default_rng(11)
-    mixture = (rng.normal(40.0, 3.0, K), rng.normal(-100.0, 3.0, K), rng.uniform(0.3, 2.0, K),
-               rng.uniform(0.3, 2.0, K), rng.uniform(-0.9, 0.9, K), rng.dirichlet(np.ones(K)))
+    rows = [rng.normal(40.0, 3.0, (1, K)), rng.normal(-100.0, 3.0, (1, K)), rng.normal(0.5, 1.0, (1, K)),
+            rng.normal(0.5, 1.0, (1, K)), rng.normal(0.0, 2.0, (1, K))]
+    raw_pi = rng.normal(0.0, 2.0, (1, K))
     _, _, points = heads.grid_cells((30.0, 50.0, -110.0, -90.0), 9)
-    whole = heads.predictive_density_grid(mixture, points)  # 81 x 5 fits in one block
+    whole = heads.predictive_density_grid(rows, raw_pi, points)  # 81 x 5 fits in one block
     monkeypatch.setattr(kernels, "ROW_BLOCK_ELEMS", block_elems)
     block_rows, logsumexp_rows = [], heads.logsumexp_rows
     monkeypatch.setattr(heads, "logsumexp_rows", lambda a: block_rows.append(len(a)) or logsumexp_rows(a))
-    blocked = heads.predictive_density_grid(mixture, points)
+    blocked = heads.predictive_density_grid(rows, raw_pi, points)
     assert blocked.tobytes() == whole.tobytes()
     # 7-row blocks leave a 4-row tail; K > ROW_BLOCK_ELEMS still takes one row a block
     step = max(1, block_elems // K)
     assert block_rows == [min(step, 81 - start) for start in range(0, 81, step)]
+
+
+def test_density_grid_refuses_a_non_finite_mixture():
+    rows, raw_pi = raw_mixture(((40.0, -100.0, 0.8, 1.1, 0.2), (43.0, -96.0, 1.2, 0.7, -0.4)),
+                               (0.55, 0.45))
+    _, _, points = heads.grid_cells((30.0, 53.0, -112.0, -84.0), 10)
+    for i in range(6):
+        bad_rows, bad_pi = [r.copy() for r in rows], raw_pi.copy()
+        (bad_rows[i] if i < 5 else bad_pi)[0, 1] = [np.nan, np.inf, -np.inf][i % 3]
+        with pytest.raises(TrainingError, match="non-finite mixture parameters"):
+            heads.predictive_density_grid(bad_rows, bad_pi, points)
 
 
 def test_density_grid_validation():
