@@ -92,17 +92,9 @@ def perplexity(log_probs, counts):
     return float(np.exp(-np.sum(counts * np.where(counts > 0, lp, 0.0)) / total))
 
 
-def dialect_score(log_probs_at_points, in_region_mask):
-    """Mean log-probability over in-region points minus mean over all points."""
-    mask = np.asarray(in_region_mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("no sampled points fall inside the region")
-    lp = np.asarray(log_probs_at_points, dtype=float)
-    return float(lp[mask].mean() - lp.mean())
-
-
 def score_vocabulary(blocks, masks):
-    """dialect_score of every vocabulary column, for each region mask.
+    """Each vocabulary column's mean log-probability over the in-region points
+    minus its mean over all points, for each region mask.
 
     ``blocks`` yields ``(start, log_probs)`` row blocks that together cover
     a P x V log-probability matrix in order; ``masks`` are P-length region

@@ -144,19 +144,18 @@ def component_terms(rows, X):
 
 def component_grads(rows, terms, w):
     """Gradients over the five component rows given ``w`` = dLoss/dlog N
-    (N x K) at the ``component_terms`` points, each of its row's shape: a
-    1 x K row sums over the points.  The SIGMA_MIN and Q_MIN clamp zones get 0."""
+    (N x K) at the ``component_terms`` points, each of its row's shape: the
+    offsets' weighted moments, summed over the points for a 1 x K row, go to
+    ``log_pdf_partials``.  The SIGMA_MIN and Q_MIN clamp zones get 0."""
     d1, d2, s1, s2, rho, (live1, live2) = terms
-    dmu1, dmu2, ds1, ds2, drho = log_pdf_partials(d1, d2, s1, s2, rho)
     _, _, rs1, rs2, rr = rows
-
-    def reduce(g):
-        return g if g.shape == rr.shape else g.sum(axis=0, keepdims=True)
-
-    return [reduce(w * dmu1), reduce(w * dmu2),
-            reduce(w * ds1) * softplus_grad(rs1) * live1,
-            reduce(w * ds2) * softplus_grad(rs2) * live2,
-            reduce(w * drho) * softsign_grad(rr)]
+    wd1, wd2 = w * d1, w * d2
+    moments = (w, wd1, wd2, wd1 * d1, wd2 * d2, wd1 * d2)
+    if rr.shape != w.shape:
+        moments = [m.sum(axis=0, keepdims=True) for m in moments]
+    dmu1, dmu2, ds1, ds2, drho = log_pdf_partials(*moments, s1, s2, rho)
+    return [dmu1, dmu2, ds1 * softplus_grad(rs1) * live1, ds2 * softplus_grad(rs2) * live2,
+            drho * softsign_grad(rr)]
 
 
 def predict_arrays(mu1, mu2, s1, s2, rho, pi, rule="strongest_pi"):

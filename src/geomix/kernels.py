@@ -72,19 +72,24 @@ def component_log_pdf(d1, d2, s1, s2, rho):
     return -LOG_2PI - np.log(s1) - np.log(s2) - 0.5 * np.log(q) - z / (2.0 * q)
 
 
-def log_pdf_partials(d1, d2, s1, s2, rho):
-    """Partials of ``component_log_pdf`` w.r.t. (mu1, mu2, s1, s2, rho)."""
-    q = np.maximum(1.0 - rho * rho, Q_MIN)
-    z = d1 * d1 / (s1 * s1) - 2.0 * rho * d1 * d2 / (s1 * s2) + d2 * d2 / (s2 * s2)
-    cross = d1 * d2 / (s1 * s2)
-    dmu1 = (d1 / (s1 * s1) - rho * d2 / (s1 * s2)) / q
-    dmu2 = (d2 / (s2 * s2) - rho * d1 / (s1 * s2)) / q
-    ds1 = -1.0 / s1 + (d1 * d1 / (s1 * s1 * s1) - rho * cross / s1) / q
-    ds2 = -1.0 / s2 + (d2 * d2 / (s2 * s2 * s2) - rho * cross / s2) / q
-    drho = rho / q + cross / q - rho * z / (q * q)
-    # clamped q is a stop-gradient region for rho
-    drho = np.where(1.0 - rho * rho > Q_MIN, drho, 0.0)
-    return dmu1, dmu2, ds1, ds2, drho
+def log_pdf_partials(m0, m1, m2, m11, m22, m12, s1, s2, rho):
+    """Sums of w times the partials of ``component_log_pdf`` w.r.t. (mu1, mu2,
+    s1, s2, rho) over points that share (s1, s2, rho), from the weighted moments
+    of their offsets: sum w, w*d1, w*d2, w*d1*d1, w*d2*d2 and w*d1*d2.  Exact in
+    real arithmetic; the moments of one point with w = 1 give its partials."""
+    r2 = rho * rho
+    iq = 1.0 / np.maximum(1.0 - r2, Q_MIN)
+    a1, a2 = 1.0 / s1, 1.0 / s2
+    u1, u2 = m1 * a1, m2 * a2
+    v11, v22 = m11 * a1 * a1, m22 * a2 * a2
+    cross = m12 * a1 * a2
+    rc = rho * cross
+    dmu1 = (u1 - rho * u2) * (a1 * iq)
+    dmu2 = (u2 - rho * u1) * (a2 * iq)
+    ds1 = ((v11 - rc) * iq - m0) * a1
+    ds2 = ((v22 - rc) * iq - m0) * a2
+    drho = (rho * m0 + cross - rho * (v11 + v22 - 2.0 * rc) * iq) * iq
+    return dmu1, dmu2, ds1, ds2, np.where(1.0 - r2 > Q_MIN, drho, 0.0)  # clamped q: stop-gradient
 
 
 def logsumexp_rows(a):

@@ -286,7 +286,8 @@ def train_loop(model, train_data, dev_data, adam_cfg=None, stop_cfg=None,
             log_sink(record)
         if metric < best_metric:
             best_metric = metric
-            best_params = {k: v.copy() for k, v in model.params.items()}
+            for k, v in model.params.items():
+                np.copyto(best_params[k], v)  # in place: one best copy at a time
             best_epoch = epoch
         elif epoch - best_epoch >= stop_cfg.patience:
             break

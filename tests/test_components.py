@@ -5,7 +5,10 @@ each of its callers: ``heads.mdn_nll`` on N x K component rows, and on the
 shared bank's 1 x K rows ``heads.shared_nll`` and the dialect layer, in both
 activation domains.  Some drawn components sit in a clamp zone: a raw sigma
 far below the SIGMA_MIN edge or a raw rho past the Q_MIN edge, where the
-gradient must be exactly 0.
+gradient must be exactly 0.  ``kernels.log_pdf_partials`` takes weighted
+moments of the offsets; the per-point partials it once returned are kept
+here as ``reference_partials``, and the moment form must equal their
+weighted sum within a rounding bound.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from geomix import dialect as dl
 from geomix import heads
 from geomix.kernels import (Q_MIN, SIGMA_MIN, component_log_pdf, inv_softplus, log_pdf_partials,
-                            softplus, softsign)
+                            softplus, softplus_grad, softsign, softsign_grad)
 
 H = 1e-5  # central-difference step
 SIGMA_EDGE = float(inv_softplus(SIGMA_MIN))  # raw sigma below which SIGMA_MIN clamps
@@ -26,7 +29,13 @@ LIVE_RHO = st.floats(-5.0, 5.0)
 CLAMPED_SIGMA = st.floats(-60.0, SIGMA_EDGE)
 # |raw rho| >= 1e10 gives 1 - rho^2 <= 2e-10, past Q_MIN = 1e-9
 SATURATED_RHO = st.floats(1e10, 1e12) | st.floats(-1e12, -1e10)
+# 0, or large enough that no product with an offset or a scale leaves the
+# normal range, where a rounding error is relative to what it rounds
+NORMAL_WEIGHT = st.just(0.0) | st.floats(1e-100, 2.0) | st.floats(-2.0, -1e-100)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# either form rounds each term under ten times, and the sum over at most five
+# points adds four roundings; measured errors stay below 4 eps of the magnitudes
+ROUNDING = 16 * np.finfo(float).eps
 
 
 def draw_component(draw, clamped):
@@ -74,6 +83,38 @@ def mdn_output_and_points(draw):
     X = np.array(draw(st.lists(st.tuples(COORD, COORD), min_size=N, max_size=N)))
     assume_resolvable(heads.mdn_rows(raw, zone.shape[1])[0], X, zone)
     return raw, X, zone
+
+
+def reference_partials(d1, d2, s1, s2, rho):
+    """Per-point partials of ``component_log_pdf`` w.r.t. (mu1, mu2, s1, s2,
+    rho) at offsets d = x - mu, with 0 for rho where Q_MIN clamps."""
+    q = np.maximum(1.0 - rho * rho, Q_MIN)
+    z = d1 * d1 / (s1 * s1) - 2.0 * rho * d1 * d2 / (s1 * s2) + d2 * d2 / (s2 * s2)
+    cross = d1 * d2 / (s1 * s2)
+    dmu1 = (d1 / (s1 * s1) - rho * d2 / (s1 * s2)) / q
+    dmu2 = (d2 / (s2 * s2) - rho * d1 / (s1 * s2)) / q
+    ds1 = -1.0 / s1 + (d1 * d1 / (s1 * s1 * s1) - rho * cross / s1) / q
+    ds2 = -1.0 / s2 + (d2 * d2 / (s2 * s2 * s2) - rho * cross / s2) / q
+    drho = rho / q + cross / q - rho * z / (q * q)
+    return dmu1, dmu2, ds1, ds2, np.where(1.0 - rho * rho > Q_MIN, drho, 0.0)
+
+
+def partial_magnitudes(d1, d2, s1, s2, rho):
+    """``reference_partials`` with every term by its absolute value: the
+    scale of the rounding in either form of a partial."""
+    q = np.maximum(1.0 - rho * rho, Q_MIN)
+    a1, a2, r = np.abs(d1), np.abs(d2), np.abs(rho)
+    cross = a1 * a2 / (s1 * s2)
+    z = a1 * a1 / (s1 * s1) + 2.0 * r * cross + a2 * a2 / (s2 * s2)
+    return ((a1 / (s1 * s1) + r * a2 / (s1 * s2)) / q, (a2 / (s2 * s2) + r * a1 / (s1 * s2)) / q,
+            1.0 / s1 + (a1 * a1 / (s1 * s1 * s1) + r * cross / s1) / q,
+            1.0 / s2 + (a2 * a2 / (s2 * s2 * s2) + r * cross / s2) / q,
+            r / q + cross / q + r * z / (q * q))
+
+
+def draw_weights(data, shape, weight=st.floats(-2.0, 2.0)):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(weight, min_size=size, max_size=size))).reshape(shape)
 
 
 def central_difference(loss, arr, idx):
@@ -167,15 +208,51 @@ def test_dialect_layer_component_grads(drawn, data, log_domain):
 
 
 @PROPERTY
-@given(bank_and_points())
-def test_component_rows_compute_like_broadcast_views(drawn):
+@given(st.booleans(), st.data())
+def test_moment_form_is_the_weighted_sum_of_reference_partials(shared, data):
+    # the shared bank's 1 x K rows sum the moments over the points, the MDN's
+    # N x K rows keep one per point; either way the chain rule that follows
+    # multiplies both sides by the same factors
+    if shared:
+        params, X, _ = data.draw(bank_and_points())
+        rows = heads.component_rows(params)
+    else:
+        raw, X, zone = data.draw(mdn_output_and_points())
+        rows = heads.mdn_rows(raw, zone.shape[1])[0]
+    terms = heads.component_terms(rows, X)
+    d1, d2, s1, s2, rho, (live1, live2) = terms
+    w = draw_weights(data, d1.shape, NORMAL_WEIGHT)
+
+    def reduce(g):
+        return g.sum(axis=0, keepdims=True) if shared else g
+
+    got = heads.component_grads(rows, terms, w)
+    _, _, rs1, rs2, rr = rows
+    chain = (1.0, 1.0, softplus_grad(rs1) * live1, softplus_grad(rs2) * live2, softsign_grad(rr))
+    for g, p, m, c in zip(got, reference_partials(*terms[:5]), partial_magnitudes(*terms[:5]), chain):
+        want = reduce(w * p) * c
+        # an offset so small that its products underflow errs by about 1e-323
+        # times a scale of at most 1e21 (1 / SIGMA_MIN^3 times 1 / q)
+        bound = ROUNDING * reduce(np.abs(w) * m) * np.abs(c) + 1e-300
+        assert g.shape == want.shape == rr.shape
+        assert np.all(np.abs(g - want) <= bound), np.max(np.abs(g - want) / bound)
+    for d_raw_sigma, raw_sigma in ((got[2], rs1), (got[3], rs2)):
+        check_stop_gradient_zones(d_raw_sigma, raw_sigma, got[4], rr)
+
+
+@PROPERTY
+@given(bank_and_points(), st.data())
+def test_component_rows_compute_like_broadcast_views(drawn, data):
     # the bank's sigma and rho reach the kernels as 1 x K rows; N x K
-    # broadcast views of the same rows are the bitwise reference
+    # broadcast views of the same rows are the bitwise reference, for the
+    # density and for the partials of per-point moments
     params, X, _ = drawn
     d1, d2, *rows, _ = heads.component_terms(heads.component_rows(params), X)
     assert all(r.shape == (1, d1.shape[1]) for r in rows)
     views = [np.broadcast_to(r, d1.shape) for r in rows]
-    got = [component_log_pdf(d1, d2, *rows), *log_pdf_partials(d1, d2, *rows)]
-    want = [component_log_pdf(d1, d2, *views), *log_pdf_partials(d1, d2, *views)]
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    w = draw_weights(data, d1.shape)
+    moments = (w, w * d1, w * d2, w * d1 * d1, w * d2 * d2, w * d1 * d2)
+    got = [component_log_pdf(d1, d2, *rows), *log_pdf_partials(*moments, *rows)]
+    want = [component_log_pdf(d1, d2, *views), *log_pdf_partials(*moments, *views)]
+    for g, v in zip(got, want):
+        assert g.shape == v.shape and g.tobytes() == v.tobytes()

@@ -49,8 +49,10 @@ def test_partials_match_finite_differences():
                 np.array([[x1 - m1]]), np.array([[x2 - m2]]),
                 np.array([[a]]), np.array([[b]]), np.array([[r]]))[0, 0]
 
+        # the moments of one point with w = 1 give its partials
+        moments = (1.0, d1, d2, d1 * d1, d2 * d2, d1 * d2)
         analytic = [g[0, 0] for g in kernels.log_pdf_partials(
-            np.array([[d1]]), np.array([[d2]]), np.array([[s1]]),
+            *(np.array([[m]]) for m in moments), np.array([[s1]]),
             np.array([[s2]]), np.array([[rho]]))]
         base = (mu1, mu2, s1, s2, rho)
         for i in range(5):
@@ -68,6 +70,6 @@ def test_rho_clamp_is_stop_gradient():
     d2 = np.array([[0.5]])
     s = np.array([[1.0]])
     rho = np.array([[1.0 - 1e-12]])  # 1 - rho^2 below Q_MIN
-    out = kernels.log_pdf_partials(d1, d2, s, s, rho)
+    out = kernels.log_pdf_partials(np.ones((1, 1)), d1, d2, d1 * d1, d2 * d2, d1 * d2, s, s, rho)
     assert out[4][0, 0] == 0.0
     assert np.isfinite(kernels.component_log_pdf(d1, d2, s, s, rho)).all()

@@ -401,6 +401,30 @@ def test_sparse_batch_step_makes_no_first_layer_sized_array():
     assert peak < V * H * 8, peak
 
 
+def test_train_loop_holds_four_first_layer_arrays():
+    """Above what exists before it, training a CSR-input MDN with dev
+    evaluation holds one best copy and Adam's m, v and work array of the
+    V x H first layer, with one best copy refreshed in place."""
+    V, H, K = 20000, 100, 4
+    rng = np.random.default_rng(17)
+    # about 20 terms a user: a batch's row gradients are about 640 x H
+    X = sparse.random(96, V, density=0.001, format="csr", random_state=rng)
+    Y = np.stack([rng.normal(40.0, 4.0, 96), rng.normal(-100.0, 8.0, 96)], axis=1)
+    model = models.MdnGeolocator(NetworkSpec((V, H, 6 * K), seed=18), heads.MdnHeadConfig(K))
+    model.init_output_bias_from_labels(Y[:64], mode="kmeans", seed=18)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, log = train_loop(model, (X[:64], Y[:64]), (X[64:], Y[64:]), AdamConfig(learning_rate=0.01),
+                            batch_size=32, max_epochs=3, seed=19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dev = [record[2] for record in log]
+    assert len(dev) == 3 and min(dev[1:]) < dev[0]  # the best copy is refreshed
+    assert peak - start <= 4.1 * V * H * 8, (peak - start) / (V * H * 8)
+
+
 def test_adam_descends_quadratic():
     params = {"w": np.array([5.0, -4.0])}
     adam = AdamState()
