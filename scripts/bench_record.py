@@ -16,7 +16,7 @@ traced at TRACE_SEED, the tier-1 tests, ``scripts/step_profile.py`` and
 
 It then prints each metric's shift from the newest other ``BENCH_*.json`` at
 the root beside that file's quartiles, and whether each checksum changed.
-It takes about 12 minutes on 2 vCPUs:
+It takes about 8 minutes on 2 vCPUs:
 
     python scripts/bench_record.py BENCH_21.json
 """
