@@ -42,8 +42,8 @@ import numpy as np
 from geomix import cli, data, features
 
 SEED = "5"
-K_SHARED = 1000  # 2**21 // 1000 = 2 097 rows a block: the 100 x 100 heatmap takes 5
-P_DIALECT = 30000  # about 430 terms, so 2**21 // 430 = 4 877 rows a block: 7 blocks
+K_SHARED = 1000  # 2**18 // 1000 = 262 rows a block: the 100 x 100 heatmap takes 39
+P_DIALECT = 30000  # about 430 terms, so 2**18 // 430 = 609 rows a block: 50 blocks
 MODELS = ("regression", "mdn", "mdn_shared", "dialect")
 # each vocabulary file with the test split of the corpus it was built from
 VOCAB_TESTS = {**{f"{model}-vocab.tsv": "s-test.tsv" for model in MODELS},

@@ -8,6 +8,7 @@ command-line flag.
 import argparse
 import configparser
 import contextlib
+import ctypes
 import sys
 
 import numpy as np
@@ -40,6 +41,16 @@ DEFAULTS = dict(model=None, hidden="100", k=100, dropout=0.0, regul=0.0,
 SYNTH_DEFAULTS = dict(mode_centers="30,-100;50,-100", mode_stddev=0.5, users_per_mode="100",
                       tokens_per_user=30, exclusive_tokens_per_mode=5, ambiguous_tokens=2,
                       noise_tokens=20, ambiguous_only_fraction=0.25, seed=0)
+
+
+# glibc mallopt parameters and the allocator policy ``main`` sets: blocks up to
+# 32 MB (the cap of glibc's own dynamic threshold) come from the heap, and up to
+# 128 MB of freed memory stays at its top, so the row blocks' temporaries are
+# reused from one block and one command to the next instead of being mapped,
+# faulted in and unmapped each time.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 4 * MMAP_THRESHOLD
 
 
 class UsageError(ValueError):
@@ -306,7 +317,9 @@ def cmd_heatmap(args):
             near = sorted(model.terms, key=lambda t: _edit_distance(args.word, t))[:5]
             raise UsageError(f"word {args.word!r} not in vocabulary; nearest: {', '.join(near)}")
         j = model.terms.index(args.word)
-        values = np.concatenate([lp[:, j] for _, lp in model.word_log_prob_blocks(points)])
+        values = np.empty(len(points))
+        for start, lp in model.word_log_prob_blocks(points):
+            values[start:start + len(lp)] = lp[:, j]
     else:
         if not hasattr(model, "mixture_rows"):
             raise UsageError(f"heatmap needs a mixture or dialect checkpoint, got {model.model_name!r}")
@@ -430,7 +443,18 @@ def build_parser():
     return parser
 
 
+def _set_allocator_policy():
+    """Set the allocator policy above through glibc's ``mallopt``; where
+    the C library has none, do nothing."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None):
+    _set_allocator_policy()
     args = build_parser().parse_args(argv)
     try:
         args.func(args)

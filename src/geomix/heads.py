@@ -208,10 +208,14 @@ def grid_cells(bbox, resolution):
 
 
 def predictive_density_grid(rows, raw_pi, points):
-    """Log-density at each of the P x 2 (lat, lon) ``points`` of the one
-    mixture of 1 x K component rows and 1 x K raw pi: its
-    ``mixture_log_likelihood``, in row blocks of the points."""
+    """Log-likelihood of each of the N x 2 (lat, lon) ``points`` under its
+    mixture: ``mixture_log_likelihood`` in row blocks of the points.  Each of
+    the component rows and raw pi is N x K, one row per point, which a block
+    slices, or a 1 x K row every point shares (a heatmap's one mixture, the
+    shared MDN's bank), which it keeps whole.  A row's value does not depend
+    on the blocks."""
     out = np.empty(len(points))
     for block in row_blocks(len(points), raw_pi.shape[1]):
-        out[block] = mixture_log_likelihood(rows, raw_pi, points[block])[0]
+        *rows_b, raw_pi_b = (a if len(a) == 1 else a[block] for a in (*rows, raw_pi))
+        out[block] = mixture_log_likelihood(rows_b, raw_pi_b, points[block])[0]
     return out

@@ -4,7 +4,11 @@ log-softmax for mixing weights), the clamp floors and the mixture density.
 
 The Gaussian kernels broadcast: N x K offsets take sigma and rho as N x K
 arrays or as shared 1 x K rows, whose K-only subterms are then computed once
-per component.  ``row_blocks`` bounds every wide N x K output.
+per component.  ``row_blocks`` bounds the wide outputs of the mixture
+log-likelihood over a heatmap grid or a dev set, of the dialect model's
+V-wide word log-probabilities and of the k-means assignments; training
+batches, and the mixture arrays behind ``predict`` and ``evaluate``, are not
+blocked.
 """
 
 import numpy as np
@@ -16,7 +20,15 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # when rho saturates.  Both clamp zones are stop-gradient regions.
 SIGMA_MIN = 1e-6
 Q_MIN = 1e-9
-ROW_BLOCK_ELEMS = 1 << 21  # float64 values in one row block of a wide output (16 MB)
+# float64 values in one row block of a wide output: 2 MB, about one core's L2.
+# Under the CLI's allocator policy a block's temporaries are reused from the
+# heap by the next block instead of being mapped and faulted in afresh.  Block
+# size sweep, median seconds of the shared-MDN heatmap (10 000 points x
+# K = 900) / ``dialect`` (P = 10 000, V ~ 3 200) in fresh processes on 2 vCPUs
+# of a Xeon with 2 MB L2 a core: 2^15 0.32 / 0.74-0.89, 2^16 0.27 / 0.63,
+# 2^17 0.29 / 0.61, 2^18 0.28 / 0.58, 2^19 0.32 / 0.60, 2^20 0.34 / 0.62,
+# 2^21 0.32-0.45 / 0.68.
+ROW_BLOCK_ELEMS = 1 << 18
 
 
 def softplus(x):

@@ -179,9 +179,10 @@ class _MixtureGeolocator(_BaseModel):
         return heads.mixture_arrays(*self.mixture_rows(X))
 
     def dev_metric(self, data):
-        """The head's loss on one forward pass; no backward, no gradients."""
+        """The head's loss on one forward pass, its mixture log-likelihood
+        taken in row blocks; no backward, no gradients."""
         X, Y = data
-        return -float(np.mean(heads.mixture_log_likelihood(*self.mixture_rows(X), Y)[0]))
+        return -float(np.mean(heads.predictive_density_grid(*self.mixture_rows(X), Y)))
 
     def predict_points(self, X, rule=None):
         mu1, mu2, s1, s2, rho, pi = self.mixture_arrays(X)

@@ -1,9 +1,12 @@
-"""Peak memory of the dialect scoring and geolocation heatmap commands
-against their dense bounds."""
+"""Peak memory of the dialect scoring and heatmap commands against their
+dense bounds, and the page faults the CLI's allocator policy saves."""
+
+import ctypes
+from types import SimpleNamespace
 
 import pytest
 
-from childrss import peak_rss_bytes
+from childrss import peak_rss_bytes, second_call_minor_faults
 from geomix import cli, features
 
 
@@ -36,6 +39,21 @@ def test_dialect_scoring_stays_below_one_dense_matrix(wide_dialect):
     assert scored < setup + P * V * 8, (setup, scored)
 
 
+def test_dialect_heatmap_stays_below_one_dense_grid(wide_dialect):
+    d = wide_dialect
+    V = len(features.load_vocab(d / "vocab.tsv").terms)
+
+    def heatmap(res):
+        return peak_rss_bytes(["heatmap", "--checkpoint", d / "dia.json", "--word", "mode0tok0",
+                               "--bbox", "25,55,-110,-90", "--resolution", res,
+                               "--output", d / f"word{res}.csv"])
+
+    P = 100 * 100
+    setup, grid = heatmap(2), heatmap(100)
+    # the P x V log-probability matrix alone is P * V * 8 bytes
+    assert grid < setup + P * V * 8, (setup, grid)
+
+
 @pytest.fixture(scope="module")
 def wide_shared(tmp_path_factory):
     """A one-epoch shared-MDN checkpoint with K = 1 000 components."""
@@ -48,15 +66,34 @@ def wide_shared(tmp_path_factory):
     return d
 
 
+def shared_heatmap(d, res):
+    return ["heatmap", "--checkpoint", d / "shared.json", "--vocab", d / "vocab.tsv",
+            "--text", "mode0tok0 mode1tok0", "--bbox", "25,55,-110,-90",
+            "--resolution", res, "--output", d / f"grid{res}.csv"]
+
+
 def test_geolocation_heatmap_stays_below_two_dense_grids(wide_shared):
-    d = wide_shared
-
-    def heatmap(res):
-        return peak_rss_bytes(["heatmap", "--checkpoint", d / "shared.json", "--vocab", d / "vocab.tsv",
-                               "--text", "mode0tok0 mode1tok0", "--bbox", "25,55,-110,-90",
-                               "--resolution", res, "--output", d / f"grid{res}.csv"])
-
     P, K = 100 * 100, 1000
-    setup, grid = heatmap(2), heatmap(100)
+    setup, grid = (peak_rss_bytes(shared_heatmap(wide_shared, res)) for res in (2, 100))
     # two P x K float64 arrays, such as the offsets d1 and d2, are 2 * P * K * 8 bytes
     assert grid < setup + 2 * P * K * 8, (setup, grid)
+
+
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None, reason="no glibc mallopt")
+def test_heatmap_reuses_the_heap_on_a_second_call(wide_shared):
+    """Under the CLI's allocator policy a second wide heatmap in the same
+    process reuses the memory the first one freed."""
+    faults = second_call_minor_faults(shared_heatmap(wide_shared, 100))
+    # without the policy each block temporary is mapped and faulted in afresh:
+    # about 17 000 faults with 16 MB blocks
+    assert faults < 2000, faults
+
+
+def test_main_sets_the_allocator_policy_where_libc_has_it(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=lambda *a: calls.append(a)))
+    argv = ["synth", "--out-prefix", str(tmp_path / "s-"), "--users-per-mode", "5"]
+    assert cli.main(argv) == 0
+    assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 128 << 20)]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())  # no mallopt
+    assert cli.main(argv) == 0

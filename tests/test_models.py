@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from geomix import heads, models, network
+from geomix import heads, kernels, models, network
 from geomix.network import NetworkSpec, train_loop
 
 V, K = 40, 3
@@ -98,6 +98,21 @@ def test_dev_metric_is_the_step_loss_without_backward(name, monkeypatch):
     monkeypatch.setattr(network, "backward", refuse)
     monkeypatch.setattr(heads, "log_pdf_partials", refuse)
     assert model.dev_metric((X, Y)) == loss
+
+
+@pytest.mark.parametrize("name", ["mdn", "mdn_shared"])
+def test_dev_metric_in_row_blocks_is_bitwise_one_block(name, monkeypatch):
+    """The MDN's N x K rows, sliced per block, and the shared MDN's 1 x K
+    bank, kept whole, give the one-block dev NLL bit for bit."""
+    X, Y = corpus(12, n=50)
+    model = geolocator(name, Y, seed=13)
+    whole = model.dev_metric((X, Y))  # 50 x 3 fits in one block
+    monkeypatch.setattr(kernels, "ROW_BLOCK_ELEMS", 7 * K)  # 7-row blocks and a 1-row tail
+    block_rows, logsumexp_rows = [], heads.logsumexp_rows
+    monkeypatch.setattr(heads, "logsumexp_rows", lambda a: block_rows.append(len(a)) or logsumexp_rows(a))
+    blocked = model.dev_metric((X, Y))
+    assert np.float64(blocked).tobytes() == np.float64(whole).tobytes()
+    assert block_rows == [7] * 7 + [1]
 
 
 @pytest.mark.parametrize("cls, width", [(models.MdnGeolocator, 6 * K), (models.SharedMdnGeolocator, K)])
