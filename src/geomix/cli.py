@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import data, dialect as dl, features, geo, heads, models, network
+from . import data, dialect as dl, features, geo, heads, kernels, models, network
 
 # regul is the total elastic-net coefficient, split equally between l1 and l2
 PROFILES = {
@@ -270,8 +270,8 @@ def cmd_dialect(args):
     if not regions:
         raise UsageError(f"{args.regions} has no regions")
     coords = data.coords_array(_read_users(args.train))
-    rng = np.random.default_rng(args.seed)
-    pts = coords[rng.integers(len(coords), size=args.p)]
+    idx = np.random.default_rng(args.seed).integers(len(coords), size=args.p)
+    pts = coords[idx]
     masks = [dl.region_membership(pts, region, args.radius_km) for region in regions]
     if not any(mask.any() for mask in masks):
         raise UsageError(f"no sampled point lies inside any region of {args.regions}")
@@ -281,7 +281,8 @@ def cmd_dialect(args):
     scored = [(region, mask) for region, mask in zip(regions, masks) if mask.any()]
     terms = model.terms
     summary = []
-    for (region, mask), scores in zip(scored, dl.score_vocabulary(model.word_log_prob_blocks(pts),
+    distinct, inverse = np.unique(idx, return_inverse=True)  # points drawn again are scored once
+    for (region, mask), scores in zip(scored, model.region_scores(coords[distinct], inverse,
                                                                   [mask for _, mask in scored])):
         ranked = dl.dialect_rank(terms, scores)
         recall, oov = dl.recall_at_k([t for t, _ in ranked], region.terms, args.k, terms)
@@ -318,8 +319,8 @@ def cmd_heatmap(args):
             raise UsageError(f"word {args.word!r} not in vocabulary; nearest: {', '.join(near)}")
         j = model.terms.index(args.word)
         values = np.empty(len(points))
-        for start, lp in model.word_log_prob_blocks(points):
-            values[start:start + len(lp)] = lp[:, j]
+        for start, _, logits in model.logit_blocks(points):
+            values[start:start + len(logits)] = logits[:, j] - kernels.logsumexp_rows(logits)
     else:
         if not hasattr(model, "mixture_rows"):
             raise UsageError(f"heatmap needs a mixture or dialect checkpoint, got {model.model_name!r}")
@@ -330,12 +331,11 @@ def cmd_heatmap(args):
         if X.nnz == 0:
             raise UsageError("--text has no in-vocabulary token")
         values = heads.predictive_density_grid(*model.mixture_rows(X), points)
-    values = values.reshape(res, res)
+    lat_reprs, lon_reprs = [list(map(repr, axis.tolist())) for axis in (lats, lons)]
     with open(args.output, "w", encoding="utf-8") as f:
         f.write("lat,lon,log_value\n")
-        for i, la in enumerate(lats):
-            for j, lo in enumerate(lons):
-                f.write(f"{float(la)!r},{float(lo)!r},{float(values[i, j])!r}\n")
+        f.writelines(f"{la},{lo},{v!r}\n" for la, row in zip(lat_reprs, values.reshape(res, res).tolist())
+                     for lo, v in zip(lon_reprs, row))
     print(f"grid written to {args.output}", file=sys.stderr)
 
 

@@ -93,14 +93,17 @@ def perplexity(log_probs, counts):
 
 
 def score_vocabulary(blocks, masks):
-    """Each vocabulary column's mean log-probability over the in-region points
-    minus its mean over all points, for each region mask.
+    """Each column's mean over the in-region rows minus its mean over all
+    rows, for each region mask.
 
-    ``blocks`` yields ``(start, log_probs)`` row blocks that together cover
-    a P x V log-probability matrix in order; ``masks`` are P-length region
-    masks.  Returns one V-vector of scores per mask.  Column sums add the
-    rows in order, as numpy's axis-0 sum does for V >= 2, so the scores
-    equal ``lp[mask].mean(0) - lp.mean(0)`` on the whole matrix bit for bit.
+    ``blocks`` yields ``(start, rows)`` row blocks that together cover a
+    P x W matrix in order: the P x V word log-probabilities give each word's
+    region score, and any rows the log-probabilities are a linear function of
+    give the same function of the scores (``DialectModel.region_scores``).
+    ``masks`` are P-length region masks.  Returns one W-vector per mask.
+    Column sums add the rows in order, as numpy's axis-0 sum does for W >= 2,
+    so the scores equal ``lp[mask].mean(0) - lp.mean(0)`` on the whole matrix
+    bit for bit.
     """
     masks = [np.asarray(m, dtype=bool) for m in masks]
     if not all(m.any() for m in masks):
@@ -109,24 +112,31 @@ def score_vocabulary(blocks, masks):
     for start, lp in blocks:
         lp = np.asarray(lp, dtype=float)
         n = start + len(lp)
-        total = _add_rows(total, lp, range(len(lp)))
+        total = _add_rows(total, lp.copy())
         for r, mask in enumerate(masks):
-            region_sums[r] = _add_rows(region_sums[r], lp, np.flatnonzero(mask[start:n]))
+            region_sums[r] = _add_rows(region_sums[r], lp[mask[start:n]])
     return [s / int(m.sum()) - total / n for s, m in zip(region_sums, masks)]
 
 
-def _add_rows(acc, lp, rows):
-    """``acc`` (None before the first row) plus ``lp[i]`` for each i in
-    ``rows``, added one row at a time in place."""
-    for i in rows:
-        acc = lp[i].copy() if acc is None else np.add(acc, lp[i], out=acc)
-    return acc
+def _add_rows(acc, rows):
+    """``acc`` (None before the first row) plus each row of ``rows``, a copy
+    this overwrites, in order: one axis-0 sum with ``acc`` added into the
+    first row, which is ``acc + rows[0] + rows[1] + ...`` bit for bit."""
+    if not len(rows):
+        return acc
+    if acc is not None:
+        rows[0] += acc
+    return rows.sum(axis=0)
 
 
 def dialect_rank(terms, scores):
-    """Vocabulary ranked by score descending; ties lexicographic."""
-    order = sorted(range(len(terms)), key=lambda i: (-scores[i], terms[i]))
-    return [(terms[i], float(scores[i])) for i in order]
+    """Vocabulary ranked by score descending; ties by term in code-point
+    order, Python's str order."""
+    scores = np.asarray(scores, dtype=float)
+    term_rank = np.empty(len(terms), dtype=np.intp)
+    term_rank[sorted(range(len(terms)), key=terms.__getitem__)] = np.arange(len(terms))
+    order = np.lexsort((term_rank, -scores)).tolist()
+    return list(zip([terms[i] for i in order], scores[order].tolist()))
 
 
 def recall_at_k(ranked_terms, gold_terms, k, vocab_terms):
@@ -176,5 +186,4 @@ def read_regions(path):
 def write_ranking_tsv(path, ranked):
     with open(path, "w", encoding="utf-8") as f:
         f.write("rank\tterm\tscore\n")
-        for i, (term, score) in enumerate(ranked, 1):
-            f.write(f"{i}\t{term}\t{score!r}\n")
+        f.writelines(f"{i}\t{term}\t{score!r}\n" for i, (term, score) in enumerate(ranked, 1))

@@ -6,7 +6,7 @@ The Gaussian kernels broadcast: N x K offsets take sigma and rho as N x K
 arrays or as shared 1 x K rows, whose K-only subterms are then computed once
 per component.  ``row_blocks`` bounds the wide outputs of the mixture
 log-likelihood over a heatmap grid or a dev set, of the dialect model's
-V-wide word log-probabilities and of the k-means assignments; training
+V-wide logits and of the k-means assignments; training
 batches, and the mixture arrays behind ``predict`` and ``evaluate``, are not
 blocked.
 """

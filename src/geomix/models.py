@@ -13,8 +13,9 @@ layer (without elastic net, W0's gradient is a ``network.RowGrad`` of the
 batch's rows), and Y as an N x 2 coordinate array; the dialect model takes
 X as a dense N x 2 coordinate array and Y as an N x V CSR target matrix, of
 which a training batch densifies only its own rows.  The dialect model's V-wide
-outputs (word log-probabilities, the dev loss) are computed in
-``kernels.row_blocks``, never for all rows at once.
+outputs (logits, the dev loss) are computed in ``kernels.row_blocks``, never
+for all rows at once; its region scores come from each point's hidden layer
+and log-normalizer, never from a P x V log-probability matrix.
 
 ``to_checkpoint`` gives a model's checkpoint as a dict: every field is
 plain JSON except ``params``, which maps each block name to its float64
@@ -31,7 +32,7 @@ from scipy import sparse
 
 from . import dialect as dl
 from . import heads
-from .kernels import inv_softplus, log_softmax, row_blocks
+from .kernels import inv_softplus, log_softmax, logsumexp_rows, row_blocks
 from .network import NetworkSpec, backward, forward, init_network_params, regularization_penalty
 
 FORMAT_VERSION = 3
@@ -292,7 +293,9 @@ class DialectModel(_BaseModel):
         row block at a time; no gradients."""
         coords, Y = data
         ll, n_active = 0.0, 0
-        for start, log_p in self.word_log_prob_blocks(coords):
+        for start, _, logits in self.logit_blocks(coords):
+            log_p = log_softmax(logits)
+            del logits  # one V-wide block fewer held while the target rows are densified
             block_ll, active = dl.target_log_likelihood(log_p, _dense(Y[start:start + len(log_p)]))
             ll += block_ll
             n_active += int(active.sum())
@@ -300,16 +303,42 @@ class DialectModel(_BaseModel):
 
     def word_log_probs(self, coords):
         """N x V log-probabilities over the vocabulary for N coordinates."""
-        acts_in, _ = dl.gaussian_layer_forward_batch(self.params, coords, self.log_domain)
-        logits = forward(self.params, self.spec, acts_in).output
-        return log_softmax(logits)
+        return log_softmax(self._hidden_and_logits(coords)[1])
 
-    def word_log_prob_blocks(self, coords):
-        """``(start, word_log_probs(coords[rows]))`` for the V-wide
-        ``kernels.row_blocks`` of the N x 2 ``coords``."""
+    def logit_blocks(self, coords):
+        """``(start, h, logits)`` for the V-wide ``kernels.row_blocks`` of the
+        N x 2 ``coords``: the hidden layer h (rows x H) and the logits
+        h @ W_out + b_out (rows x V), whose log-softmax is the word
+        log-probabilities."""
         coords = np.asarray(coords, dtype=float)
         for rows in row_blocks(len(coords), len(self.terms)):
-            yield rows.start, self.word_log_probs(coords[rows])
+            yield rows.start, *self._hidden_and_logits(coords[rows])
+
+    def _hidden_and_logits(self, coords):
+        acts_in, _ = dl.gaussian_layer_forward_batch(self.params, coords, self.log_domain)
+        acts = forward(self.params, self.spec, acts_in)
+        return acts.layer_inputs[-1], acts.output
+
+    def region_scores(self, points, inverse, masks):
+        """``dialect.score_vocabulary`` of the word log-probabilities at the
+        P sampled points ``points[inverse]``, one V-vector per P-length mask,
+        without a P x V matrix.
+
+        A score is a difference of column means of log p = h @ W_out + b_out
+        - lse, with lse each row's log-normalizer, so it is linear in the
+        (H+1)-wide rows [h | lse]: those are computed once per row of
+        ``points``, gathered into sampled order one row block at a time and
+        scored, and each result s is projected as s[:H] @ W_out - s[H] (b_out
+        cancels).  Exact in real arithmetic.
+        """
+        H = self.spec.layer_sizes[-2]
+        rows = np.empty((len(points), H + 1))
+        for start, h, logits in self.logit_blocks(points):
+            rows[start:start + len(h), :H] = h
+            rows[start:start + len(h), H] = logsumexp_rows(logits)
+        blocks = ((b.start, rows[inverse[b]]) for b in row_blocks(len(inverse), H + 1))
+        W_out = self.params[f"W{len(self.spec.layer_sizes) - 2}"]
+        return [s[:H] @ W_out - s[H] for s in dl.score_vocabulary(blocks, masks)]
 
     def _extra_checkpoint(self):
         return {"terms": self.terms, "log_domain": self.log_domain}

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import geomix
-from geomix import cli, data
+from geomix import cli, data, heads
 
 
 def run(argv):
@@ -196,6 +197,13 @@ def test_heatmap_dialect(dialect_run, tmp_path):
     # the planted southern word peaks near lat 30
     best = max(lines[1:], key=lambda ln: float(ln.split(",")[2]))
     assert abs(float(best.split(",")[0]) - 30.0) < 5.0
+    # each cell is the word's log-probability column, in the grid's row-major order
+    model = data.load_model(dialect_run / "dia.json")
+    _, _, points = heads.grid_cells((25.0, 55.0, -105.0, -95.0), 20)
+    cells = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    np.testing.assert_array_equal(cells[:, :2], points)
+    want = model.word_log_probs(points)[:, model.terms.index("mode0tok0")]
+    np.testing.assert_allclose(cells[:, 2], want, rtol=0.0, atol=1e-12)
 
 
 def ranking_scores(path):
@@ -214,27 +222,36 @@ def test_dialect_commands_hold_one_row_block(dialect_run, corpus, tmp_path, monk
 
     V = len(features.load_vocab(dialect_run / "vocab.tsv").terms)
     monkeypatch.setattr(kernels, "ROW_BLOCK_ELEMS", 8 * V)  # 8-row blocks
-    word_log_probs, toarray = models.DialectModel.word_log_probs, sparse.csr_matrix.toarray
+    logit_blocks, toarray = models.DialectModel.logit_blocks, sparse.csr_matrix.toarray
+    evaluated = []
 
     def one_block(self, coords):
-        assert len(coords) <= 8, f"word log-probabilities for {len(coords)} rows at once"
-        return word_log_probs(self, coords)
+        for start, h, logits in logit_blocks(self, coords):
+            assert len(logits) <= 8, f"logits for {len(logits)} rows at once"
+            evaluated.append(len(logits))
+            yield start, h, logits
 
     def batch_rows_only(self, *args, **kwargs):
         assert self.shape[0] <= 8, f"a {self.shape} target matrix was densified"
         return toarray(self, *args, **kwargs)
 
-    monkeypatch.setattr(models.DialectModel, "word_log_probs", one_block)
+    monkeypatch.setattr(models.DialectModel, "logit_blocks", one_block)
     monkeypatch.setattr(sparse.csr_matrix, "toarray", batch_rows_only)
     # 160 training rows in batches of 8, 20 dev rows in blocks of 8
     assert run(["train", "--model", "dialect", "--profile", "synth-dialect",
                 "--train", str(corpus / "s-train.tsv"), "--dev", str(corpus / "s-dev.tsv"),
                 "--checkpoint", str(tmp_path / "dia.json"), "--k", "2", "--batch-size", "8",
                 "--max-epochs", "1"]) == 0
-    assert run(dialect + ["--out-prefix", str(tmp_path / "blocked-")]) == 0  # 25 blocks
+    assert sum(evaluated) == 20
+    evaluated.clear()
+    assert run(dialect + ["--out-prefix", str(tmp_path / "blocked-")]) == 0
+    distinct = len(np.unique(np.random.default_rng(0).integers(160, size=200)))
+    assert sum(evaluated) == distinct and len(evaluated) == -(-distinct // 8)
+    evaluated.clear()
     assert run(["heatmap", "--checkpoint", str(dialect_run / "dia.json"), "--word", "mode0tok0",
                 "--bbox", "25,55,-105,-95", "--resolution", "6",
-                "--output", str(tmp_path / "hm.csv")]) == 0  # 36 cells, 5 blocks
+                "--output", str(tmp_path / "hm.csv")]) == 0
+    assert evaluated == [8, 8, 8, 8, 4]  # 36 cells
     assert len((tmp_path / "hm.csv").read_text().splitlines()) == 1 + 6 * 6
     for region in ("north", "south"):
         whole = ranking_scores(tmp_path / f"whole-{region}.tsv")
@@ -242,6 +259,37 @@ def test_dialect_commands_hold_one_row_block(dialect_run, corpus, tmp_path, monk
         assert whole.keys() == blocked.keys()
         for term, score in whole.items():
             assert abs(blocked[term] - score) <= 1e-9, term
+
+
+@pytest.mark.parametrize("block_rows", [None, 8])
+def test_dialect_scores_equal_the_log_probability_matrix_formula(block_rows, dialect_run, corpus, tmp_path,
+                                                                 monkeypatch):
+    """``dialect``'s scores are those of the P x V log-probabilities in their
+    low bits and, though each distinct sampled point is computed once, bit for
+    bit those of the same path over every sampled point."""
+    from geomix import dialect as dl
+    from geomix import kernels
+    model = data.load_model(dialect_run / "dia.json")
+    if block_rows:
+        monkeypatch.setattr(kernels, "ROW_BLOCK_ELEMS", block_rows * len(model.terms))
+    P, seed = 400, 3
+    assert run(["dialect", "--checkpoint", str(dialect_run / "dia.json"),
+                "--regions", str(dialect_run / "regions.tsv"), "--train", str(corpus / "s-train.tsv"),
+                "--p", str(P), "--seed", str(seed), "--out-prefix", str(tmp_path / "rank-")]) == 0
+    coords = data.coords_array(data.read_corpus(corpus / "s-train.tsv"))
+    idx = np.random.default_rng(seed).integers(len(coords), size=P)
+    assert len(np.unique(idx)) < P  # the draw repeats points
+    pts = coords[idx]
+    regions = [r for r in dl.read_regions(dialect_run / "regions.tsv") if r.name != "nowhere"]
+    masks = [dl.region_membership(pts, region) for region in regions]
+    matrix = dl.score_vocabulary([(0, model.word_log_probs(pts))], masks)
+    every_point = model.region_scores(pts, np.arange(P), masks)
+    for region, want, same_path in zip(regions, matrix, every_point):
+        lines = [ln.split("\t") for ln in (tmp_path / f"rank-{region.name}.tsv").read_text().splitlines()[1:]]
+        assert [term for _, term, _ in lines] == [term for term, _ in dl.dialect_rank(model.terms, want)]
+        got = {term: score for _, term, score in lines}
+        assert max(abs(float(got[t]) - w) for t, w in zip(model.terms, want)) <= 1e-9
+        assert [got[t] for t in model.terms] == [repr(x) for x in same_path.tolist()]
 
 
 def test_heatmap_geolocation(trained, tmp_path):

@@ -4,6 +4,8 @@ dev loss."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.stats import multivariate_normal
 
@@ -274,6 +276,29 @@ def test_dialect_rank_order_and_ties():
     assert [t for t, _ in ranked] == ["w1", "w2"]
     ranked_tie = dl.dialect_rank(["zeta", "alpha", "mid"], np.array([1.0, 1.0, 0.0]))
     assert [t for t, _ in ranked_tie] == ["alpha", "zeta", "mid"]
+
+
+def sorted_rank(terms, scores):
+    """``dialect_rank``'s reference: a sort with a Python key per index."""
+    order = sorted(range(len(terms)), key=lambda i: (-scores[i], terms[i]))
+    return [(terms[i], float(scores[i])) for i in order]
+
+
+# few distinct scores, so ties are common; 0.0 and -0.0 tie with each other
+SCORES = st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0 ** -1074, -(2.0 ** -1074)]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.text(st.sampled_from("ab\x00\u00e9\U0001f600") | st.characters(), max_size=4),
+                          SCORES), max_size=40))
+@example([("a\x00", 0.0), ("a", -0.0), ("\x00", 1.0), ("", 1.0)])  # NUL-ended terms sort after their prefix
+def test_dialect_rank_matches_sorted_reference(pairs):
+    terms = [t for t, _ in pairs]  # repeated terms allowed: both sorts are stable
+    scores = np.array([s for _, s in pairs])
+    got = dl.dialect_rank(terms, scores)
+    want = sorted_rank(terms, scores)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert [repr(s) for _, s in got] == [repr(s) for _, s in want]  # keeps the sign of -0.0
 
 
 def test_recall_at_k():
