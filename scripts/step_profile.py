@@ -4,7 +4,8 @@ For each workload in ``perfbench/workloads.py``, runs STEPS steps of 32 users
 of the untrained model ``geomix train --max-epochs 0`` builds on its corpus
 (seed 0) through ``batch_loss_and_grads`` and ``network.adam_step``, timing
 forward, the head, backward (with the dialect model's Gaussian layer) and
-Adam; ``gather`` is the rest: the row gather and the elastic-net penalty.
+Adam; ``gather`` is the rest: the row gather and the elastic-net penalty and
+its gradient.
 Run from the root of a checkout: ``PYTHONPATH=src python scripts/step_profile.py``
 """
 

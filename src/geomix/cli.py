@@ -271,8 +271,9 @@ def cmd_dialect(args):
         raise UsageError(f"{args.regions} has no regions")
     coords = data.coords_array(_read_users(args.train))
     idx = np.random.default_rng(args.seed).integers(len(coords), size=args.p)
-    pts = coords[idx]
-    masks = [dl.region_membership(pts, region, args.radius_km) for region in regions]
+    distinct, inverse = np.unique(idx, return_inverse=True)  # points drawn again are computed once
+    pts = coords[distinct]
+    masks = [dl.region_membership(pts, region, args.radius_km)[inverse] for region in regions]
     if not any(mask.any() for mask in masks):
         raise UsageError(f"no sampled point lies inside any region of {args.regions}")
     for region, mask in zip(regions, masks):
@@ -281,8 +282,7 @@ def cmd_dialect(args):
     scored = [(region, mask) for region, mask in zip(regions, masks) if mask.any()]
     terms = model.terms
     summary = []
-    distinct, inverse = np.unique(idx, return_inverse=True)  # points drawn again are scored once
-    for (region, mask), scores in zip(scored, model.region_scores(coords[distinct], inverse,
+    for (region, mask), scores in zip(scored, model.region_scores(pts, inverse,
                                                                   [mask for _, mask in scored])):
         ranked = dl.dialect_rank(terms, scores)
         recall, oov = dl.recall_at_k([t for t, _ in ranked], region.terms, args.k, terms)

@@ -9,8 +9,9 @@ dialect model, whose network sits on a Gaussian layer, has its own step.
 
 Training data is a ``(X, Y)`` pair of row-indexable arrays.  Geolocation
 models take X as an N x V CSR feature matrix, kept sparse through the first
-layer (without elastic net, W0's gradient is a ``network.RowGrad`` of the
-batch's rows), and Y as an N x 2 coordinate array; the dialect model takes
+layer (``backward`` gives W0's gradient as a ``network.RowGrad`` of the
+batch's rows, which ``network.regularization_penalty`` makes dense only
+under elastic net), and Y as an N x 2 coordinate array; the dialect model takes
 X as a dense N x 2 coordinate array and Y as an N x V CSR target matrix, of
 which a training batch densifies only its own rows.  The dialect model's V-wide
 outputs (logits, the dev loss) are computed in ``kernels.row_blocks``, never
@@ -70,7 +71,7 @@ class _BaseModel:
     def batch_loss_and_grads(self, data, idx=None, rng=None, train_mode=False):
         X, Y = data if idx is None else (data[0][idx], data[1][idx])
         loss, grads = self._data_loss(X, Y, train_mode, rng)
-        return loss + regularization_penalty(self.params, self.spec), grads
+        return loss + regularization_penalty(self.params, self.spec, grads), grads
 
     def dev_metric(self, data):
         """The head's loss on one forward pass; no backward."""

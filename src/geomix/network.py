@@ -2,6 +2,10 @@
 elastic-net regularization, Adam, early stopping, and a finite-difference
 gradient checker.  Backpropagation is hand-derived so every gradient can be
 audited against central differences.
+
+``backward`` gives the gradient of the data loss alone; elastic net, its
+penalty and its gradient, lives in ``regularization_penalty``, which adds
+the gradient to the weight blocks in row blocks of W.
 """
 
 import time
@@ -10,6 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+
+from .kernels import row_blocks
 
 
 class ContractError(ValueError):
@@ -79,7 +85,7 @@ def init_network_params(spec, rng=None):
 @dataclass
 class Activations:
     layer_inputs: list  # input to each affine layer (post-dropout)
-    pre_acts: list  # affine outputs per layer
+    hidden: list  # tanh output of each hidden layer (pre-dropout)
     masks: list  # dropout masks (None when not applied)
     output: np.ndarray
 
@@ -96,13 +102,13 @@ def forward(params, spec, X, train_mode=False, rng=None):
         raise ContractError(f"batch width {X.shape[1]} != input size {spec.layer_sizes[0]}")
     n_layers = len(spec.layer_sizes) - 1
     h = X
-    layer_inputs, pre_acts, masks = [], [], []
+    layer_inputs, hidden, masks = [], [], []
     for i in range(n_layers):
         layer_inputs.append(h)
         z = h @ params[f"W{i}"] + params[f"b{i}"]
-        pre_acts.append(z)
         if i < n_layers - 1:
             h = np.tanh(z)
+            hidden.append(h)
             if train_mode and spec.dropout_rate > 0.0:
                 if rng is None:
                     raise ContractError("dropout in train mode needs an rng")
@@ -115,7 +121,7 @@ def forward(params, spec, X, train_mode=False, rng=None):
         else:
             h = z
             masks.append(None)
-    return Activations(layer_inputs=layer_inputs, pre_acts=pre_acts, masks=masks, output=h)
+    return Activations(layer_inputs=layer_inputs, hidden=hidden, masks=masks, output=h)
 
 
 class RowGrad(NamedTuple):
@@ -149,12 +155,13 @@ def row_gradient(X, delta):
 
 
 def backward(params, spec, acts, d_output, input_grad=False):
-    """Reverse-mode gradients; elastic-net terms added to weight grads only.
+    """Reverse-mode gradients of the data loss; ``regularization_penalty``
+    adds the elastic-net term.
 
     Returns (grads dict matching params, dLoss/dInput).  dLoss/dInput is
     computed only with ``input_grad``, and is None otherwise.  A CSR first
-    layer input without an elastic-net term gives W0's gradient as a
-    ``row_gradient``; every other block is dense.
+    layer input gives W0's gradient as a ``row_gradient``; every other block
+    is dense.
     """
     n_layers = len(spec.layer_sizes) - 1
     grads = {}
@@ -163,19 +170,13 @@ def backward(params, spec, acts, d_output, input_grad=False):
         if i < n_layers - 1:
             if acts.masks[i] is not None:
                 delta = delta * acts.masks[i]
-            delta = delta * (1.0 - np.tanh(acts.pre_acts[i]) ** 2)
+            delta = delta * (1.0 - acts.hidden[i] ** 2)
         W = params[f"W{i}"]
         h = acts.layer_inputs[i]
-        if sparse.issparse(h) and h.format == "csr" and not (spec.l1_coeff or spec.l2_coeff):
-            gW = row_gradient(h, delta)
+        if sparse.issparse(h) and h.format == "csr":
+            grads[f"W{i}"] = row_gradient(h, delta)
         else:
-            gW = h.T @ delta
-            # a zero coefficient adds exactly 0.0, so its pass over W is skipped
-            if spec.l1_coeff:
-                gW += spec.l1_coeff * np.sign(W)
-            if spec.l2_coeff:
-                gW += 2.0 * spec.l2_coeff * W
-        grads[f"W{i}"] = gW
+            grads[f"W{i}"] = h.T @ delta
         grads[f"b{i}"] = delta.sum(axis=0)
         if i == 0 and not input_grad:
             return grads, None
@@ -183,13 +184,29 @@ def backward(params, spec, acts, d_output, input_grad=False):
     return grads, delta
 
 
-def regularization_penalty(params, spec):
+def regularization_penalty(params, spec, grads):
+    """The elastic-net penalty sum of l1*|W| + l2*W*W over the weight blocks.
+
+    Adds its gradient l1*sign(W) + 2*l2*W to each W block of ``grads``, in
+    place and one ``row_blocks`` slice of W at a time, so no W-sized
+    temporary is made; a RowGrad block is first made dense.  A zero
+    coefficient adds exactly 0.0, so its pass is skipped, and without elastic
+    net ``grads`` is left as it is.
+    """
     total = 0.0
     for i in range(len(spec.layer_sizes) - 1):
         W = params[f"W{i}"]
         l1 = spec.l1_coeff * np.abs(W).sum() if spec.l1_coeff else 0.0
         l2 = spec.l2_coeff * np.sum(W * W) if spec.l2_coeff else 0.0
         total += l1 + l2
+        if not (spec.l1_coeff or spec.l2_coeff):
+            continue
+        g = grads[f"W{i}"] = dense_gradient(grads[f"W{i}"], W.shape)
+        for rows in row_blocks(*W.shape):
+            if spec.l1_coeff:
+                g[rows] += spec.l1_coeff * np.sign(W[rows])
+            if spec.l2_coeff:
+                g[rows] += 2.0 * spec.l2_coeff * W[rows]
     return total
 
 
@@ -277,6 +294,7 @@ def train_loop(model, train_data, dev_data, adam_cfg=None, stop_cfg=None,
             if not np.isfinite(loss):
                 raise TrainingError(f"NaN loss at epoch {epoch}, batch {start // batch_size}")
             adam_step(adam, model.params, grads, adam_cfg)
+            del grads  # not held while the next batch's gradients are built
             epoch_loss += loss * len(idx)
         epoch_loss /= n
         metric = model.dev_metric(dev_data)

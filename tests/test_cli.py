@@ -261,6 +261,33 @@ def test_dialect_commands_hold_one_row_block(dialect_run, corpus, tmp_path, monk
             assert abs(blocked[term] - score) <= 1e-9, term
 
 
+def test_dialect_finds_regions_once_per_distinct_point(dialect_run, corpus, tmp_path, monkeypatch,
+                                                       capsys):
+    """``dialect`` tests region membership on the distinct sampled rows only,
+    and each mask gathered back into sampled order counts every draw."""
+    from geomix import dialect as dl
+    region_membership, tested = dl.region_membership, []
+
+    def distinct_rows_only(points, region, radius_km):
+        tested.append(len(points))
+        return region_membership(points, region, radius_km)
+
+    monkeypatch.setattr(dl, "region_membership", distinct_rows_only)
+    assert run(["dialect", "--checkpoint", str(dialect_run / "dia.json"),
+                "--regions", str(dialect_run / "regions.tsv"),
+                "--train", str(corpus / "s-train.tsv"), "--p", "200",
+                "--out-prefix", str(tmp_path / "rank-")]) == 0
+    coords = data.coords_array(data.read_corpus(corpus / "s-train.tsv"))
+    idx = np.random.default_rng(0).integers(len(coords), size=200)
+    pts, distinct = coords[idx], len(np.unique(idx))
+    assert distinct < 200 and tested == [distinct] * 3  # one call a region, nowhere included
+    printed = {ln.split("\t")[0]: int(ln.split("\t")[1])
+               for ln in capsys.readouterr().out.splitlines()[1:]}
+    regions = {r.name: r for r in dl.read_regions(dialect_run / "regions.tsv")}
+    assert printed == {name: int(region_membership(pts, regions[name], 161.0).sum())
+                       for name in ("north", "south")}
+
+
 @pytest.mark.parametrize("block_rows", [None, 8])
 def test_dialect_scores_equal_the_log_probability_matrix_formula(block_rows, dialect_run, corpus, tmp_path,
                                                                  monkeypatch):

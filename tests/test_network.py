@@ -3,6 +3,7 @@ first layer's row gradient, Adam, dropout, elastic net and the training
 loop."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from geomix import heads, models, network
+from geomix import heads, kernels, models, network
 from geomix.network import (AdamConfig, AdamState, ContractError, EarlyStopConfig,
                             NetworkSpec, RowGrad, TrainingError, adam_step, backward,
                             dense_gradient, forward, init_network_params,
@@ -37,20 +38,31 @@ def test_forward_width_contract():
         forward(params, spec, np.zeros((2, 5)))
 
 
-def test_backward_matches_finite_differences():
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+def test_backward_matches_finite_differences(dropout_rate):
+    """``backward`` plus ``regularization_penalty``'s gradient; with dropout,
+    every forward pass draws the same masks."""
     rng = np.random.default_rng(0)
-    spec = NetworkSpec((3, 5, 4, 2), l1_coeff=1e-3, l2_coeff=1e-3, seed=1)
+    spec = NetworkSpec((3, 5, 4, 2), dropout_rate=dropout_rate, l1_coeff=1e-3, l2_coeff=1e-3, seed=1)
     params = init_network_params(spec)
     X = rng.normal(size=(6, 3))
     Y = rng.normal(size=(6, 2))
 
-    def loss_fn():
-        out = forward(params, spec, X).output
-        return np.mean((out - Y) ** 2) + regularization_penalty(params, spec)
+    def fwd():
+        return forward(params, spec, X, train_mode=True, rng=np.random.default_rng(2))
 
-    acts = forward(params, spec, X)
+    def loss_fn():
+        out = fwd().output
+        weights = [params["W0"], params["W1"], params["W2"]]
+        return np.mean((out - Y) ** 2) + sum(1e-3 * np.abs(W).sum() + 1e-3 * np.sum(W * W)
+                                             for W in weights)
+
+    acts = fwd()
+    if dropout_rate:
+        assert all((m == 0.0).any() for m in acts.masks[:2])
     d_out = 2.0 * (acts.output - Y) / Y.size
     grads, _ = backward(params, spec, acts, d_out)
+    regularization_penalty(params, spec, grads)
     h = 1e-5
     for name, arr in params.items():
         flat = arr.ravel()
@@ -147,7 +159,51 @@ def test_dropout_inverted_scaling():
 
 def test_regularization_penalty_zero_when_disabled():
     params, spec = small_net(seed=6)
-    assert regularization_penalty(params, spec) == 0.0
+    grads = {"W0": RowGrad(np.array([1]), np.ones((1, 4))), "W1": np.ones((4, 2))}
+    held = dict(grads)
+    assert regularization_penalty(params, spec, grads) == 0.0
+    assert all(grads[k] is held[k] for k in held)  # no pass, nothing made dense
+
+
+def test_backward_ignores_elastic_net():
+    """A CSR first layer's gradient is a RowGrad under elastic net too, and
+    no block depends on the coefficients."""
+    rng = np.random.default_rng(20)
+    X = sparse.random(8, 50, density=0.05, format="csr", random_state=rng)
+    d_out = rng.normal(size=(8, 2))
+    plain = NetworkSpec((50, 4, 2), seed=21)
+    params = init_network_params(plain)
+    elastic = NetworkSpec((50, 4, 2), l1_coeff=1e-3, l2_coeff=2e-3, seed=21)
+    want, _ = backward(params, plain, forward(params, plain, X), d_out)
+    grads, _ = backward(params, elastic, forward(params, elastic, X), d_out)
+    assert isinstance(grads["W0"], RowGrad)
+    np.testing.assert_array_equal(grads["W0"].rows, want["W0"].rows)
+    assert grads["W0"].values.tobytes() == want["W0"].values.tobytes()
+    for k in ("b0", "W1", "b1"):
+        assert grads[k].tobytes() == want[k].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_batches(), st.integers(1, 4), st.sampled_from([(1e-3, 2e-3), (5e-6, 5e-6), (1e-3, 0.0),
+                                                          (0.0, 2e-3)]),
+       st.booleans(), st.integers(0, 2 ** 16))
+def test_penalty_gradient_in_row_blocks_is_the_whole_formula_bitwise(batch, block_rows, l1_l2,
+                                                                    as_rows, seed):
+    X, delta = batch
+    (V, H), (l1, l2) = (X.shape[1], delta.shape[1]), l1_l2
+    W = np.random.default_rng(seed).normal(size=(V, H))
+    W[::3, 0] = 0.0  # sign 0
+    spec = NetworkSpec((V, H), l1_coeff=l1, l2_coeff=l2)
+    grads = {"W0": row_gradient(X, delta) if as_rows else X.T @ delta}
+    with mock.patch.object(kernels, "ROW_BLOCK_ELEMS", block_rows * H):  # blocks of block_rows rows
+        penalty = regularization_penalty({"W0": W}, spec, grads)
+    want = X.T @ delta
+    if l1:
+        want = want + l1 * np.sign(W)
+    if l2:
+        want = want + 2.0 * l2 * W
+    assert grads["W0"].tobytes() == want.tobytes()
+    assert penalty == (l1 * np.abs(W).sum() if l1 else 0.0) + (l2 * np.sum(W * W) if l2 else 0.0)
 
 
 def test_adam_first_step_is_signed_lr():
@@ -401,16 +457,19 @@ def test_sparse_batch_step_makes_no_first_layer_sized_array():
     assert peak < V * H * 8, peak
 
 
-def test_train_loop_holds_four_first_layer_arrays():
+@pytest.mark.parametrize("regul, bound", [(0.0, 4.1), (5e-6, 5.25)])
+def test_train_loop_holds_four_first_layer_arrays(regul, bound):
     """Above what exists before it, training a CSR-input MDN with dev
     evaluation holds one best copy and Adam's m, v and work array of the
-    V x H first layer, with one best copy refreshed in place."""
+    V x H first layer, with one best copy refreshed in place.  Elastic net
+    adds one dense gradient of W0, its penalty term added in row blocks."""
     V, H, K = 20000, 100, 4
     rng = np.random.default_rng(17)
     # about 20 terms a user: a batch's row gradients are about 640 x H
     X = sparse.random(96, V, density=0.001, format="csr", random_state=rng)
     Y = np.stack([rng.normal(40.0, 4.0, 96), rng.normal(-100.0, 8.0, 96)], axis=1)
-    model = models.MdnGeolocator(NetworkSpec((V, H, 6 * K), seed=18), heads.MdnHeadConfig(K))
+    model = models.MdnGeolocator(NetworkSpec((V, H, 6 * K), l1_coeff=regul, l2_coeff=regul, seed=18),
+                                 heads.MdnHeadConfig(K))
     model.init_output_bias_from_labels(Y[:64], mode="kmeans", seed=18)
     tracemalloc.start()
     try:
@@ -422,7 +481,7 @@ def test_train_loop_holds_four_first_layer_arrays():
         tracemalloc.stop()
     dev = [record[2] for record in log]
     assert len(dev) == 3 and min(dev[1:]) < dev[0]  # the best copy is refreshed
-    assert peak - start <= 4.1 * V * H * 8, (peak - start) / (V * H * 8)
+    assert peak - start <= bound * V * H * 8, (peak - start) / (V * H * 8)
 
 
 def test_adam_descends_quadratic():
