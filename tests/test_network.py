@@ -38,10 +38,17 @@ def test_forward_width_contract():
         forward(params, spec, np.zeros((2, 5)))
 
 
-@pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
-def test_backward_matches_finite_differences(dropout_rate):
-    """``backward`` plus ``regularization_penalty``'s gradient; with dropout,
-    every forward pass draws the same masks."""
+def test_backward_matches_finite_differences():
+    """``backward`` plus ``regularization_penalty``'s gradient."""
+    check_backward_against_finite_differences(dropout_rate=0.0)
+
+
+def test_backward_matches_finite_differences_under_dropout():
+    """The same with dropout: every forward pass draws the same masks."""
+    check_backward_against_finite_differences(dropout_rate=0.5)
+
+
+def check_backward_against_finite_differences(dropout_rate):
     rng = np.random.default_rng(0)
     spec = NetworkSpec((3, 5, 4, 2), dropout_rate=dropout_rate, l1_coeff=1e-3, l2_coeff=1e-3, seed=1)
     params = init_network_params(spec)
@@ -457,12 +464,20 @@ def test_sparse_batch_step_makes_no_first_layer_sized_array():
     assert peak < V * H * 8, peak
 
 
-@pytest.mark.parametrize("regul, bound", [(0.0, 4.1), (5e-6, 5.25)])
-def test_train_loop_holds_four_first_layer_arrays(regul, bound):
+def test_train_loop_holds_four_first_layer_arrays():
     """Above what exists before it, training a CSR-input MDN with dev
     evaluation holds one best copy and Adam's m, v and work array of the
-    V x H first layer, with one best copy refreshed in place.  Elastic net
-    adds one dense gradient of W0, its penalty term added in row blocks."""
+    V x H first layer, with one best copy refreshed in place."""
+    check_train_loop_peak(regul=0.0, bound=4.1)
+
+
+def test_train_loop_holds_five_first_layer_arrays_under_elastic_net():
+    """Elastic net adds one dense gradient of W0, its penalty term added in
+    row blocks."""
+    check_train_loop_peak(regul=5e-6, bound=5.25)
+
+
+def check_train_loop_peak(regul, bound):
     V, H, K = 20000, 100, 4
     rng = np.random.default_rng(17)
     # about 20 terms a user: a batch's row gradients are about 640 x H
