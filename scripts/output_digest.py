@@ -44,8 +44,7 @@ from geomix import cli, data, features
 SEED = "5"
 K_SHARED = 1000  # 2**18 // 1000 = 262 rows a block: the 100 x 100 heatmap takes 39
 # the 1 040 distinct training rows drawn, not P, set the logit blocks: 412 terms, so
-# 2**18 // 412 = 636 rows a block, 2 blocks; the P sampled [h | lse] rows (H = 16)
-# then stream in 2**18 // 17 = 15 420-row blocks, 2 blocks
+# 2**18 // 412 = 636 rows a block, 2 blocks, each weighted into the region sums
 P_DIALECT = 30000
 MODELS = ("regression", "mdn", "mdn_shared", "dialect")
 # each vocabulary file with the test split of the corpus it was built from

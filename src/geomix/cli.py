@@ -9,6 +9,7 @@ import argparse
 import configparser
 import contextlib
 import ctypes
+import itertools
 import sys
 
 import numpy as np
@@ -271,23 +272,24 @@ def cmd_dialect(args):
         raise UsageError(f"{args.regions} has no regions")
     coords = data.coords_array(_read_users(args.train))
     idx = np.random.default_rng(args.seed).integers(len(coords), size=args.p)
-    distinct, inverse = np.unique(idx, return_inverse=True)  # points drawn again are computed once
+    distinct, counts = np.unique(idx, return_counts=True)  # points drawn again are computed once
     pts = coords[distinct]
-    masks = [dl.region_membership(pts, region, args.radius_km)[inverse] for region in regions]
-    if not any(mask.any() for mask in masks):
+    inside = np.array([dl.region_membership(pts, region, args.radius_km) for region in regions])
+    n_points = inside @ counts
+    if not n_points.any():
         raise UsageError(f"no sampled point lies inside any region of {args.regions}")
-    for region, mask in zip(regions, masks):
-        if not mask.any():
+    for region, n in zip(regions, n_points):
+        if not n:
             print(f"warning: no sampled points inside {region.name}; skipped", file=sys.stderr)
-    scored = [(region, mask) for region, mask in zip(regions, masks) if mask.any()]
+    scored = n_points > 0
     terms = model.terms
     summary = []
-    for (region, mask), scores in zip(scored, model.region_scores(pts, inverse,
-                                                                  [mask for _, mask in scored])):
+    for region, n, scores in zip(itertools.compress(regions, scored), n_points[scored],
+                                 model.region_scores(pts, dl.region_weights(counts, inside[scored]))):
         ranked = dl.dialect_rank(terms, scores)
         recall, oov = dl.recall_at_k([t for t, _ in ranked], region.terms, args.k, terms)
         dl.write_ranking_tsv(f"{args.out_prefix}{region.name}.tsv", ranked)
-        summary.append((region.name, int(mask.sum()), recall, len(oov)))
+        summary.append((region.name, int(n), recall, len(oov)))
     print("region\tn_points\trecall@%d\toov_gold" % args.k)
     for name, n, recall, oov in summary:
         rec = "undefined" if recall is None else f"{recall:.4f}"
@@ -458,7 +460,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, network.TrainingError, OSError) as e:  # geomix's input errors are ValueErrors
+    except (ValueError, network.TrainingError, OSError, MemoryError) as e:  # MemoryError: too big to allocate
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

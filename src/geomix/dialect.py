@@ -92,41 +92,15 @@ def perplexity(log_probs, counts):
     return float(np.exp(-np.sum(counts * np.where(counts > 0, lp, 0.0)) / total))
 
 
-def score_vocabulary(blocks, masks):
-    """Each column's mean over the in-region rows minus its mean over all
-    rows, for each region mask.
-
-    ``blocks`` yields ``(start, rows)`` row blocks that together cover a
-    P x W matrix in order: the P x V word log-probabilities give each word's
-    region score, and any rows the log-probabilities are a linear function of
-    give the same function of the scores (``DialectModel.region_scores``).
-    ``masks`` are P-length region masks.  Returns one W-vector per mask.
-    Column sums add the rows in order, as numpy's axis-0 sum does for W >= 2,
-    so the scores equal ``lp[mask].mean(0) - lp.mean(0)`` on the whole matrix
-    bit for bit.
-    """
-    masks = [np.asarray(m, dtype=bool) for m in masks]
-    if not all(m.any() for m in masks):
+def region_weights(counts, inside):
+    """R x D weights w, with w @ log_p each region's word scores: the mean
+    log-probability over the region's draws minus the mean over all P draws,
+    for ``counts`` draws of each of D distinct points and their R x D region
+    membership ``inside``.  Each row sums to zero."""
+    n = inside @ counts
+    if not n.all():
         raise ValueError("no sampled points fall inside the region")
-    total, region_sums, n = None, [None] * len(masks), 0
-    for start, lp in blocks:
-        lp = np.asarray(lp, dtype=float)
-        n = start + len(lp)
-        total = _add_rows(total, lp.copy())
-        for r, mask in enumerate(masks):
-            region_sums[r] = _add_rows(region_sums[r], lp[mask[start:n]])
-    return [s / int(m.sum()) - total / n for s, m in zip(region_sums, masks)]
-
-
-def _add_rows(acc, rows):
-    """``acc`` (None before the first row) plus each row of ``rows``, a copy
-    this overwrites, in order: one axis-0 sum with ``acc`` added into the
-    first row, which is ``acc + rows[0] + rows[1] + ...`` bit for bit."""
-    if not len(rows):
-        return acc
-    if acc is not None:
-        rows[0] += acc
-    return rows.sum(axis=0)
+    return inside * (counts / n[:, None]) - counts / counts.sum()
 
 
 def dialect_rank(terms, scores):

@@ -15,8 +15,8 @@ under elastic net), and Y as an N x 2 coordinate array; the dialect model takes
 X as a dense N x 2 coordinate array and Y as an N x V CSR target matrix, of
 which a training batch densifies only its own rows.  The dialect model's V-wide
 outputs (logits, the dev loss) are computed in ``kernels.row_blocks``, never
-for all rows at once; its region scores come from each point's hidden layer
-and log-normalizer, never from a P x V log-probability matrix.
+for all rows at once; its region scores are weighted sums of each distinct
+point's hidden layer and log-normalizer, never a P x V log-probability matrix.
 
 ``to_checkpoint`` gives a model's checkpoint as a dict: every field is
 plain JSON except ``params``, which maps each block name to its float64
@@ -320,26 +320,22 @@ class DialectModel(_BaseModel):
         acts = forward(self.params, self.spec, acts_in)
         return acts.layer_inputs[-1], acts.output
 
-    def region_scores(self, points, inverse, masks):
-        """``dialect.score_vocabulary`` of the word log-probabilities at the
-        P sampled points ``points[inverse]``, one V-vector per P-length mask,
-        without a P x V matrix.
-
-        A score is a difference of column means of log p = h @ W_out + b_out
-        - lse, with lse each row's log-normalizer, so it is linear in the
-        (H+1)-wide rows [h | lse]: those are computed once per row of
-        ``points``, gathered into sampled order one row block at a time and
-        scored, and each result s is projected as s[:H] @ W_out - s[H] (b_out
-        cancels).  Exact in real arithmetic.
+    def region_scores(self, points, weights):
+        """``weights @ log_p`` (R x V) for the R x D ``weights``
+        (``dialect.region_weights``) and the word log-probabilities log_p at
+        the D ``points``, without a D x V matrix: log_p = h @ W_out + b_out - lse
+        is linear in h and the log-normalizers lse, so each row block adds its
+        weighted h and lse into one R x (H+1) sum s, projected as
+        s[:, :H] @ W_out - s[:, H:] (b_out drops out: each weight row sums to 0).
         """
         H = self.spec.layer_sizes[-2]
-        rows = np.empty((len(points), H + 1))
+        s = np.zeros((len(weights), H + 1))
         for start, h, logits in self.logit_blocks(points):
-            rows[start:start + len(h), :H] = h
-            rows[start:start + len(h), H] = logsumexp_rows(logits)
-        blocks = ((b.start, rows[inverse[b]]) for b in row_blocks(len(inverse), H + 1))
+            w = weights[:, start:start + len(h)]
+            s[:, :H] += w @ h
+            s[:, H] += w @ logsumexp_rows(logits)
         W_out = self.params[f"W{len(self.spec.layer_sizes) - 2}"]
-        return [s[:H] @ W_out - s[H] for s in dl.score_vocabulary(blocks, masks)]
+        return s[:, :H] @ W_out - s[:, H:]
 
     def _extra_checkpoint(self):
         return {"terms": self.terms, "log_domain": self.log_domain}

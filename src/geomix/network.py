@@ -41,6 +41,10 @@ class NetworkSpec:
             raise ValueError(f"bad layer sizes: {self.layer_sizes}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1): {self.dropout_rate}")
+        for name in ("l1_coeff", "l2_coeff"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.hidden_activation != "tanh":  # forward has no other activation
             raise ValueError(f"unknown hidden_activation: {self.hidden_activation!r}")
 
@@ -188,26 +192,26 @@ def regularization_penalty(params, spec, grads):
     """The elastic-net penalty sum of l1*|W| + l2*W*W over the weight blocks.
 
     Adds its gradient l1*sign(W) + 2*l2*W to each W block of ``grads``, in
-    place and one ``row_blocks`` slice of W at a time, so no W-sized
-    temporary is made; a RowGrad block is first made dense.  A zero
-    coefficient adds exactly 0.0, so its pass is skipped, and without elastic
-    net ``grads`` is left as it is.
+    place, and sums the penalty in the same pass, one ``row_blocks`` slice
+    of W at a time, so no W-sized temporary is made; a RowGrad block is
+    first made dense.  A zero coefficient adds exactly 0.0, so its terms are
+    skipped, and without elastic net ``grads`` is left as it is.
     """
-    total = 0.0
+    if not (spec.l1_coeff or spec.l2_coeff):
+        return 0.0
+    l1 = l2 = 0.0
     for i in range(len(spec.layer_sizes) - 1):
         W = params[f"W{i}"]
-        l1 = spec.l1_coeff * np.abs(W).sum() if spec.l1_coeff else 0.0
-        l2 = spec.l2_coeff * np.sum(W * W) if spec.l2_coeff else 0.0
-        total += l1 + l2
-        if not (spec.l1_coeff or spec.l2_coeff):
-            continue
         g = grads[f"W{i}"] = dense_gradient(grads[f"W{i}"], W.shape)
         for rows in row_blocks(*W.shape):
+            w = W[rows]
             if spec.l1_coeff:
-                g[rows] += spec.l1_coeff * np.sign(W[rows])
+                g[rows] += spec.l1_coeff * np.sign(w)
+                l1 += np.abs(w).sum()
             if spec.l2_coeff:
-                g[rows] += 2.0 * spec.l2_coeff * W[rows]
-    return total
+                g[rows] += 2.0 * spec.l2_coeff * w
+                l2 += np.sum(w * w)
+    return spec.l1_coeff * l1 + spec.l2_coeff * l2
 
 
 @dataclass

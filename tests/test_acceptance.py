@@ -255,14 +255,14 @@ def test_criterion_7_dialect_recall_and_centers(dialect_models):
     mu_ok = True
     for seed, (model, vocab, Ctr, _) in dialect_models.items():
         rng = np.random.default_rng(123)
-        pts = Ctr[rng.integers(len(Ctr), size=2000)]
-        lp = model.word_log_probs(pts)
+        distinct, counts = np.unique(rng.integers(len(Ctr), size=2000), return_counts=True)
+        pts = Ctr[distinct]
         all_regions = True
         for i, center in enumerate(DIALECT_CENTERS):
             region = dl.DialectRegion(f"region{i}", [[center.lat, center.lon]],
                                       [f"mode{i}tok{j}" for j in range(5)])
-            mask = dl.region_membership(pts, region)
-            ranked = dl.dialect_rank(vocab.terms, dl.score_vocabulary([(0, lp)], [mask])[0])
+            weights = dl.region_weights(counts, dl.region_membership(pts, region)[None])
+            ranked = dl.dialect_rank(vocab.terms, model.region_scores(pts, weights)[0])
             rec, _ = dl.recall_at_k([t for t, _ in ranked], region.terms, 10, vocab.terms)
             all_regions &= rec == 1.0
         seeds_all_regions += all_regions
@@ -276,7 +276,8 @@ def test_criterion_7_dialect_recall_and_centers(dialect_models):
     rng = np.random.default_rng(0)
     const_lp = np.tile(rng.normal(size=7), (500, 1))  # location-independent columns
     mask = rng.random(500) < 0.3
-    const_worst = float(np.max(np.abs(dl.score_vocabulary([(0, const_lp)], [mask])[0])))
+    counts = rng.integers(1, 5, size=500)  # points drawn up to four times
+    const_worst = float(np.max(np.abs(dl.region_weights(counts, mask[None]) @ const_lp)))
 
     ok = seeds_all_regions >= 2 and mu_ok and const_worst <= 1e-9
     report(7, ok, f"{seeds_all_regions}/3 seeds with perfect recall@10 (need >= 2); "

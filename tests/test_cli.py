@@ -291,9 +291,9 @@ def test_dialect_finds_regions_once_per_distinct_point(dialect_run, corpus, tmp_
 @pytest.mark.parametrize("block_rows", [None, 8])
 def test_dialect_scores_equal_the_log_probability_matrix_formula(block_rows, dialect_run, corpus, tmp_path,
                                                                  monkeypatch):
-    """``dialect``'s scores are those of the P x V log-probabilities in their
-    low bits and, though each distinct sampled point is computed once, bit for
-    bit those of the same path over every sampled point."""
+    """``dialect``'s scores are those of the P x V log-probabilities' whole-
+    matrix formula in their low bits, in the same order, and bit for bit those
+    of ``region_scores`` under ``region_weights`` of the distinct draws."""
     from geomix import dialect as dl
     from geomix import kernels
     model = data.load_model(dialect_run / "dia.json")
@@ -305,18 +305,20 @@ def test_dialect_scores_equal_the_log_probability_matrix_formula(block_rows, dia
                 "--p", str(P), "--seed", str(seed), "--out-prefix", str(tmp_path / "rank-")]) == 0
     coords = data.coords_array(data.read_corpus(corpus / "s-train.tsv"))
     idx = np.random.default_rng(seed).integers(len(coords), size=P)
-    assert len(np.unique(idx)) < P  # the draw repeats points
-    pts = coords[idx]
+    distinct, counts = np.unique(idx, return_counts=True)
+    assert len(distinct) < P  # the draw repeats points
     regions = [r for r in dl.read_regions(dialect_run / "regions.tsv") if r.name != "nowhere"]
-    masks = [dl.region_membership(pts, region) for region in regions]
-    matrix = dl.score_vocabulary([(0, model.word_log_probs(pts))], masks)
-    every_point = model.region_scores(pts, np.arange(P), masks)
-    for region, want, same_path in zip(regions, matrix, every_point):
+    inside = np.array([dl.region_membership(coords[distinct], region) for region in regions])
+    same_path = model.region_scores(coords[distinct], dl.region_weights(counts, inside))
+    lp = model.word_log_probs(coords[idx])
+    for region, same in zip(regions, same_path):
+        mask = dl.region_membership(coords[idx], region)
+        want = lp[mask].mean(axis=0) - lp.mean(axis=0)
         lines = [ln.split("\t") for ln in (tmp_path / f"rank-{region.name}.tsv").read_text().splitlines()[1:]]
         assert [term for _, term, _ in lines] == [term for term, _ in dl.dialect_rank(model.terms, want)]
         got = {term: score for _, term, score in lines}
         assert max(abs(float(got[t]) - w) for t, w in zip(model.terms, want)) <= 1e-9
-        assert [got[t] for t in model.terms] == [repr(x) for x in same_path.tolist()]
+        assert [got[t] for t in model.terms] == [repr(x) for x in same.tolist()]
 
 
 def test_heatmap_geolocation(trained, tmp_path):
@@ -492,6 +494,8 @@ TRAIN_CASES = {
     "train lr below 0": ("mdn", "--lr", "-0.01"),
     "train lr inf": ("mdn", "--lr", "inf"),
     "train max epochs below 0": ("mdn", "--max-epochs", "-1"),
+    "train regul -1": ("mdn", "--regul", "-1"),
+    "dialect train l2 inf": ("dialect", "--l2", "inf"),
 }
 SYNTH_CASES = {
     "synth more counts than modes": ("--users-per-mode", "5,5,5"),
@@ -510,6 +514,8 @@ DIALECT_CASES = {
     "dialect p -3": ("north\t50,-100\tmode1tok0\n", "--p", "-3"),
     "regions file without regions": ("# a comment\n\n",),
     "no region holds a sampled point": ("far\t-40,150\tmode1tok0\nfarther\t-45,170\tmode0tok0\n",),
+    # 10^15 draws: a 7 PiB index array, refused at allocation
+    "dialect p 10^15": ("north\t50,-100\tmode1tok0\n", "--p", str(10 ** 15)),
 }
 PREDICT_CASES = {
     "predict without text or input": (),
@@ -524,6 +530,8 @@ FLAG_CASES = {
     "heatmap three-value bbox, no checkpoint": ("heatmap", "--bbox", "1,2,3"),
     "heatmap nan bbox, no checkpoint": ("heatmap", "--bbox", "nan,60,-120,-70"),
     "heatmap resolution 0, no checkpoint": ("heatmap", "--resolution", "0"),
+    # a 10^7 x 10^7 grid: 728 TiB a coordinate array, refused at allocation
+    "heatmap resolution 10^7, no checkpoint": ("heatmap", "--resolution", str(10 ** 7)),
 }
 # train settings refused before any file is read: each case names a --train file that does not exist
 EARLY_TRAIN_CASES = {"train patience 0, no train file": ("--patience", "0"),
@@ -572,6 +580,10 @@ ERROR_MESSAGES = {"dialect p 0": "--p must be >= 1", "dialect p -3": "--p must b
                   **{case: "out of range" for case in BBOX_CASES},
                   **{case: "--radius-km must be finite and > 0" for case in FLAG_CASES if "radius" in case},
                   **{case: "bad --bbox" for case in FLAG_CASES if case.startswith("heatmap")},
+                  "train regul -1": "l1_coeff must be finite and >= 0, got -0.5",
+                  "dialect train l2 inf": "l2_coeff must be finite and >= 0, got inf",
+                  "dialect p 10^15": "Unable to allocate",
+                  "heatmap resolution 10^7, no checkpoint": "Unable to allocate",
                   **{case: "empty.tsv has no users"
                      for case in [*EMPTY_CORPUS_CASES, "dialect empty train file",
                                   "evaluate empty test file"]},

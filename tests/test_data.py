@@ -222,6 +222,7 @@ def test_v1_checkpoint_is_refused(tmp_path):
 V3_BREAKAGES = {
     "drop network_spec": "network_spec", "drop head": "head", "unknown spec key": "bad network_spec",
     "relu activation": "unknown hidden_activation: 'relu'",
+    "negative l2_coeff": "l2_coeff must be finite and >= 0",
     "head K mismatch": "bad model fields", "missing member": "do not match",
     "extra member": "do not match", "stray member": "unexpected checkpoint member",
     "wrong member shape": "has shape", "forged huge shape": "has shape",
@@ -264,6 +265,8 @@ def test_malformed_v3_checkpoint_is_checkpoint_error(tmp_path, breakage):
         meta["network_spec"]["learning_rate"] = 0.5
     elif breakage == "relu activation":
         meta["network_spec"]["hidden_activation"] = "relu"
+    elif breakage == "negative l2_coeff":
+        meta["network_spec"]["l2_coeff"] = -1e-5
     elif breakage == "head K mismatch":
         meta["head"]["K"] = 3
     elif breakage == "version 2 in zip":

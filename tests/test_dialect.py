@@ -1,4 +1,4 @@
-"""Gaussian representation layer, dialect loss, streamed scoring, ranking,
+"""Gaussian representation layer, dialect loss, region scoring, ranking,
 recall and perplexity, and the dialect model's CSR targets and row-blocked
 dev loss."""
 
@@ -160,7 +160,7 @@ def test_perplexity_hand_table():
 
 def dialect_score(log_probs_at_points, in_region_mask):
     """Mean log-probability over in-region points minus mean over all
-    points: the per-word reference ``score_vocabulary`` is checked against."""
+    points: the per-word reference ``DialectModel.region_scores`` is checked against."""
     mask = np.asarray(in_region_mask, dtype=bool)
     if not mask.any():
         raise ValueError("no sampled points fall inside the region")
@@ -181,55 +181,6 @@ def test_dialect_score_trivials():
         dialect_score(lp2, np.zeros(5, dtype=bool))
 
 
-def test_score_vocabulary_matches_per_word():
-    rng = np.random.default_rng(6)
-    lp = rng.normal(size=(20, 7))
-    mask = rng.random(20) < 0.4
-    scores = dl.score_vocabulary([(0, lp)], [mask])[0]
-    for v in range(7):
-        assert abs(scores[v] - dialect_score(lp[:, v], mask)) < 1e-12
-
-
-def row_blocks(lp, rows):
-    return [(start, lp[start:start + rows]) for start in range(0, len(lp), rows)]
-
-
-def oracle_scores(lp, mask):
-    """The whole-matrix formula the streamed scores must equal bit for bit."""
-    return lp[mask].mean(axis=0) - lp.mean(axis=0)
-
-
-@pytest.mark.parametrize("P, rows, n_regions", [
-    (1000, 64, 1),  # P not a multiple of the block rows
-    (50, 64, 1),  # P smaller than one block
-    (333, 10, 4),  # several regions in one pass
-    (7, 1, 2),  # one-row blocks
-])
-def test_streamed_scores_equal_whole_matrix_formula(P, rows, n_regions):
-    rng = np.random.default_rng(P)
-    lp = np.log(rng.dirichlet(np.ones(31), size=P))
-    masks = [rng.random(P) < f for f in np.linspace(0.2, 0.7, n_regions)]
-    for mask in masks:
-        mask[0] = True
-    scores = dl.score_vocabulary(row_blocks(lp, rows), masks)
-    assert len(scores) == n_regions
-    for mask, got in zip(masks, scores):
-        np.testing.assert_array_equal(got, oracle_scores(lp, mask))
-
-
-def test_streamed_scores_skip_blocks_without_region_rows():
-    rng = np.random.default_rng(11)
-    lp = rng.normal(-5.0, 2.0, size=(120, 9))
-    inside = np.zeros(120, dtype=bool)
-    inside[[3, 17, 18, 95]] = True  # of the eight 15-row blocks, 2-5 and 7 hold none
-    everywhere = np.ones(120, dtype=bool)
-    got = dl.score_vocabulary(row_blocks(lp, 15), [inside, everywhere])
-    np.testing.assert_array_equal(got[0], oracle_scores(lp, inside))
-    np.testing.assert_array_equal(got[1], oracle_scores(lp, everywhere))
-    with pytest.raises(ValueError):
-        dl.score_vocabulary(row_blocks(lp, 15), [inside, np.zeros(120, dtype=bool)])
-
-
 def dialect_model(V=23, K=3, seed=0):
     """A dialect model with dropout and elastic net, coordinates and
     l1-normalized CSR targets."""
@@ -240,6 +191,31 @@ def dialect_model(V=23, K=3, seed=0):
     Y = sparse.random(90, V, density=0.2, format="csr", random_state=rng)
     mass = np.asarray(Y.sum(axis=1)).ravel()
     return model, coords, sparse.csr_matrix(sparse.diags(1.0 / np.where(mass > 0, mass, 1.0)) @ Y)
+
+
+@pytest.mark.parametrize("block_rows", [None, 1])
+def test_region_scores_equal_the_per_word_oracle(block_rows, monkeypatch):
+    """Each row of ``region_scores`` under ``region_weights`` is, for every
+    word, ``dialect_score`` of its log-probabilities at the P draws, repeated
+    points counted each time they are drawn, whether the distinct points come
+    in one row block or one row a block; a region with no draw is refused."""
+    model, coords, _ = dialect_model(seed=7)
+    model.params["b1"] = np.random.default_rng(8).normal(size=23)  # b_out must drop out
+    if block_rows:
+        monkeypatch.setattr(kernels, "ROW_BLOCK_ELEMS", block_rows * 23)
+    idx = np.random.default_rng(9).integers(30, size=200)  # 200 draws of 30 points
+    distinct, inverse, counts = np.unique(idx, return_inverse=True, return_counts=True)
+    inside = np.random.default_rng(10).random((4, len(distinct))) < np.linspace(0.1, 0.7, 4)[:, None]
+    inside[:, 0] = True
+    scores = model.region_scores(coords[distinct], dl.region_weights(counts, inside))
+    assert scores.shape == (4, 23)
+    lp = model.word_log_probs(coords[idx])
+    for region, got in zip(inside, scores):
+        for v in range(23):
+            assert abs(got[v] - dialect_score(lp[:, v], region[inverse])) <= 1e-12
+    inside[2] = False
+    with pytest.raises(ValueError, match="no sampled points fall inside the region"):
+        dl.region_weights(counts, inside)
 
 
 def test_dialect_csr_batch_matches_dense_rows():

@@ -210,7 +210,9 @@ def test_penalty_gradient_in_row_blocks_is_the_whole_formula_bitwise(batch, bloc
     if l2:
         want = want + 2.0 * l2 * W
     assert grads["W0"].tobytes() == want.tobytes()
-    assert penalty == (l1 * np.abs(W).sum() if l1 else 0.0) + (l2 * np.sum(W * W) if l2 else 0.0)
+    # the value is summed block by block in the same pass, so only its low bits may differ
+    want_penalty = (l1 * np.abs(W).sum() if l1 else 0.0) + (l2 * np.sum(W * W) if l2 else 0.0)
+    assert abs(penalty - want_penalty) <= 1e-12 * want_penalty
 
 
 def test_adam_first_step_is_signed_lr():
@@ -562,6 +564,14 @@ def test_train_loop_deterministic():
                    EarlyStopConfig(patience=5), batch_size=3, max_epochs=20, seed=42)
         runs.append(model.params["w"].copy())
     np.testing.assert_array_equal(runs[0], runs[1])
+
+
+@pytest.mark.parametrize("coeff", ["l1_coeff", "l2_coeff"])
+@pytest.mark.parametrize("value", [-1.0, -1e-300, np.inf, np.nan])
+def test_spec_refuses_a_negative_or_non_finite_penalty(coeff, value):
+    with pytest.raises(ValueError, match=f"{coeff} must be finite and >= 0"):
+        NetworkSpec((5, 3), **{coeff: value})
+    NetworkSpec((5, 3), **{coeff: 0.0})
 
 
 def test_spec_validation():

@@ -14,7 +14,7 @@ from geomix import models
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # traced names geomix no longer has: their metrics read 0 by design
-GONE = {"cli.heads_from_model", "heads.init_shared", "features.vectorize"}
+GONE = {"cli.heads_from_model", "heads.init_shared", "features.vectorize", "dialect.score_vocabulary"}
 
 
 @pytest.fixture
