@@ -236,8 +236,8 @@ def cmd_predict(args):
         records = data.read_corpus(args.input)
         uids, texts = [r.user_id for r in records], [r.text for r in records]
     _, X = _vectorize(texts, vocab)
-    if hasattr(model, "mixture_arrays"):
-        arrays = model.mixture_arrays(X)
+    if hasattr(model, "mixture_rows"):
+        arrays = heads.mixture_arrays(*model.mixture_rows(X))
         preds = heads.predict_arrays(*arrays, rule)
         mu1, mu2, s1, s2, rho, pi = np.broadcast_arrays(*arrays)
     else:

@@ -35,13 +35,12 @@ class UserRecord:
             raise ValueError("empty user id")
 
 
-def read_corpus(path, report=None):
+def read_corpus(path):
     """TSV rows: id, lat, lon, text.  Malformed rows are skipped and counted;
     more than 10% malformed, or a byte that is not UTF-8, is a hard error."""
     records = []
-    bad = []
-    total = 0
-    for ln, line in text_lines(path, CorpusError):
+    bad = total = 0
+    for _, line in text_lines(path, CorpusError):
         line = line.rstrip("\n")
         if not line:
             continue
@@ -52,12 +51,10 @@ def read_corpus(path, report=None):
                 raise ValueError(f"expected 4 fields, got {len(parts)}")
             uid, lat, lon, text = parts
             records.append(UserRecord(uid, GeoPoint(float(lat), float(lon)), text))
-        except ValueError as e:
-            bad.append((ln, str(e)))
-    if total and len(bad) / total > 0.10:
-        raise CorpusError(f"{len(bad)} of {total} rows malformed in {path}")
-    if report is not None:
-        report.extend(bad)
+        except ValueError:
+            bad += 1
+    if total and bad / total > 0.10:
+        raise CorpusError(f"{bad} of {total} rows malformed in {path}")
     return records
 
 

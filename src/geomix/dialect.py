@@ -1,5 +1,5 @@
 """Inverse model: location -> Gaussian representation layer -> word
-distribution, plus dialect-term scoring, ranking, recall@k and perplexity.
+distribution, plus dialect-term scoring, ranking and recall@k.
 """
 
 from dataclasses import dataclass
@@ -25,24 +25,22 @@ class DialectRegion:
             raise ValueError(f"region {self.name!r} needs points and terms")
 
 
-def gaussian_layer_forward_batch(params, X, log_domain=False):
+def gaussian_layer_forward_batch(params, X):
     """Per-component activations of the component bank in ``params`` for N
     input points.
 
-    Activation is the raw component density N(x|mu_k, Sigma_k) (or its log
-    with ``log_domain``); the layer has no mixing weights.  Returns
-    (activations N x K, cache for backward).
+    Activation is the raw component density N(x|mu_k, Sigma_k); the layer has
+    no mixing weights.  Returns (activations N x K, cache for backward).
     """
     terms = component_terms(component_rows(params), np.asarray(X, dtype=float))
-    log_n = component_log_pdf(*terms[:5])
-    acts = log_n if log_domain else np.exp(log_n)
-    return acts, (terms, acts, log_domain)
+    acts = np.exp(component_log_pdf(*terms[:5]))
+    return acts, (terms, acts)
 
 
 def gaussian_layer_backward(params, cache, d_acts):
     """Gradients of the loss w.r.t. the layer parameters given dLoss/dActs."""
-    terms, acts, log_domain = cache
-    w = d_acts if log_domain else d_acts * acts  # dN/dlog N is N, the kept activation
+    terms, acts = cache
+    w = d_acts * acts  # dN/dlog N is N, the kept activation
     return bank_grads(component_grads(component_rows(params), terms, w))
 
 
@@ -73,23 +71,6 @@ def dialect_loss(logits, targets):
     loss = -float(ll / n_active)
     d_logits = np.where(active[:, None], np.exp(log_p) - targets, 0.0) / n_active
     return loss, d_logits
-
-
-def perplexity(log_probs, counts):
-    """exp of corpus-level mean negative log-probability per token.
-
-    ``log_probs`` is N x V per-user word log-probabilities, ``counts`` the
-    matching in-vocabulary token counts.  Zero-probability counted tokens
-    give infinite perplexity.
-    """
-    counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
-    if total <= 0.0:
-        raise ValueError("no in-vocabulary tokens in the evaluation set")
-    lp = np.asarray(log_probs, dtype=float)
-    if np.any(counts[np.isneginf(lp)] > 0):
-        return float("inf")
-    return float(np.exp(-np.sum(counts * np.where(counts > 0, lp, 0.0)) / total))
 
 
 def region_weights(counts, inside):

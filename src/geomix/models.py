@@ -23,7 +23,9 @@ plain JSON except ``params``, which maps each block name to its float64
 array.  ``from_checkpoint`` takes the same dict with each array replaced by
 a block that has a ``shape`` and a ``read()``, so the file format's reader
 (``data.load_model``: format 3, a zip of ``.npy`` members) reads a block's
-data only after its shape has been checked against the network.
+data only after its shape has been checked against the network.  The
+dialect layer is always the linear-density one: its checkpoint's
+``log_domain`` is written false, and true is refused.
 """
 
 from dataclasses import asdict
@@ -176,10 +178,6 @@ class _MixtureGeolocator(_BaseModel):
         of X: each N x K, or 1 x K rows when all users share them."""
         return self._rows(forward(self.params, self.spec, X).output)
 
-    def mixture_arrays(self, X):
-        """(mu1, mu2, sigma1, sigma2, rho, pi) of ``mixture_rows(X)``, each of its shape."""
-        return heads.mixture_arrays(*self.mixture_rows(X))
-
     def dev_metric(self, data):
         """The head's loss on one forward pass, its mixture log-likelihood
         taken in row blocks; no backward, no gradients."""
@@ -187,8 +185,7 @@ class _MixtureGeolocator(_BaseModel):
         return -float(np.mean(heads.predictive_density_grid(*self.mixture_rows(X), Y)))
 
     def predict_points(self, X, rule=None):
-        mu1, mu2, s1, s2, rho, pi = self.mixture_arrays(X)
-        return heads.predict_arrays(mu1, mu2, s1, s2, rho, pi,
+        return heads.predict_arrays(*heads.mixture_arrays(*self.mixture_rows(X)),
                                     rule or self.head.selection_rule)
 
     def _extra_checkpoint(self):
@@ -265,24 +262,23 @@ class DialectModel(_BaseModel):
 
     model_name = "dialect"
 
-    def __init__(self, spec, terms, log_domain=False, rng=None, params=None):
+    def __init__(self, spec, terms, rng=None, params=None):
         super().__init__(spec, rng, params)
         self.terms = list(terms)
-        self.log_domain = log_domain
         self.params.update(heads.unit_components(spec.layer_sizes[0]))
 
     @classmethod
     def init(cls, K, hidden, terms, train_coords, seed=0, dropout_rate=0.0,
-             l1_coeff=0.0, l2_coeff=0.0, log_domain=False):
+             l1_coeff=0.0, l2_coeff=0.0):
         """K-means mus over training coordinates, effective sigmas in (1, 5)."""
         spec = NetworkSpec(layer_sizes=(K, hidden, len(terms)), dropout_rate=dropout_rate,
                            l1_coeff=l1_coeff, l2_coeff=l2_coeff, seed=seed)
-        model = cls(spec, terms, log_domain=log_domain, rng=np.random.default_rng(seed + 1))
+        model = cls(spec, terms, rng=np.random.default_rng(seed + 1))
         model.params.update(heads.init_components(train_coords, K, (1.0, 5.0), seed))
         return model
 
     def _data_loss(self, X, Y, train_mode, rng):
-        acts_in, cache = dl.gaussian_layer_forward_batch(self.params, X, self.log_domain)
+        acts_in, cache = dl.gaussian_layer_forward_batch(self.params, X)
         acts = forward(self.params, self.spec, acts_in, train_mode=train_mode, rng=rng)
         loss, d_logits = dl.dialect_loss(acts.output, _dense(Y))
         grads, d_input = backward(self.params, self.spec, acts, d_logits, input_grad=True)
@@ -302,10 +298,6 @@ class DialectModel(_BaseModel):
             n_active += int(active.sum())
         return -float(ll / n_active) if n_active else 0.0
 
-    def word_log_probs(self, coords):
-        """N x V log-probabilities over the vocabulary for N coordinates."""
-        return log_softmax(self._hidden_and_logits(coords)[1])
-
     def logit_blocks(self, coords):
         """``(start, h, logits)`` for the V-wide ``kernels.row_blocks`` of the
         N x 2 ``coords``: the hidden layer h (rows x H) and the logits
@@ -316,7 +308,7 @@ class DialectModel(_BaseModel):
             yield rows.start, *self._hidden_and_logits(coords[rows])
 
     def _hidden_and_logits(self, coords):
-        acts_in, _ = dl.gaussian_layer_forward_batch(self.params, coords, self.log_domain)
+        acts_in, _ = dl.gaussian_layer_forward_batch(self.params, coords)
         acts = forward(self.params, self.spec, acts_in)
         return acts.layer_inputs[-1], acts.output
 
@@ -338,7 +330,7 @@ class DialectModel(_BaseModel):
         return s[:, :H] @ W_out - s[:, H:]
 
     def _extra_checkpoint(self):
-        return {"terms": self.terms, "log_domain": self.log_domain}
+        return {"terms": self.terms, "log_domain": False}
 
     @classmethod
     def _checkpoint_fields(cls, ck, spec):
@@ -347,7 +339,9 @@ class DialectModel(_BaseModel):
             raise CheckpointError("checkpoint field 'terms' is not a list of distinct strings")
         if len(terms) != spec.layer_sizes[-1]:
             raise CheckpointError(f"{len(terms)} terms for an output layer of {spec.layer_sizes[-1]}")
-        return {"terms": terms, "log_domain": _field(ck, "log_domain", bool)}
+        if _field(ck, "log_domain", bool):
+            raise CheckpointError("log-domain dialect checkpoints are not supported")
+        return {"terms": terms}
 
 
 def _dense(Y):

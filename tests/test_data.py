@@ -9,6 +9,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from dialect_reference import word_log_probs
 from geomix import data, heads, models, network
 from geomix.data import (CheckpointError, CorpusError, SyntheticSpec, UserRecord,
                          coords_array, generate_synthetic, load_model, read_corpus,
@@ -34,10 +35,8 @@ def test_malformed_rows_skipped_and_reported(tmp_path):
     rows[3] = "bad\t91.0\t20.0\tlatitude out of range"
     rows[7] = "only\tthree\tfields"
     path.write_text("\n".join(rows) + "\n")
-    report = []
-    back = read_corpus(path, report=report)
-    assert len(back) == 18
-    assert sorted(ln for ln, _ in report) == [4, 8]
+    back = read_corpus(path)
+    assert [r.user_id for r in back] == [f"u{i}" for i in range(20) if i not in (3, 7)]
 
 
 def test_too_many_malformed_is_hard_error(tmp_path):
@@ -174,8 +173,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
             np.testing.assert_array_equal(loaded.predict_points(X),
                                           model.predict_points(X))
         else:
-            np.testing.assert_array_equal(loaded.word_log_probs(coords[:5]),
-                                          model.word_log_probs(coords[:5]))
+            np.testing.assert_array_equal(word_log_probs(loaded, coords[:5]),
+                                          word_log_probs(model, coords[:5]))
             assert loaded.terms == model.terms
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"m{i}.json" for i in range(len(instances))]
 
@@ -239,6 +238,7 @@ V3_BREAKAGES = {
     "dialect integer terms": "not a list of distinct strings",
     "dialect repeated terms": "not a list of distinct strings",
     "dialect string log_domain": "'log_domain' is missing or not a bool",
+    "dialect true log_domain": "log-domain dialect checkpoints are not supported",
 }
 
 
@@ -259,6 +259,8 @@ def test_malformed_v3_checkpoint_is_checkpoint_error(tmp_path, breakage):
         meta["terms"][-1] = meta["terms"][0]
     elif breakage == "dialect string log_domain":
         meta["log_domain"] = "yes"
+    elif breakage == "dialect true log_domain":
+        meta["log_domain"] = True
     elif breakage.startswith("drop "):
         del meta[breakage[len("drop "):]]
     elif breakage == "unknown spec key":

@@ -75,7 +75,7 @@ def test_geolocators_never_densify_csr(name, monkeypatch):
 def test_shared_mixture_arrays_keep_one_component_row():
     X, Y = corpus(8)
     model = geolocator("mdn_shared", Y, seed=9)
-    *comps, pi = model.mixture_arrays(X)
+    *comps, pi = heads.mixture_arrays(*model.mixture_rows(X))
     assert pi.shape == (len(Y), K)
     np.testing.assert_allclose(pi.sum(axis=1), 1.0)
     _, _, s1, s2, rho, _ = heads.component_terms(heads.component_rows(model.params), Y)
