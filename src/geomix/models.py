@@ -25,7 +25,7 @@ a block that has a ``shape`` and a ``read()``, so the file format's reader
 (``data.load_model``: format 3, a zip of ``.npy`` members) reads a block's
 data only after its shape has been checked against the network.  The
 dialect layer is always the linear-density one: its checkpoint's
-``log_domain`` is written false, and true is refused.
+log-domain flag is written false, and true is refused.
 """
 
 from dataclasses import asdict
