@@ -5,26 +5,32 @@ evaluate with --error-tsv; predict over an input file (with a row that has
 no features) and over --text under both selection rules; the three kinds
 of heatmap; and dialect scoring.  Two more runs take their settings from a
 config file: synth with every synth key in the file and one overridden by a
-flag, and train on that corpus with the file's l1 and l2 and no profile.  Every command
-runs in-process through ``geomix.cli.main`` in a temporary directory.  The script prints one
-``sha256  path`` line per file written there, each command's stdout
-included.  For each checkpoint it also prints a ``sha256  path decoded``
-line: the digest of the model ``data.load_model`` reads back, its blocks
-(name, shape and bytes, in sorted order) and its metadata without
-``format_version``.  That line is the same for the same model in any
-checkpoint format, so it compares trees that write different formats.  For
-each vocabulary file it prints a ``sha256  <name>-vocab.tsv decoded`` line:
-the digest of the terms ``features.load_vocab`` reads back, their
-``content_hash`` and the CSR matrices ``features.vectorize_matrix`` makes of
-the test split of the vocabulary's own corpus through that vocabulary under
-both weighting schemes.  The four profile runs share one min-df-1
-vocabulary of ``s-train.tsv``; the config run's ``config-mdn-vocab.tsv``,
-of ``c-train.tsv``, is a second one.  A last ``sha256  tokenize`` line is
-the digest of ``features.tokenize`` over ``TOKEN_TEXTS``, non-ASCII texts
-that no corpus above holds.  Run
-it on two source trees and diff the listings; equal lines mean
-byte-identical outputs (equal ``decoded`` lines: equal checkpointed models
-and equal vocabularies):
+flag, and train on that corpus with the file's l1 and l2 and no profile.
+Every command runs in-process through ``geomix.cli.main`` in a temporary
+directory.  The script prints one ``sha256  path`` line per file written
+there, each command's stdout included.
+
+For each of the five checkpoints it also prints a ``sha256  path blocks``
+line: the digest of the blocks (name, shape and bytes, in sorted order) of
+the model ``data.load_model`` reads back.  That line is the same for the same
+parameters in any checkpoint format, so it compares trees that write
+different formats.  For each of the four profile checkpoints a
+``sha256  path decoded`` line hashes the model's metadata without
+``format_version``, then its blocks; it is the same only between formats
+that store the same metadata fields.  For each vocabulary file it prints a
+``sha256  <name>-vocab.tsv decoded`` line: the digest of the terms
+``features.load_vocab`` reads back, their ``content_hash`` and the CSR
+matrices ``features.vectorize_matrix`` makes of the test split of the
+vocabulary's own corpus through that vocabulary under both weighting
+schemes.  The four profile runs share one min-df-1 vocabulary of
+``s-train.tsv``; the config run's ``config-mdn-vocab.tsv``, of
+``c-train.tsv``, is a second one.  A last ``sha256  tokenize`` line is the
+digest of ``features.tokenize`` over ``TOKEN_TEXTS``, non-ASCII texts that
+no corpus above holds.
+
+Run it on two source trees and diff the listings; equal lines mean
+byte-identical outputs (equal ``blocks`` lines: equal parameters; equal
+``decoded`` lines: equal checkpointed models and equal vocabularies):
 
     PYTHONPATH=<tree>/src python scripts/output_digest.py > digest.txt
 """
@@ -143,15 +149,19 @@ def round_trip(d):
         "--log", d / "config-mdn-log.tsv", "--seed", SEED)
 
 
-def decoded_digest(path):
+def checkpoint_digests(path):
+    """The ``decoded`` and ``blocks`` digests of the checkpoint at ``path``."""
     model = data.load_model(path)
     meta = {key: value for key, value in model.to_checkpoint().items()
             if key not in ("params", "format_version")}
-    h = hashlib.sha256(json.dumps(meta, sort_keys=True).encode("utf-8"))
+    decoded = hashlib.sha256(json.dumps(meta, sort_keys=True).encode("utf-8"))
+    blocks = hashlib.sha256()
     for name, arr in sorted(model.params.items()):
-        h.update(f"{name} {list(arr.shape)}\n".encode("utf-8"))
-        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return h.hexdigest()
+        for part in (f"{name} {list(arr.shape)}\n".encode("utf-8"),
+                     np.ascontiguousarray(arr, dtype="<f8").tobytes()):
+            decoded.update(part)
+            blocks.update(part)
+    return decoded.hexdigest(), blocks.hexdigest()
 
 
 def vocab_digest(path, corpus):
@@ -172,8 +182,11 @@ def main():
         round_trip(d)
         for path in sorted(p for p in d.rglob("*") if p.is_file()):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(d)}")
+        digests = {model: checkpoint_digests(d / f"{model}.json") for model in (*MODELS, "config-mdn")}
         for model in MODELS:
-            print(f"{decoded_digest(d / f'{model}.json')}  {model}.json decoded")
+            print(f"{digests[model][0]}  {model}.json decoded")
+        for model, (_, blocks) in digests.items():
+            print(f"{blocks}  {model}.json blocks")
         for vocab, test in VOCAB_TESTS.items():
             print(f"{vocab_digest(d / vocab, d / test)}  {vocab} decoded")
     tokens = json.dumps([features.tokenize(text) for text in TOKEN_TEXTS])

@@ -37,7 +37,7 @@ PROFILES = {
 DEFAULTS = dict(model=None, hidden="100", k=100, dropout=0.0, regul=0.0,
                 l1=0.0, l2=0.0, min_df=10, lr=1e-3, beta1=0.9, beta2=0.999,
                 epsilon=1e-8, batch_size=32, max_epochs=100, patience=10,
-                seed=0, selection_rule="strongest_pi", mu_init="mean")
+                seed=0, mu_init="mean")
 
 SYNTH_DEFAULTS = dict(mode_centers="30,-100;50,-100", mode_stddev=0.5, users_per_mode="100",
                       tokens_per_user=30, exclusive_tokens_per_mode=5, ambiguous_tokens=2,
@@ -157,10 +157,10 @@ def cmd_train(args):
         if cfg["model"] == "regression":
             model = models.RegressionGeolocator(spec)
         elif cfg["model"] == "mdn":
-            model = models.MdnGeolocator(spec, heads.MdnHeadConfig(K, cfg["selection_rule"]))
+            model = models.MdnGeolocator(spec)
             model.init_output_bias_from_labels(Ytr, mode=cfg["mu_init"], seed=seed)
         else:
-            model = models.SharedMdnGeolocator(spec, heads.MdnHeadConfig(K, cfg["selection_rule"]))
+            model = models.SharedMdnGeolocator(spec)
             model.init_shared_from_labels(Ytr, seed=seed)
         train_data = (Xtr, Ytr)
         dev_data = (Xdev, Ydev)
@@ -213,7 +213,7 @@ def cmd_evaluate(args):
     records = _read_users(args.test)
     _, X = _vectorize([r.text for r in records], vocab)
     truths = data.coords_array(records)
-    preds = np.clip(model.predict_points(X), [-90.0, -180.0], [90.0, 180.0])
+    preds = model.predict_points(X)
     report = geo.evaluate(preds, truths)
     print(f"Acc@161: {report.acc_at_161:.2f}")
     print(f"Mean: {report.mean_km:.2f}")
@@ -229,7 +229,6 @@ def cmd_predict(args):
     if args.top < 0:
         raise UsageError(f"--top must be >= 0, got {args.top}")
     model, vocab = _load_geolocator(args)
-    rule = args.rule or getattr(getattr(model, "head", None), "selection_rule", "strongest_pi")
     if args.text is not None:
         uids, texts = ["stdin"], [args.text]
     else:
@@ -238,13 +237,13 @@ def cmd_predict(args):
     _, X = _vectorize(texts, vocab)
     if hasattr(model, "mixture_rows"):
         arrays = heads.mixture_arrays(*model.mixture_rows(X))
-        preds = heads.predict_arrays(*arrays, rule)
+        preds = heads.predict_arrays(*arrays, args.rule)
         mu1, mu2, s1, s2, rho, pi = np.broadcast_arrays(*arrays)
     else:
         preds, pi = model.predict_points(X), None
     with (open(args.output, "w", encoding="utf-8") if args.output
           else contextlib.nullcontext(sys.stdout)) as out:
-        print(f"# selection_rule={rule}", file=out)
+        print(f"# selection_rule={args.rule}", file=out)
         print("user_id\tpred_lat\tpred_lon\tcomponents", file=out)
         for n, (uid, p) in enumerate(zip(uids, preds)):
             if X.indptr[n] == X.indptr[n + 1]:
@@ -386,8 +385,6 @@ def build_parser():
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--max-epochs", dest="max_epochs", type=int)
     p.add_argument("--patience", type=int)
-    p.add_argument("--selection-rule", dest="selection_rule",
-                   choices=["strongest_pi", "max_mixture_prob"])
     p.add_argument("--mu-init", dest="mu_init", choices=["mean", "kmeans"])
     p.set_defaults(func=cmd_train)
 
@@ -404,7 +401,7 @@ def build_parser():
     p.add_argument("--text")
     p.add_argument("--input")
     p.add_argument("--output")
-    p.add_argument("--rule", choices=["strongest_pi", "max_mixture_prob"])
+    p.add_argument("--rule", choices=["strongest_pi", "max_mixture_prob"], default="strongest_pi")
     p.add_argument("--top", type=int, default=5)
     p.set_defaults(func=cmd_predict)
 

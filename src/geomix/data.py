@@ -16,7 +16,6 @@ import numpy as np
 
 from .features import text_lines
 from .geo import GeoPoint
-from .heads import SLICE_LAYOUT
 from .models import FORMAT_VERSION, MODEL_CLASSES, CheckpointError
 
 
@@ -157,7 +156,7 @@ def save_model(path, model):
 
 
 def write_checkpoint(path, ck):
-    """Write the checkpoint dict ``ck`` to ``path`` as format 3: an
+    """Write the checkpoint dict ``ck`` to ``path`` as format 4: an
     uncompressed zip holding one ``<name>.npy`` member per entry of
     ``ck["params"]`` (``<f8``, C order) and the other fields as the JSON
     member ``checkpoint.json``.  ``ZipFile.open(name, "w")`` dates every
@@ -174,7 +173,7 @@ def write_checkpoint(path, ck):
 
 
 def load_model(path):
-    """The model in the format-3 checkpoint at ``path``.  Any other file, and
+    """The model in the format-4 checkpoint at ``path``.  Any other file, and
     any unreadable or inconsistent one, is a CheckpointError."""
     try:
         with open(path, "rb") as f:
@@ -200,14 +199,11 @@ def _model_from(ck):
     name = ck.get("model")
     if name not in MODEL_CLASSES:
         raise CheckpointError(f"unknown model type: {name!r}")
-    if ck.get("slice_layout") != SLICE_LAYOUT:
-        raise CheckpointError(
-            f"slice layout mismatch: {ck.get('slice_layout')!r} vs {SLICE_LAYOUT!r}")
     return MODEL_CLASSES[name].from_checkpoint(ck)
 
 
 def _read_zip_checkpoint(zf):
-    """The metadata of a format-3 zip, with ``params`` mapping each block
+    """The metadata of a checkpoint zip, with ``params`` mapping each block
     name to its ``_NpyBlock``."""
     infos = zf.infolist()
     names = [info.filename for info in infos]
@@ -239,7 +235,7 @@ _NPY_F8_HEADER = re.compile(
 
 
 class _NpyBlock:
-    """A format-3 parameter block.  Making it reads only the member's
+    """A checkpoint's parameter block.  Making it reads only the member's
     ``.npy`` header, which must be the one ``np.lib.format.write_array``
     writes for a <f8 C-order array; ``read`` reads the data, which the model
     calls once ``shape`` matches its network, so a forged header allocates

@@ -24,6 +24,11 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {self.lon}")
 
 
+def clip_points(points):
+    """N x 2 (lat, lon) points clipped to [-90, 90] x [-180, 180]."""
+    return np.clip(points, [-90.0, -180.0], [90.0, 180.0])
+
+
 @dataclass
 class EvalReport:
     acc_at_161: float  # percent

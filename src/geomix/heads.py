@@ -2,9 +2,10 @@
 
 Raw network output for the MDN head is N x 6K with block layout
 [mu1 | mu2 | sigma1' | sigma2' | rho' | pi'] (K columns each); primed blocks
-are pre-transform.  Losses return both the scalar and the gradient with
-respect to the raw output (and the shared parameters where applicable),
-factored through per-sample responsibilities.
+are pre-transform.  A checkpoint's format version fixes this layout.  Losses
+return both the scalar and the gradient with respect to the raw output (and
+the shared parameters where applicable), factored through per-sample
+responsibilities.
 
 Every mixture reaches the Gaussian math as five component rows (mu1, mu2,
 raw sigma1, raw sigma2, raw rho): N x K blocks of the MDN's raw output, or
@@ -13,29 +14,13 @@ raw sigma1, raw sigma2, raw rho): N x K blocks of the MDN's raw output, or
 keep.  ``component_terms`` and ``component_grads`` serve both.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cluster import kmeans
-from .geo import GeoPoint
+from .geo import GeoPoint, clip_points
 from .kernels import (clamped_sigma, component_log_pdf, inv_softplus, log_pdf_partials, log_softmax,
                       logsumexp_rows, row_blocks, softplus_grad, softsign, softsign_grad)
 from .network import ContractError, TrainingError
-
-SLICE_LAYOUT = "mu1|mu2|sigma1|sigma2|rho|pi"
-
-
-@dataclass
-class MdnHeadConfig:
-    K: int
-    selection_rule: str = "strongest_pi"  # or "max_mixture_prob"
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.selection_rule not in ("strongest_pi", "max_mixture_prob"):
-            raise ValueError(f"unknown selection rule: {self.selection_rule}")
 
 
 def mdn_rows(raw, K):
@@ -159,9 +144,10 @@ def component_grads(rows, terms, w):
 
 
 def predict_arrays(mu1, mu2, s1, s2, rho, pi, rule="strongest_pi"):
-    """N x 2 point predictions from N x K ``pi`` and component arrays that are
-    N x K, or 1 x K rows every sample shares.  ``max_mixture_prob`` builds the
-    K x K density matrix once per component row and scores each sample alone."""
+    """N x 2 point predictions, clipped to the globe, from N x K ``pi`` and
+    component arrays that are N x K, or 1 x K rows every sample shares.
+    ``max_mixture_prob`` builds the K x K density matrix once per component
+    row and scores each sample alone."""
     N = len(pi)
     rows = np.minimum(np.arange(N), len(mu1) - 1)
     if rule == "strongest_pi":
@@ -175,7 +161,7 @@ def predict_arrays(mu1, mu2, s1, s2, rho, pi, rule="strongest_pi"):
             best[n] = np.argmax(dens @ pi[n])
     else:
         raise ValueError(f"unknown selection rule: {rule}")
-    return np.stack([mu1[rows, best], mu2[rows, best]], axis=1)
+    return clip_points(np.stack([mu1[rows, best], mu2[rows, best]], axis=1))
 
 
 def regression_loss(raw, labels):

@@ -22,10 +22,12 @@ point's hidden layer and log-normalizer, never a P x V log-probability matrix.
 plain JSON except ``params``, which maps each block name to its float64
 array.  ``from_checkpoint`` takes the same dict with each array replaced by
 a block that has a ``shape`` and a ``read()``, so the file format's reader
-(``data.load_model``: format 3, a zip of ``.npy`` members) reads a block's
-data only after its shape has been checked against the network.  The
-dialect layer is always the linear-density one: its checkpoint's
-log-domain flag is written false, and true is refused.
+(``data.load_model``: format 4, a zip of ``.npy`` members) reads a block's
+data only after its shape has been checked against the network.  A
+checkpoint stores only what varies between models: the model name, the
+network spec, the vocabulary hash, the blocks and, for the dialect model, its
+terms.  A mixture geolocator's K is implied by its output width, 6K for the
+MDN and K for the shared MDN, and its selection rule is chosen at query time.
 """
 
 from dataclasses import asdict
@@ -35,10 +37,11 @@ from scipy import sparse
 
 from . import dialect as dl
 from . import heads
+from .geo import clip_points
 from .kernels import inv_softplus, log_softmax, logsumexp_rows, row_blocks
 from .network import NetworkSpec, backward, forward, init_network_params, regularization_penalty
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -87,7 +90,6 @@ class _BaseModel:
         ck = {
             "format_version": FORMAT_VERSION,
             "model": self.model_name,
-            "slice_layout": heads.SLICE_LAYOUT,
             "network_spec": asdict(self.spec),
             "vocab_hash": self.vocab_hash,
             "params": dict(sorted(self.params.items())),
@@ -104,7 +106,7 @@ class _BaseModel:
     def from_checkpoint(cls, ck):
         spec = _build(NetworkSpec, _field(ck, "network_spec", dict), "network_spec")
         model = _build(cls, dict(spec=spec, params={}, **cls._checkpoint_fields(ck, spec)),
-                       "model fields for this network_spec")
+                       "network_spec for this model")
         model._load_params(ck)
         return model
 
@@ -157,17 +159,13 @@ class RegressionGeolocator(_BaseModel):
         return (*heads.regression_loss(out, Y), {})
 
     def predict_points(self, X):
-        return forward(self.params, self.spec, X).output
+        return clip_points(forward(self.params, self.spec, X).output)
 
 
 class _MixtureGeolocator(_BaseModel):
     """Geolocator whose prediction for each user is a mixture of K bivariate
     Gaussians; subclasses differ in which mixture the network emits, the
     component rows and raw pi that ``_rows`` reads off its output."""
-
-    def __init__(self, spec, head, rng=None, params=None):
-        super().__init__(spec, rng, params)
-        self.head = head
 
     def _rows(self, out):
         """(the five component rows, raw pi) of the network output ``out``."""
@@ -185,15 +183,9 @@ class _MixtureGeolocator(_BaseModel):
         return -float(np.mean(heads.predictive_density_grid(*self.mixture_rows(X), Y)))
 
     def predict_points(self, X, rule=None):
+        """``heads.predict_arrays`` under ``rule``; None is strongest_pi."""
         return heads.predict_arrays(*heads.mixture_arrays(*self.mixture_rows(X)),
-                                    rule or self.head.selection_rule)
-
-    def _extra_checkpoint(self):
-        return {"head": asdict(self.head)}
-
-    @classmethod
-    def _checkpoint_fields(cls, ck, spec):
-        return {"head": _build(heads.MdnHeadConfig, _field(ck, "head", dict), "head")}
+                                    rule or "strongest_pi")
 
 
 class MdnGeolocator(_MixtureGeolocator):
@@ -201,16 +193,17 @@ class MdnGeolocator(_MixtureGeolocator):
 
     model_name = "mdn"
 
-    def __init__(self, spec, head, rng=None, params=None):
-        if spec.layer_sizes[-1] != 6 * head.K:
-            raise ValueError(f"output size {spec.layer_sizes[-1]} != 6K = {6 * head.K}")
-        super().__init__(spec, head, rng, params)
+    def __init__(self, spec, rng=None, params=None):
+        if spec.layer_sizes[-1] % 6:
+            raise ValueError(f"output size {spec.layer_sizes[-1]} is not a multiple of 6")
+        super().__init__(spec, rng, params)
+        self.K = spec.layer_sizes[-1] // 6
 
     def _head(self, out, Y):
-        return (*heads.mdn_nll(out, Y, self.head.K), {})
+        return (*heads.mdn_nll(out, Y, self.K), {})
 
     def _rows(self, out):
-        return heads.mdn_rows(out, self.head.K)
+        return heads.mdn_rows(out, self.K)
 
     def init_output_bias_from_labels(self, train_labels, sigma=2.0, mode="mean", seed=0):
         """Seed the output bias so initial mus start at label scale.
@@ -220,7 +213,7 @@ class MdnGeolocator(_MixtureGeolocator):
         centroids.  Sigmas start at ``sigma``; pi and rho start flat.
         """
         labels = np.asarray(train_labels, dtype=float)
-        K = self.head.K
+        K = self.K
         if mode == "kmeans":
             from .cluster import kmeans
             centers = kmeans(labels, K, seed=seed).centroids
@@ -240,15 +233,14 @@ class SharedMdnGeolocator(_MixtureGeolocator):
 
     model_name = "mdn_shared"
 
-    def __init__(self, spec, head, rng=None, params=None):
-        if spec.layer_sizes[-1] != head.K:
-            raise ValueError(f"output size {spec.layer_sizes[-1]} != K = {head.K}")
-        super().__init__(spec, head, rng, params)
-        self.params.update(heads.unit_components(head.K))
+    def __init__(self, spec, rng=None, params=None):
+        super().__init__(spec, rng, params)
+        self.K = spec.layer_sizes[-1]
+        self.params.update(heads.unit_components(self.K))
 
     def init_shared_from_labels(self, train_labels, seed=0):
         """K-means mus over the training labels, effective sigmas in (0, 10)."""
-        self.params.update(heads.init_components(train_labels, self.head.K, (0.0, 10.0), seed))
+        self.params.update(heads.init_components(train_labels, self.K, (0.0, 10.0), seed))
 
     def _head(self, out, Y):
         return heads.shared_nll(out, self.params, Y)
@@ -330,7 +322,7 @@ class DialectModel(_BaseModel):
         return s[:, :H] @ W_out - s[:, H:]
 
     def _extra_checkpoint(self):
-        return {"terms": self.terms, "log_domain": False}
+        return {"terms": self.terms}
 
     @classmethod
     def _checkpoint_fields(cls, ck, spec):
@@ -339,8 +331,6 @@ class DialectModel(_BaseModel):
             raise CheckpointError("checkpoint field 'terms' is not a list of distinct strings")
         if len(terms) != spec.layer_sizes[-1]:
             raise CheckpointError(f"{len(terms)} terms for an output layer of {spec.layer_sizes[-1]}")
-        if _field(ck, "log_domain", bool):
-            raise CheckpointError("log-domain dialect checkpoints are not supported")
         return {"terms": terms}
 
 

@@ -29,7 +29,6 @@ class TrainingError(RuntimeError):
 @dataclass
 class NetworkSpec:
     layer_sizes: tuple  # (input, hidden..., output)
-    hidden_activation: str = "tanh"
     dropout_rate: float = 0.0
     l1_coeff: float = 0.0
     l2_coeff: float = 0.0
@@ -45,8 +44,6 @@ class NetworkSpec:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.hidden_activation != "tanh":  # forward has no other activation
-            raise ValueError(f"unknown hidden_activation: {self.hidden_activation!r}")
 
 
 @dataclass
@@ -275,7 +272,9 @@ def train_loop(model, train_data, dev_data, adam_cfg=None, stop_cfg=None,
 
     ``model`` must provide num_examples / batch_loss_and_grads / dev_metric
     and expose its trainable arrays as ``model.params`` (a name -> array
-    dict).  Returns (best params dict, list of log records).
+    dict).  Leaves the params of the best dev metric in ``model.params`` and
+    returns the log: one (epoch, train loss, dev metric, seconds) record per
+    epoch.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -315,7 +314,7 @@ def train_loop(model, train_data, dev_data, adam_cfg=None, stop_cfg=None,
             break
     for k, v in best_params.items():
         model.params[k][...] = v
-    return best_params, log
+    return log
 
 
 def gradient_check(model, data, h=1e-5):

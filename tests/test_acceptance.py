@@ -33,11 +33,9 @@ def test_criterion_1_gradient_oracle():
         rep = network.gradient_check(model, (X, Y))
         worst = max(worst, max(rep.values()))
         for K in (1, 3, 5):
-            mdn = models.MdnGeolocator(network.NetworkSpec((6, 4, 6 * K), seed=seed),
-                                       heads.MdnHeadConfig(K))
+            mdn = models.MdnGeolocator(network.NetworkSpec((6, 4, 6 * K), seed=seed))
             worst = max(worst, max(network.gradient_check(mdn, (X, Y)).values()))
-            sh = models.SharedMdnGeolocator(network.NetworkSpec((6, 4, K), seed=seed),
-                                            heads.MdnHeadConfig(K))
+            sh = models.SharedMdnGeolocator(network.NetworkSpec((6, 4, K), seed=seed))
             sh.params["mus"] += rng.normal(scale=1.0, size=(K, 2))
             sh.params["raw_sigmas"] += rng.normal(scale=0.3, size=(K, 2))
             sh.params["raw_rhos"] += rng.normal(scale=0.3, size=K)
@@ -89,7 +87,7 @@ def train_geo_model(model, Xtr, Ytr, Xdev, Ydev, lr, epochs, patience):
 
 
 def eval_geo(model, Xte, Yte, subset=None):
-    pred = np.clip(model.predict_points(Xte), [-90.0, -180.0], [90.0, 180.0])
+    pred = model.predict_points(Xte)
     if subset is not None:
         pred, Yte = pred[subset], Yte[subset]
     return geo.evaluate(pred, Yte)
@@ -108,8 +106,7 @@ def run_three_models(corpus_seed, spec, mdn_k, mdn_hidden, mdn_dropout, mdn_init
     train_geo_model(reg, Xtr, Ytr, Xdev, Ydev, 0.1, 150, patience)
 
     mdn = models.MdnGeolocator(
-        network.NetworkSpec((D, mdn_hidden, 6 * mdn_k), dropout_rate=mdn_dropout, seed=2),
-        heads.MdnHeadConfig(mdn_k))
+        network.NetworkSpec((D, mdn_hidden, 6 * mdn_k), dropout_rate=mdn_dropout, seed=2))
     if mdn_init == "kmeans":
         mdn.init_output_bias_from_labels(Ytr, sigma=2.0, mode="kmeans", seed=3)
         train_geo_model(mdn, Xtr, Ytr, Xdev, Ydev, 0.02, 200, patience)
@@ -117,8 +114,7 @@ def run_three_models(corpus_seed, spec, mdn_k, mdn_hidden, mdn_dropout, mdn_init
         mdn.init_output_bias_from_labels(Ytr, sigma=5.0, mode="mean")
         train_geo_model(mdn, Xtr, Ytr, Xdev, Ydev, 0.02, 150, patience)
 
-    sh = models.SharedMdnGeolocator(network.NetworkSpec((D, 100, shared_k), seed=2),
-                                    heads.MdnHeadConfig(shared_k))
+    sh = models.SharedMdnGeolocator(network.NetworkSpec((D, 100, shared_k), seed=2))
     sh.init_shared_from_labels(Ytr, seed=3)
     train_geo_model(sh, Xtr, Ytr, Xdev, Ydev, 0.02, 150, patience)
     return (reg, mdn, sh), (Xte, Yte), test
@@ -320,8 +316,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
         Xtr, vocab = build_features(train)
         Xdev, _ = build_features(dev, vocab)
         Ytr, Ydev = data.coords_array(train), data.coords_array(dev)
-        model = models.MdnGeolocator(network.NetworkSpec((len(vocab), 8, 12), seed=2),
-                                     heads.MdnHeadConfig(2))
+        model = models.MdnGeolocator(network.NetworkSpec((len(vocab), 8, 12), seed=2))
         model.init_output_bias_from_labels(Ytr, mode="kmeans", seed=3)
         model.vocab_hash = vocab.content_hash()
         train_geo_model(model, Xtr, Ytr, Xdev, Ydev, 0.02, 10, 5)
@@ -356,7 +351,7 @@ def test_criterion_10_geotext_best_effort():
     Xte, _ = build_features(test, vocab)
     Ytr, Ydev, Yte = map(data.coords_array, (train, dev, test))
     model = models.SharedMdnGeolocator(
-        network.NetworkSpec((len(vocab), 100, 300), seed=2), heads.MdnHeadConfig(300))
+        network.NetworkSpec((len(vocab), 100, 300), seed=2))
     model.init_shared_from_labels(Ytr, seed=3)
     train_geo_model(model, Xtr, Ytr, Xdev, Ydev, 0.02, 100, 10)
     rep = eval_geo(model, Xte, Yte)

@@ -113,6 +113,7 @@ def test_predict_no_features_row(trained, capsys):
               "--vocab", str(trained / "vocab.tsv"), "--text", "zzz qqq"])
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
+    assert out[0] == "# selection_rule=strongest_pi"  # the default rule
     assert out[2].split("\t")[1] == "no-features"
 
 
@@ -363,9 +364,10 @@ def test_malformed_checkpoint_is_an_error_line(trained, tmp_path, capsys):
 
 
 # checkpoints no command may read, and the message of the one error line each ends in
-REFUSED_CHECKPOINTS = {"format 1 json": "only format 3 is read", "format 2 json": "only format 3 is read",
-                       "dialect format 2 json": "only format 3 is read",
+REFUSED_CHECKPOINTS = {"format 1 json": "only format 4 is read", "format 2 json": "only format 4 is read",
+                       "dialect format 2 json": "only format 4 is read",
                        "format 2 in zip": "unsupported checkpoint version: 2",
+                       "format 3 in zip": "unsupported checkpoint version: 3 (only format 4 is read)",
                        "dialect integer terms": "not a list of distinct strings",
                        "dialect integer terms, heatmap word typo": "not a list of distinct strings",
                        "dialect repeated terms": "not a list of distinct strings"}
@@ -383,6 +385,11 @@ def write_refused_checkpoint(case, ck, path):
         return
     if case == "format 2 in zip":
         ck["format_version"] = 2
+    elif case == "format 3 in zip":  # with the fields format 4 dropped
+        K = ck["network_spec"]["layer_sizes"][-1] // 6
+        ck.update(format_version=3, slice_layout="mu1|mu2|sigma1|sigma2|rho|pi",
+                  head={"K": K, "selection_rule": "strongest_pi"})
+        ck["network_spec"]["hidden_activation"] = "tanh"
     elif "integer terms" in case:
         ck["terms"] = list(range(len(ck["terms"])))
     elif case == "dialect repeated terms":
@@ -783,3 +790,25 @@ def test_predict_text_answer_equals_its_input_row(run_dir, checkpoint, rule, req
         assert run(argv + ["--text", query.split("\t")[3]]) == 0
         (answer,) = capsys.readouterr().out.splitlines()[2:]
         assert answer.split("\t")[1:] == row.split("\t")[1:]
+
+
+def test_predict_and_evaluate_clip_to_the_same_point(regression_run, corpus, tmp_path, capsys):
+    """A regression output layer is unbounded: with W_out zero and b_out
+    (100, 0) every user's raw latitude is 100.  ``predict`` prints, and
+    ``evaluate --error-tsv`` scores, the same clipped latitude 90."""
+    model = data.load_model(regression_run / "reg.json")
+    out = len(model.spec.layer_sizes) - 2
+    model.params[f"W{out}"][...] = 0.0
+    model.params[f"b{out}"][...] = (100.0, 0.0)
+    ck = tmp_path / "north.json"
+    data.save_model(ck, model)
+    argv = ["--checkpoint", str(ck), "--vocab", str(regression_run / "vocab.tsv")]
+    uid, _, _, text = (corpus / "s-test.tsv").read_text().splitlines()[0].split("\t")
+    capsys.readouterr()
+    assert run(["predict", *argv, "--text", text]) == 0
+    predicted = capsys.readouterr().out.splitlines()[2].split("\t")[1]
+    assert run(["evaluate", *argv, "--test", str(corpus / "s-test.tsv"),
+                "--error-tsv", str(tmp_path / "err.tsv")]) == 0
+    scored = {row[0]: row[3] for row in (line.split("\t") for line in
+                                         (tmp_path / "err.tsv").read_text().splitlines()[2:])}
+    assert float(predicted) == float(scored[uid]) == 90.0

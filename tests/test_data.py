@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dialect_reference import word_log_probs
-from geomix import data, heads, models, network
+from geomix import data, models, network
 from geomix.data import (CheckpointError, CorpusError, SyntheticSpec, UserRecord,
                          coords_array, generate_synthetic, load_model, read_corpus,
                          save_model, write_corpus)
@@ -124,10 +124,8 @@ def all_model_instances():
     coords = rng.normal(scale=3.0, size=(20, 2)) + [40.0, -100.0]
     reg = models.RegressionGeolocator(network.NetworkSpec((6, 5, 2), seed=1))
     mdn = models.MdnGeolocator(network.NetworkSpec((6, 5, 12), dropout_rate=0.25, l1_coeff=1e-4,
-                                                   l2_coeff=3e-4, seed=2),
-                               heads.MdnHeadConfig(2, "max_mixture_prob"))
-    sh = models.SharedMdnGeolocator(network.NetworkSpec((6, 5, 2), seed=3),
-                                    heads.MdnHeadConfig(2))
+                                                   l2_coeff=3e-4, seed=2))
+    sh = models.SharedMdnGeolocator(network.NetworkSpec((6, 5, 2), seed=3))
     sh.init_shared_from_labels(coords, seed=0)
     dia = models.DialectModel.init(2, 4, ["alpha", "beta", "gamma"], coords, seed=4)
     return [(reg, (6,)), (mdn, (6,)), (sh, (6,)), (dia, None)], coords
@@ -159,12 +157,12 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         save_model(path, model)
         assert path.read_bytes()[:4] == b"PK\x03\x04"
         members = zip_members(path)
-        assert json.loads(members["checkpoint.json"])["format_version"] == 3
+        assert json.loads(members["checkpoint.json"])["format_version"] == 4
         assert sorted(members) == sorted(["checkpoint.json", *(f"{n}.npy" for n in model.params)])
         loaded = load_model(path)
         assert type(loaded) is type(model)
         assert loaded.spec == model.spec
-        assert getattr(loaded, "head", None) == getattr(model, "head", None)
+        assert getattr(loaded, "K", None) == getattr(model, "K", None)
         assert loaded.vocab_hash == "cafe0123"
         for name, arr in model.params.items():
             np.testing.assert_array_equal(loaded.params[name], arr)
@@ -191,8 +189,8 @@ def test_checkpoint_errors(tmp_path):
     with pytest.raises(CheckpointError):
         load_model(tmp_path / "missing.json")
 
-    for key, value in (("format_version", 99), ("format_version", 2),
-                       ("slice_layout", "pi|mu1|mu2|sigma1|sigma2|rho"), ("model", "transformer")):
+    for key, value in (("format_version", 99), ("format_version", 3), ("format_version", 2),
+                       ("model", "transformer")):
         ck = model.to_checkpoint()
         ck[key] = value
         bad = tmp_path / "bad.json"
@@ -214,15 +212,14 @@ def test_v1_checkpoint_is_refused(tmp_path):
                         for name, arr in model.params.items()}
         path = tmp_path / f"v{version}.json"
         path.write_text(json.dumps(ck))
-        with pytest.raises(CheckpointError, match="only format 3 is read"):
+        with pytest.raises(CheckpointError, match="only format 4 is read"):
             load_model(path)
 
 
-V3_BREAKAGES = {
-    "drop network_spec": "network_spec", "drop head": "head", "unknown spec key": "bad network_spec",
-    "relu activation": "unknown hidden_activation: 'relu'",
+V4_BREAKAGES = {
+    "drop network_spec": "network_spec", "unknown spec key": "bad network_spec",
     "negative l2_coeff": "l2_coeff must be finite and >= 0",
-    "head K mismatch": "bad model fields", "missing member": "do not match",
+    "output width not 6K": "output size 13 is not a multiple of 6", "missing member": "do not match",
     "extra member": "do not match", "stray member": "unexpected checkpoint member",
     "wrong member shape": "has shape", "forged huge shape": "has shape",
     "nan member": "parameter b1 holds a non-finite value",
@@ -237,17 +234,15 @@ V3_BREAKAGES = {
     "version 2 in zip": "unsupported checkpoint version: 2",
     "dialect integer terms": "not a list of distinct strings",
     "dialect repeated terms": "not a list of distinct strings",
-    "dialect string log_domain": "'log_domain' is missing or not a bool",
-    "dialect true log_domain": "log-domain dialect checkpoints are not supported",
 }
 
 
-@pytest.mark.parametrize("breakage", sorted(V3_BREAKAGES))
+@pytest.mark.parametrize("breakage", sorted(V4_BREAKAGES))
 def test_malformed_v3_checkpoint_is_checkpoint_error(tmp_path, breakage):
     if breakage.startswith("dialect "):
         model = all_model_instances()[0][3][0]
     else:
-        model = models.MdnGeolocator(network.NetworkSpec((6, 5, 12), seed=0), heads.MdnHeadConfig(2))
+        model = models.MdnGeolocator(network.NetworkSpec((6, 5, 12), seed=0))
     path = tmp_path / "bad.json"
     save_model(path, model)
     members = zip_members(path)
@@ -257,20 +252,16 @@ def test_malformed_v3_checkpoint_is_checkpoint_error(tmp_path, breakage):
         meta["terms"] = list(range(len(meta["terms"])))
     elif breakage == "dialect repeated terms":
         meta["terms"][-1] = meta["terms"][0]
-    elif breakage == "dialect string log_domain":
-        meta["log_domain"] = "yes"
-    elif breakage == "dialect true log_domain":
-        meta["log_domain"] = True
     elif breakage.startswith("drop "):
         del meta[breakage[len("drop "):]]
     elif breakage == "unknown spec key":
         meta["network_spec"]["learning_rate"] = 0.5
-    elif breakage == "relu activation":
-        meta["network_spec"]["hidden_activation"] = "relu"
     elif breakage == "negative l2_coeff":
         meta["network_spec"]["l2_coeff"] = -1e-5
-    elif breakage == "head K mismatch":
-        meta["head"]["K"] = 3
+    elif breakage == "output width not 6K":  # the blocks match the width; only the width is wrong
+        meta["network_spec"]["layer_sizes"][-1] = 13
+        members["W1.npy"] = npy_bytes(np.zeros((5, 13)))
+        members["b1.npy"] = npy_bytes(np.zeros(13))
     elif breakage == "version 2 in zip":
         meta["format_version"] = 2
     elif breakage == "missing member":
@@ -326,7 +317,7 @@ def test_malformed_v3_checkpoint_is_checkpoint_error(tmp_path, breakage):
                 zf.writestr(name, raw)
     else:
         write_zip(path, members)
-    with pytest.raises(CheckpointError, match=re.escape(V3_BREAKAGES[breakage])):
+    with pytest.raises(CheckpointError, match=re.escape(V4_BREAKAGES[breakage])):
         load_model(path)
 
 

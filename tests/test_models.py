@@ -28,10 +28,10 @@ def geolocator(name, Y, seed=0, regul=1e-3):
     if name == "regression":
         return models.RegressionGeolocator(spec)
     if name == "mdn":
-        model = models.MdnGeolocator(spec, heads.MdnHeadConfig(K))
+        model = models.MdnGeolocator(spec)
         model.init_output_bias_from_labels(Y, mode="kmeans", seed=seed)
         return model
-    model = models.SharedMdnGeolocator(spec, heads.MdnHeadConfig(K))
+    model = models.SharedMdnGeolocator(spec)
     model.init_shared_from_labels(Y, seed=seed)
     return model
 
@@ -66,7 +66,7 @@ def test_geolocators_never_densify_csr(name, monkeypatch):
         monkeypatch.setattr(cls, "toarray", refuse)
     with pytest.raises(AssertionError):
         X.toarray()
-    _, log = train_loop(model, (X, Y), (X[:8], Y[:8]), batch_size=5, max_epochs=1, seed=7)
+    log = train_loop(model, (X, Y), (X[:8], Y[:8]), batch_size=5, max_epochs=1, seed=7)
     assert len(log) == 1
     assert np.isfinite(model.dev_metric((X, Y)))
     assert model.predict_points(X).shape == (len(Y), 2)
@@ -115,11 +115,13 @@ def test_dev_metric_in_row_blocks_is_bitwise_one_block(name, monkeypatch):
     assert block_rows == [7] * 7 + [1]
 
 
-@pytest.mark.parametrize("cls, width", [(models.MdnGeolocator, 6 * K), (models.SharedMdnGeolocator, K)])
-def test_mixture_geolocators_refuse_other_output_widths(cls, width):
-    """The MDN emits 6K values a row and the shared MDN K; the constructor,
-    which every checkpoint load goes through, refuses any other width."""
-    for out in (width - 1, width + 1, 2 * width):
-        with pytest.raises(ValueError, match="output size"):
-            cls(NetworkSpec((V, 8, out)), heads.MdnHeadConfig(K))
-    assert cls(NetworkSpec((V, 8, width)), heads.MdnHeadConfig(K)).spec.layer_sizes[-1] == width
+def test_mdn_refuses_an_output_width_not_a_multiple_of_6():
+    """The MDN emits 6K values a row, so its K is the output width over 6;
+    the constructor, which every checkpoint load goes through, refuses any
+    other width.  The shared MDN's K is its output width."""
+    for out in (1, 6 * K - 1, 6 * K + 1, 6 * K + 3):
+        with pytest.raises(ValueError, match=f"output size {out} is not a multiple of 6"):
+            models.MdnGeolocator(NetworkSpec((V, 8, out)))
+    for out in (6, 6 * K, 12 * K):
+        assert models.MdnGeolocator(NetworkSpec((V, 8, out))).K == out // 6
+    assert models.SharedMdnGeolocator(NetworkSpec((V, 8, K))).K == K

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from geomix import heads, kernels, models, network
+from geomix import kernels, models, network
 from geomix.network import (AdamConfig, AdamState, ContractError, EarlyStopConfig,
                             NetworkSpec, RowGrad, TrainingError, adam_step, backward,
                             dense_gradient, forward, init_network_params,
@@ -449,7 +449,7 @@ def test_sparse_batch_step_makes_no_first_layer_sized_array():
     X = sparse.random(64, V, density=0.003, format="csr", random_state=rng)
     Y = np.stack([rng.normal(40.0, 4.0, 64), rng.normal(-100.0, 8.0, 64)], axis=1)
     spec = NetworkSpec((V, H, 6 * K), dropout_rate=0.5, seed=16)
-    model = models.MdnGeolocator(spec, heads.MdnHeadConfig(K))
+    model = models.MdnGeolocator(spec)
     adam, cfg = AdamState(), AdamConfig()
 
     def step(idx):
@@ -485,14 +485,13 @@ def check_train_loop_peak(regul, bound):
     # about 20 terms a user: a batch's row gradients are about 640 x H
     X = sparse.random(96, V, density=0.001, format="csr", random_state=rng)
     Y = np.stack([rng.normal(40.0, 4.0, 96), rng.normal(-100.0, 8.0, 96)], axis=1)
-    model = models.MdnGeolocator(NetworkSpec((V, H, 6 * K), l1_coeff=regul, l2_coeff=regul, seed=18),
-                                 heads.MdnHeadConfig(K))
+    model = models.MdnGeolocator(NetworkSpec((V, H, 6 * K), l1_coeff=regul, l2_coeff=regul, seed=18))
     model.init_output_bias_from_labels(Y[:64], mode="kmeans", seed=18)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _, log = train_loop(model, (X[:64], Y[:64]), (X[64:], Y[64:]), AdamConfig(learning_rate=0.01),
-                            batch_size=32, max_epochs=3, seed=19)
+        log = train_loop(model, (X[:64], Y[:64]), (X[64:], Y[64:]), AdamConfig(learning_rate=0.01),
+                         batch_size=32, max_epochs=3, seed=19)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -532,16 +531,16 @@ class QuadraticModel:
 def test_train_loop_zero_epochs_is_noop():
     model = QuadraticModel(3, 8)
     before = model.params["w"].copy()
-    best, log = train_loop(model, None, None, max_epochs=0)
+    log = train_loop(model, None, None, max_epochs=0)
     assert log == []
     np.testing.assert_array_equal(model.params["w"], before)
 
 
 def test_train_loop_converges_and_restores_best():
     model = QuadraticModel(2, 16)
-    best, log = train_loop(model, None, None, AdamConfig(learning_rate=0.05),
-                           EarlyStopConfig(patience=10), batch_size=4,
-                           max_epochs=200, seed=0)
+    log = train_loop(model, None, None, AdamConfig(learning_rate=0.05),
+                     EarlyStopConfig(patience=10), batch_size=4,
+                     max_epochs=200, seed=0)
     target = model.targets.mean(axis=0)
     assert np.linalg.norm(model.params["w"] - target) < 0.05
     dev = [r[2] for r in log]
@@ -551,8 +550,8 @@ def test_train_loop_converges_and_restores_best():
 def test_train_loop_patience_stops_early():
     model = QuadraticModel(2, 8)
     # huge lr oscillates; dev metric stops improving and patience triggers
-    _, log = train_loop(model, None, None, AdamConfig(learning_rate=5.0),
-                        EarlyStopConfig(patience=3), max_epochs=500, seed=0)
+    log = train_loop(model, None, None, AdamConfig(learning_rate=5.0),
+                     EarlyStopConfig(patience=3), max_epochs=500, seed=0)
     assert len(log) < 500
 
 
@@ -581,8 +580,6 @@ def test_spec_validation():
         NetworkSpec((5, 0, 2))
     with pytest.raises(ValueError):
         NetworkSpec((5, 3), dropout_rate=1.0)
-    with pytest.raises(ValueError, match="hidden_activation"):
-        NetworkSpec((5, 3), hidden_activation="relu")  # forward runs tanh only
     with pytest.raises(ValueError):
         EarlyStopConfig(patience=0)
     with pytest.raises(ValueError):
