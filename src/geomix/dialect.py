@@ -8,8 +8,8 @@ import numpy as np
 
 from .features import text_lines
 from .geo import GeoPoint, haversine_km
-from .heads import bank_grads, component_grads, component_rows, component_terms
-from .kernels import component_log_pdf, log_softmax
+from .heads import bank_grads, component_grads, component_log_pdfs, component_rows, shared_form
+from .kernels import log_softmax
 from .network import ContractError
 
 
@@ -32,8 +32,9 @@ def gaussian_layer_forward_batch(params, X):
     Activation is the raw component density N(x|mu_k, Sigma_k); the layer has
     no mixing weights.  Returns (activations N x K, cache for backward).
     """
-    terms = component_terms(component_rows(params), np.asarray(X, dtype=float))
-    acts = np.exp(component_log_pdf(*terms[:5]))
+    rows = component_rows(params)
+    log_n, terms = component_log_pdfs(rows, np.asarray(X, dtype=float), shared_form(rows))
+    acts = np.exp(log_n)
     return acts, (terms, acts)
 
 

@@ -11,15 +11,21 @@ Every mixture reaches the Gaussian math as five component rows (mu1, mu2,
 raw sigma1, raw sigma2, raw rho): N x K blocks of the MDN's raw output, or
 1 x K views of the component bank, the ``params`` blocks ``mus``,
 ``raw_sigmas`` and ``raw_rhos`` that the shared MDN and the dialect layer
-keep.  ``component_terms`` and ``component_grads`` serve both.
+keep.  The rows' shape picks the density's path (see ``kernels``):
+``shared_form`` gives 1 x K rows their centre and 6 x K coefficients once a
+call, and ``component_log_pdfs`` contracts the points' quadratic features
+with them; N x K rows get None and go through the elementwise offsets of
+``component_terms``.  ``component_grads`` serves both, with the bank's
+moments as w^T F and the MDN's per point.
 """
 
 import numpy as np
 
 from .cluster import kmeans
 from .geo import GeoPoint, clip_points
-from .kernels import (clamped_sigma, component_log_pdf, inv_softplus, log_pdf_partials, log_softmax,
-                      logsumexp_rows, row_blocks, softplus_grad, softsign, softsign_grad)
+from .kernels import (bank_log_pdf, bank_moments, clamped_sigma, component_log_pdf, inv_softplus,
+                      log_pdf_partials, log_softmax, logsumexp_rows, quadratic_features, quadratic_form,
+                      row_blocks, softplus_grad, softsign, softsign_grad)
 from .network import ContractError, TrainingError
 
 
@@ -37,24 +43,29 @@ def mixture_arrays(rows, raw_pi):
             np.exp(log_softmax(raw_pi)))
 
 
-def mixture_log_likelihood(rows, raw_pi, labels):
-    """Log-likelihood of each label under its mixture of component rows and
-    raw pi, which must be finite: (N log-likelihoods, N x K log pi + log N,
-    log pi, the ``component_terms``)."""
+def _check_finite(rows, raw_pi):
     if not all(np.isfinite(a).all() for a in (*rows, raw_pi)):
         raise TrainingError("non-finite mixture parameters")
-    terms = component_terms(rows, np.asarray(labels, dtype=float))
+
+
+def mixture_log_likelihood(rows, raw_pi, labels, form):
+    """Log-likelihood of each label under its mixture of component rows and
+    raw pi, with ``form = shared_form(rows)``: (N log-likelihoods, N x K
+    log pi + log N, log pi, the terms of ``component_log_pdfs``)."""
+    log_joint, terms = component_log_pdfs(rows, np.asarray(labels, dtype=float), form)
     log_pi = log_softmax(raw_pi)
-    log_joint = log_pi + component_log_pdf(*terms[:5])
+    log_joint += log_pi  # in place: the log-densities are this call's own array
     return logsumexp_rows(log_joint), log_joint, log_pi, terms
 
 
 def _mixture_nll(rows, raw_pi, labels):
-    """Mean NLL of the labels under the mixtures of component rows and raw pi.
+    """Mean NLL of the labels under the mixtures of component rows and raw pi,
+    which must be finite.
 
     Returns (loss, dLoss/dRawPi, the five dLoss/dRow in ``rows`` order).
     """
-    ll, log_joint, log_pi, terms = mixture_log_likelihood(rows, raw_pi, labels)
+    _check_finite(rows, raw_pi)
+    ll, log_joint, log_pi, terms = mixture_log_likelihood(rows, raw_pi, labels, shared_form(rows))
     gamma = np.exp(log_joint - ll[:, None])
     N = len(ll)
     # negated after the reduction: a negated weight would flip the sign of zero gradients
@@ -127,17 +138,49 @@ def component_terms(rows, X):
     return X[:, 0:1] - mu1, X[:, 1:2] - mu2, s1, s2, softsign(rr), (live1, live2)
 
 
+def shared_form(rows):
+    """What the density of 1 x K component rows, which every point shares,
+    needs once a call: (centre, C, (m1, m2, sigma1, sigma2, rho, live masks)),
+    the bank's ``kernels.quadratic_form`` of its clamped sigmas and rhos and
+    the SIGMA_MIN live masks.  None for N x K rows, one row per point."""
+    if len(rows[0]) != 1:
+        return None
+    mu1, mu2, rs1, rs2, rr = rows
+    s1, live1 = clamped_sigma(rs1)
+    s2, live2 = clamped_sigma(rs2)
+    rho = softsign(rr)
+    centre, m1, m2, C = quadratic_form(mu1, mu2, s1, s2, rho)
+    return centre, C, (m1, m2, s1, s2, rho, (live1, live2))
+
+
+def component_log_pdfs(rows, X, form):
+    """N x K log-densities of the component rows at the N points of X, and the
+    terms ``component_grads`` takes.  With a ``shared_form`` of 1 x K rows:
+    the points' ``quadratic_features`` contracted with its coefficients, terms
+    (F, m1, m2, sigma1, sigma2, rho, live masks).  With None: N x K rows
+    through ``component_log_pdf`` of the ``component_terms`` offsets."""
+    if form is None:
+        terms = component_terms(rows, X)
+        return component_log_pdf(*terms[:5]), terms
+    centre, C, terms = form
+    F = quadratic_features(X, centre)
+    return bank_log_pdf(F, C), (F, *terms)
+
+
 def component_grads(rows, terms, w):
     """Gradients over the five component rows given ``w`` = dLoss/dlog N
-    (N x K) at the ``component_terms`` points, each of its row's shape: the
-    offsets' weighted moments, summed over the points for a 1 x K row, go to
-    ``log_pdf_partials``.  The SIGMA_MIN and Q_MIN clamp zones get 0."""
-    d1, d2, s1, s2, rho, (live1, live2) = terms
+    (N x K) at the points of ``component_log_pdfs``' terms, each of its row's
+    shape: the weighted moments of the offsets go to ``log_pdf_partials``,
+    per point for N x K rows and for a 1 x K bank summed over the points as
+    ``kernels.bank_moments``.  The SIGMA_MIN and Q_MIN clamp zones get 0."""
     _, _, rs1, rs2, rr = rows
-    wd1, wd2 = w * d1, w * d2
-    moments = (w, wd1, wd2, wd1 * d1, wd2 * d2, wd1 * d2)
-    if rr.shape != w.shape:
-        moments = [m.sum(axis=0, keepdims=True) for m in moments]
+    *points, s1, s2, rho, (live1, live2) = terms
+    if len(rr) == 1:
+        moments = bank_moments(w, *points)
+    else:
+        d1, d2 = points
+        wd1, wd2 = w * d1, w * d2
+        moments = (w, wd1, wd2, wd1 * d1, wd2 * d2, wd1 * d2)
     dmu1, dmu2, ds1, ds2, drho = log_pdf_partials(*moments, s1, s2, rho)
     return [dmu1, dmu2, ds1 * softplus_grad(rs1) * live1, ds2 * softplus_grad(rs2) * live2,
             drho * softsign_grad(rr)]
@@ -155,9 +198,10 @@ def predict_arrays(mu1, mu2, s1, s2, rho, pi, rule="strongest_pi"):
     elif rule == "max_mixture_prob":
         best = np.empty(N, dtype=int)
         for n, r in enumerate(rows):
-            if r == n:  # a component row not seen before
-                d1, d2 = (m[r][:, None] - m[r][None, :] for m in (mu1, mu2))
-                dens = np.exp(component_log_pdf(d1, d2, s1[r], s2[r], rho[r]))
+            if r == n:  # a component row not seen before: its K mus under its K components
+                centre, _, _, C = quadratic_form(mu1[r], mu2[r], s1[r], s2[r], rho[r])
+                F = quadratic_features(np.stack([mu1[r], mu2[r]], axis=1), centre)
+                dens = np.exp(bank_log_pdf(F, C))
             best[n] = np.argmax(dens @ pi[n])
     else:
         raise ValueError(f"unknown selection rule: {rule}")
@@ -195,13 +239,19 @@ def grid_cells(bbox, resolution):
 
 def predictive_density_grid(rows, raw_pi, points):
     """Log-likelihood of each of the N x 2 (lat, lon) ``points`` under its
-    mixture: ``mixture_log_likelihood`` in row blocks of the points.  Each of
-    the component rows and raw pi is N x K, one row per point, which a block
+    mixture, whose component rows and raw pi must be finite:
+    ``mixture_log_likelihood`` in row blocks of the points.  Each of the
+    component rows and raw pi is N x K, one row per point, which a block
     slices, or a 1 x K row every point shares (a heatmap's one mixture, the
-    shared MDN's bank), which it keeps whole.  A row's value does not depend
-    on the blocks."""
+    shared MDN's bank), which it keeps whole.  The call's rows pick the path:
+    1 x K rows get one ``shared_form`` (centre and coefficients) for every
+    block and each block contracts its points' features with it, N x K rows
+    go through ``component_log_pdf`` even in a one-row block.  A row's value
+    does not depend on the blocks."""
+    _check_finite(rows, raw_pi)
+    form = shared_form(rows)
     out = np.empty(len(points))
     for block in row_blocks(len(points), raw_pi.shape[1]):
         *rows_b, raw_pi_b = (a if len(a) == 1 else a[block] for a in (*rows, raw_pi))
-        out[block] = mixture_log_likelihood(rows_b, raw_pi_b, points[block])[0]
+        out[block] = mixture_log_likelihood(rows_b, raw_pi_b, points[block], form)[0]
     return out

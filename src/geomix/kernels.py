@@ -2,13 +2,30 @@
 outputs (softplus floored at SIGMA_MIN for sigmas, softsign for rhos,
 log-softmax for mixing weights), the clamp floors and the mixture density.
 
-The Gaussian kernels broadcast: N x K offsets take sigma and rho as N x K
-arrays or as shared 1 x K rows, whose K-only subterms are then computed once
-per component.  ``row_blocks`` bounds the wide outputs of the mixture
-log-likelihood over a heatmap grid or a dev set, of the dialect model's
-V-wide logits and of the k-means assignments; training
-batches, and the mixture arrays behind ``predict`` and ``evaluate``, are not
-blocked.
+A density has two paths, and the shape of its component rows picks one.
+N x K rows, one set of K components per point (the MDN's per-user
+mixtures), go elementwise: ``component_log_pdf`` of the N x K offsets
+d = x - mu.  A 1 x K bank that every point shares (the shared MDN's and the
+dialect layer's bank, a heatmap's one mixture, the K x K density of
+``max_mixture_prob``) is a quadratic form in x, so its N x K log-density is
+one contraction, ``bank_log_pdf``: the points' N x 6 ``quadratic_features``
+[y1^2, y2^2, y1*y2, y1, y2, 1] of y = x - centre times the bank's 6 x K
+``quadratic_coefficients``, built once a call from the mus, the clamped
+sigmas and rhos and Q_MIN.  The centre is the mean of the bank's mus, the same
+for every row block.  It keeps the features small, and so the cancellation
+between the six terms: the contraction differs from the elementwise density
+by at most about 21 eps times the sum of the absolute values of its terms and
+of the elementwise terms (tests/test_quadratic_form.py derives the count).
+That sum is largest for a narrow component far from the centre: at a
+SIGMA_MIN component's own mean the error scales as eps (r / sigma)^2, r its
+distance from the centre.  The bank's gradient moments are w^T F (6 x K),
+shifted to each mean (``bank_moments``).  Both contractions are ``einsum``
+rather than BLAS, so a row's value does not depend on the rows beside it.
+
+``row_blocks`` bounds the wide outputs of the mixture log-likelihood over a
+heatmap grid or a dev set, of the dialect model's V-wide logits and of the
+k-means assignments; training batches, and the mixture arrays behind
+``predict`` and ``evaluate``, are not blocked.
 """
 
 import numpy as np
@@ -82,6 +99,55 @@ def component_log_pdf(d1, d2, s1, s2, rho):
     q = np.maximum(1.0 - rho * rho, Q_MIN)
     z = d1 * d1 / (s1 * s1) - 2.0 * rho * d1 * d2 / (s1 * s2) + d2 * d2 / (s2 * s2)
     return -LOG_2PI - np.log(s1) - np.log(s2) - 0.5 * np.log(q) - z / (2.0 * q)
+
+
+def quadratic_features(X, centre):
+    """N x 6 features [y1^2, y2^2, y1*y2, y1, y2, 1] of the points X offset to
+    y = x - centre."""
+    y1, y2 = X[:, 0] - centre[0], X[:, 1] - centre[1]
+    return np.stack([y1 * y1, y2 * y2, y1 * y2, y1, y2, np.ones_like(y1)], axis=1)
+
+
+def quadratic_coefficients(m1, m2, s1, s2, rho):
+    """6 x K coefficients C of the bank's log N(y | m_k, Sigma_k) in the
+    ``quadratic_features`` of y, for means m given in the features' frame:
+    the quadratic form -z / (2q) of ``component_log_pdf`` expanded about the
+    frame's origin, its constant holding the log terms.  K-vectors or 1 x K
+    rows in; C row f multiplies feature f."""
+    q = np.maximum(1.0 - rho * rho, Q_MIN)
+    a1, a2, h = 1.0 / s1, 1.0 / s2, 0.5 / q
+    c11, c22, c12 = -h * (a1 * a1), -h * (a2 * a2), (rho / q) * (a1 * a2)
+    l1, l2 = -(2.0 * c11 * m1 + c12 * m2), -(2.0 * c22 * m2 + c12 * m1)
+    const = ((c11 * m1 * m1 + c22 * m2 * m2 + c12 * m1 * m2)
+             - LOG_2PI - np.log(s1) - np.log(s2) - 0.5 * np.log(q))
+    return np.stack([np.ravel(c) for c in (c11, c22, c12, l1, l2, const)])
+
+
+def quadratic_form(mu1, mu2, s1, s2, rho):
+    """(centre, m1, m2, C) of a bank of K components that every point shares:
+    the mean of the mus as the centre of the features, the mus in that frame
+    (m = mu - centre, shaped like mu) and their ``quadratic_coefficients``.
+    Centring keeps the features of nearby points small, and with them the
+    cancellation between the contraction's terms."""
+    centre = (np.mean(mu1), np.mean(mu2))
+    m1, m2 = mu1 - centre[0], mu2 - centre[1]
+    return centre, m1, m2, quadratic_coefficients(m1, m2, s1, s2, rho)
+
+
+def bank_log_pdf(F, C):
+    """N x K log N(x_n | mu_k, Sigma_k): the contraction of the points'
+    ``quadratic_features`` F with the bank's coefficients C.  ``einsum``, not
+    BLAS: a row's value does not depend on how many rows come with it."""
+    return np.einsum("nf,fk->nk", F, C)
+
+
+def bank_moments(w, F, m1, m2):
+    """The six weighted moments of ``log_pdf_partials`` for a bank, summed over
+    the N points with weights w (N x K): w^T F (sums of w times each feature)
+    shifted from the features' frame to each component's mean m, shaped like m."""
+    w11, w22, w12, w1, w2, w0 = (r.reshape(np.shape(m1)) for r in np.einsum("nk,nf->fk", w, F))
+    d1, d2 = w1 - m1 * w0, w2 - m2 * w0
+    return w0, d1, d2, w11 - m1 * (w1 + d1), w22 - m2 * (w2 + d2), w12 - m1 * w2 - m2 * d1
 
 
 def log_pdf_partials(m0, m1, m2, m11, m22, m12, s1, s2, rho):

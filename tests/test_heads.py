@@ -218,8 +218,8 @@ def test_shared_component_rows_predict_like_tiled_rows(mixture, rule):
 
 def test_max_mixture_prob_builds_shared_density_once(monkeypatch):
     calls = []
-    log_pdf = heads.component_log_pdf
-    monkeypatch.setattr(heads, "component_log_pdf", lambda *a: calls.append(1) or log_pdf(*a))
+    log_pdf = heads.bank_log_pdf
+    monkeypatch.setattr(heads, "bank_log_pdf", lambda *a: calls.append(1) or log_pdf(*a))
     rng = np.random.default_rng(7)
     K = 6
     comps = (rng.normal(40.0, 5.0, (1, K)), rng.normal(-100.0, 5.0, (1, K)),
@@ -267,12 +267,13 @@ def raw_mixture(components, weights):
 
 def reference_density_grid(rows, raw_pi, points):
     """The grid as it was drawn before it shared ``mixture_log_likelihood``:
-    transformed components, pi renormalised to sum to 1."""
-    mu1, mu2, s1, s2, rho, pi = heads.mixture_arrays(rows, raw_pi)
+    pi renormalised to sum to 1, on the same component log-density.  The
+    log-density itself is checked against the elementwise arithmetic in
+    tests/test_quadratic_form.py."""
+    *_, pi = heads.mixture_arrays(rows, raw_pi)
     with np.errstate(divide="ignore"):
         log_pi = np.log(pi / pi.sum())
-    return kernels.logsumexp_rows(log_pi + kernels.component_log_pdf(
-        points[:, 0:1] - mu1, points[:, 1:2] - mu2, s1, s2, rho))
+    return kernels.logsumexp_rows(log_pi + heads.component_log_pdfs(rows, points, heads.shared_form(rows))[0])
 
 
 def test_density_grid_integrates_to_one():
