@@ -11,12 +11,15 @@ Every mixture reaches the Gaussian math as five component rows (mu1, mu2,
 raw sigma1, raw sigma2, raw rho): N x K blocks of the MDN's raw output, or
 1 x K views of the component bank, the ``params`` blocks ``mus``,
 ``raw_sigmas`` and ``raw_rhos`` that the shared MDN and the dialect layer
-keep.  The rows' shape picks the density's path (see ``kernels``):
-``shared_form`` gives 1 x K rows their centre and 6 x K coefficients once a
-call, and ``component_log_pdfs`` contracts the points' quadratic features
-with them; N x K rows get None and go through the elementwise offsets of
-``component_terms``.  ``component_grads`` serves both, with the bank's
-moments as w^T F and the MDN's per point.
+keep.  A density takes one of two paths (see ``kernels``), and the caller
+picks it with a form: ``shared_form`` gives 1 x K rows that every point
+shares their centre and 6 x K coefficients once a call, and
+``component_log_pdfs`` contracts the points' quadratic features with them;
+None sends the rows through the elementwise offsets of ``component_terms``.
+The MDN's per-user rows always take None, even for one user, so a user's
+loss and gradient do not depend on the batch around it.
+``component_grads`` reads the path off the terms it is handed: the bank's
+moments as w^T F, the offsets' per point.
 """
 
 import numpy as np
@@ -50,22 +53,22 @@ def _check_finite(rows, raw_pi):
 
 def mixture_log_likelihood(rows, raw_pi, labels, form):
     """Log-likelihood of each label under its mixture of component rows and
-    raw pi, with ``form = shared_form(rows)``: (N log-likelihoods, N x K
-    log pi + log N, log pi, the terms of ``component_log_pdfs``)."""
+    raw pi, along the path of ``form``: (N log-likelihoods, N x K log pi +
+    log N, log pi, the terms of ``component_log_pdfs``)."""
     log_joint, terms = component_log_pdfs(rows, np.asarray(labels, dtype=float), form)
     log_pi = log_softmax(raw_pi)
     log_joint += log_pi  # in place: the log-densities are this call's own array
     return logsumexp_rows(log_joint), log_joint, log_pi, terms
 
 
-def _mixture_nll(rows, raw_pi, labels):
+def _mixture_nll(rows, raw_pi, labels, form):
     """Mean NLL of the labels under the mixtures of component rows and raw pi,
-    which must be finite.
+    which must be finite, along the path of ``form``.
 
     Returns (loss, dLoss/dRawPi, the five dLoss/dRow in ``rows`` order).
     """
     _check_finite(rows, raw_pi)
-    ll, log_joint, log_pi, terms = mixture_log_likelihood(rows, raw_pi, labels, shared_form(rows))
+    ll, log_joint, log_pi, terms = mixture_log_likelihood(rows, raw_pi, labels, form)
     gamma = np.exp(log_joint - ll[:, None])
     N = len(ll)
     # negated after the reduction: a negated weight would flip the sign of zero gradients
@@ -74,8 +77,9 @@ def _mixture_nll(rows, raw_pi, labels):
 
 
 def mdn_nll(raw, labels, K):
-    """Mean NLL of the unpacked per-sample mixtures; returns (loss, dLoss/dRaw)."""
-    loss, d_pi, grads = _mixture_nll(*mdn_rows(np.asarray(raw, dtype=float), K), labels)
+    """Mean NLL of the unpacked per-sample mixtures, each elementwise; returns
+    (loss, dLoss/dRaw)."""
+    loss, d_pi, grads = _mixture_nll(*mdn_rows(np.asarray(raw, dtype=float), K), labels, None)
     return loss, np.concatenate([*grads, d_pi], axis=1)
 
 
@@ -84,7 +88,8 @@ def shared_nll(pi_raw, params, labels):
 
     Returns (loss, dLoss/dPiRaw, grads dict over mus / raw_sigmas / raw_rhos).
     """
-    loss, d_pi, grads = _mixture_nll(component_rows(params), np.asarray(pi_raw, dtype=float), labels)
+    rows = component_rows(params)
+    loss, d_pi, grads = _mixture_nll(rows, np.asarray(pi_raw, dtype=float), labels, shared_form(rows))
     return loss, d_pi, bank_grads(grads)
 
 
@@ -142,7 +147,8 @@ def shared_form(rows):
     """What the density of 1 x K component rows, which every point shares,
     needs once a call: (centre, C, (m1, m2, sigma1, sigma2, rho, live masks)),
     the bank's ``kernels.quadratic_form`` of its clamped sigmas and rhos and
-    the SIGMA_MIN live masks.  None for N x K rows, one row per point."""
+    the SIGMA_MIN live masks.  None for N x K rows, one row per point: the
+    one place the rows' shape picks a path."""
     if len(rows[0]) != 1:
         return None
     mu1, mu2, rs1, rs2, rr = rows
@@ -169,18 +175,22 @@ def component_log_pdfs(rows, X, form):
 
 def component_grads(rows, terms, w):
     """Gradients over the five component rows given ``w`` = dLoss/dlog N
-    (N x K) at the points of ``component_log_pdfs``' terms, each of its row's
-    shape: the weighted moments of the offsets go to ``log_pdf_partials``,
-    per point for N x K rows and for a 1 x K bank summed over the points as
-    ``kernels.bank_moments``.  The SIGMA_MIN and Q_MIN clamp zones get 0."""
+    (N x K) at the points of the terms of ``component_log_pdfs`` (or of
+    ``component_terms``), each of its row's shape: the weighted moments of
+    the offsets go to ``log_pdf_partials``.  The terms pick the moments: a
+    bank's carry its features F and give ``kernels.bank_moments``, w^T F; the
+    offsets' are taken per point and summed over the points for a 1 x K row.
+    The SIGMA_MIN and Q_MIN clamp zones get 0."""
     _, _, rs1, rs2, rr = rows
-    *points, s1, s2, rho, (live1, live2) = terms
-    if len(rr) == 1:
-        moments = bank_moments(w, *points)
-    else:
-        d1, d2 = points
+    *at, s1, s2, rho, (live1, live2) = terms
+    if len(at) == 3:  # a bank's features F and its means in their frame
+        moments = bank_moments(w, *at)
+    else:  # the offsets d1, d2
+        d1, d2 = at
         wd1, wd2 = w * d1, w * d2
         moments = (w, wd1, wd2, wd1 * d1, wd2 * d2, wd1 * d2)
+        if rr.shape != w.shape:
+            moments = [m.sum(axis=0, keepdims=True) for m in moments]
     dmu1, dmu2, ds1, ds2, drho = log_pdf_partials(*moments, s1, s2, rho)
     return [dmu1, dmu2, ds1 * softplus_grad(rs1) * live1, ds2 * softplus_grad(rs2) * live2,
             drho * softsign_grad(rr)]
@@ -246,8 +256,10 @@ def predictive_density_grid(rows, raw_pi, points):
     shared MDN's bank), which it keeps whole.  The call's rows pick the path:
     1 x K rows get one ``shared_form`` (centre and coefficients) for every
     block and each block contracts its points' features with it, N x K rows
-    go through ``component_log_pdf`` even in a one-row block.  A row's value
-    does not depend on the blocks."""
+    go through ``component_log_pdf`` even in a one-row block.  The shapes
+    cannot tell one MDN user's 1 x K rows from a mixture every point shares,
+    so a one-user MDN dev set takes the contraction, as that user's heatmap
+    does.  A row's value does not depend on the blocks."""
     _check_finite(rows, raw_pi)
     form = shared_form(rows)
     out = np.empty(len(points))

@@ -2,10 +2,9 @@
 outputs (softplus floored at SIGMA_MIN for sigmas, softsign for rhos,
 log-softmax for mixing weights), the clamp floors and the mixture density.
 
-A density has two paths, and the shape of its component rows picks one.
-N x K rows, one set of K components per point (the MDN's per-user
-mixtures), go elementwise: ``component_log_pdf`` of the N x K offsets
-d = x - mu.  A 1 x K bank that every point shares (the shared MDN's and the
+A density has two paths.  N x K rows, one set of K components per point
+(the MDN's per-user mixtures), go elementwise: ``component_log_pdf`` of
+the N x K offsets d = x - mu.  A 1 x K bank that every point shares (the shared MDN's and the
 dialect layer's bank, a heatmap's one mixture, the K x K density of
 ``max_mixture_prob``) is a quadratic form in x, so its N x K log-density is
 one contraction, ``bank_log_pdf``: the points' N x 6 ``quadratic_features``

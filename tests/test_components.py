@@ -6,10 +6,9 @@ shared bank's 1 x K rows ``heads.shared_nll`` and the dialect layer, in both
 activation domains.  Some drawn components sit in a clamp zone: a raw sigma
 far below the SIGMA_MIN edge or a raw rho past the Q_MIN edge, where the
 gradient must be exactly 0.  ``kernels.log_pdf_partials`` takes weighted
-moments of the offsets, per point for N x K rows and, for 1 x K rows, summed
-over the points from the quadratic features (``kernels.bank_moments``); the
-per-point partials it once returned are kept here as ``reference_partials``,
-and the moment form must equal their weighted sum within a rounding bound.
+moments of the offsets; the per-point partials it once returned are kept
+here as ``reference_partials``, and the moment form must equal their
+weighted sum within a rounding bound.
 """
 
 import numpy as np
@@ -37,11 +36,6 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 # either form rounds each term under ten times, and the sum over at most five
 # points adds four roundings; measured errors stay below 4 eps of the magnitudes
 ROUNDING = 16 * np.finfo(float).eps
-# a bank's moments come from w^T F and a shift to each mean (kernels.bank_moments):
-# the features and the shifted means add one rounding each, the products two,
-# the sum over at most five points four and the shift four, under ten times in
-# the partials after them; the terms' scale is |y| + |m| where an offset had |d|
-BANK_ROUNDING = 24 * np.finfo(float).eps
 
 
 def draw_component(draw, clamped):
@@ -216,39 +210,30 @@ def test_dialect_layer_component_grads(drawn, data):
 @PROPERTY
 @given(st.booleans(), st.data())
 def test_moment_form_is_the_weighted_sum_of_reference_partials(shared, data):
-    # the MDN's N x K rows keep one moment per point; 1 x K rows (the shared
-    # bank, or the MDN at one point) sum them over the points as w^T F shifted to
-    # each mean; either way the chain rule that follows multiplies both sides by
-    # the same factors
+    # the shared bank's 1 x K rows sum the moments over the points, the MDN's
+    # N x K rows keep one per point; either way the chain rule that follows
+    # multiplies both sides by the same factors
     if shared:
         params, X, _ = data.draw(bank_and_points())
         rows = heads.component_rows(params)
     else:
         raw, X, zone = data.draw(mdn_output_and_points())
         rows = heads.mdn_rows(raw, zone.shape[1])[0]
-    form = heads.shared_form(rows)
-    terms = heads.component_log_pdfs(rows, X, form)[1]
-    offsets = heads.component_terms(rows, X)
-    d1, d2, s1, s2, rho, (live1, live2) = offsets
-    if form is None:
-        scale, rounding = (d1, d2), ROUNDING
-    else:
-        centre, _, (m1, m2, *_) = form
-        scale = [np.abs(X[:, j:j + 1] - centre[j]) + np.abs(m) for j, m in enumerate((m1, m2))]
-        rounding = BANK_ROUNDING
+    terms = heads.component_terms(rows, X)
+    d1, d2, s1, s2, rho, (live1, live2) = terms
     w = draw_weights(data, d1.shape, NORMAL_WEIGHT)
 
     def reduce(g):
-        return g.sum(axis=0, keepdims=True) if len(rows[4]) == 1 else g
+        return g.sum(axis=0, keepdims=True) if shared else g
 
     got = heads.component_grads(rows, terms, w)
     _, _, rs1, rs2, rr = rows
     chain = (1.0, 1.0, softplus_grad(rs1) * live1, softplus_grad(rs2) * live2, softsign_grad(rr))
-    for g, p, m, c in zip(got, reference_partials(*offsets[:5]), partial_magnitudes(*scale, s1, s2, rho), chain):
+    for g, p, m, c in zip(got, reference_partials(*terms[:5]), partial_magnitudes(*terms[:5]), chain):
         want = reduce(w * p) * c
         # an offset so small that its products underflow errs by about 1e-323
         # times a scale of at most 1e21 (1 / SIGMA_MIN^3 times 1 / q)
-        bound = rounding * reduce(np.abs(w) * m) * np.abs(c) + 1e-300
+        bound = ROUNDING * reduce(np.abs(w) * m) * np.abs(c) + 1e-300
         assert g.shape == want.shape == rr.shape
         assert np.all(np.abs(g - want) <= bound), np.max(np.abs(g - want) / bound)
     for d_raw_sigma, raw_sigma in ((got[2], rs1), (got[3], rs2)):

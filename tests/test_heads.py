@@ -114,6 +114,27 @@ def test_mdn_nll_gradient_fd():
             assert rel < 1e-4
 
 
+def test_mdn_nll_one_row_batch_is_that_row_in_a_larger_batch():
+    # per-user rows take the elementwise path at any batch size, so a one-user
+    # batch (a remainder batch) gives that user's loss and gradient bit for bit;
+    # the mean over 4 users scales the gradient by an exact power of two.  Row 1
+    # has a component at SIGMA_MIN, its label on that mean, far from the
+    # other means, where a 1 x K contraction would err by eps (r / sigma)^2
+    rng = np.random.default_rng(13)
+    N, K = 4, 5
+    raw = rng.normal(scale=1.5, size=(N, 6 * K))
+    raw[:, :K] += 40.0
+    raw[:, K:2 * K] = raw[:, K:2 * K] * 8.0 - 100.0
+    raw[1, 2 * K] = raw[1, 3 * K] = -60.0
+    labels = rng.normal(scale=2.0, size=(N, 2)) + [40.0, -100.0]
+    labels[1] = raw[1, 0], raw[1, K]
+    loss, d_raw = heads.mdn_nll(raw, labels, K)
+    singles = [heads.mdn_nll(raw[i:i + 1], labels[i:i + 1], K) for i in range(N)]
+    assert loss == np.mean([single_loss for single_loss, _ in singles])
+    for i, (_, d_single) in enumerate(singles):
+        assert np.array_equal(d_raw[i] * N, d_single[0])
+
+
 def test_shared_nll_agrees_with_mdn_nll():
     rng = np.random.default_rng(4)
     N, K = 5, 3
