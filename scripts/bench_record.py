@@ -92,7 +92,7 @@ def tier1():
 
 
 def step_profile():
-    out = run([sys.executable, "scripts/step_profile.py"], OPENBLAS_NUM_THREADS="1").splitlines()
+    out = run([sys.executable, "scripts/step_profile.py"]).splitlines()
     stages = out[0].split()[2:7]
     return {row[0]: dict(zip(stages, map(float, row[2:]))) for row in map(str.split, out[1:])}
 

@@ -5,7 +5,9 @@ of the untrained model ``geomix train --max-epochs 0`` builds on its corpus
 (seed 0) through ``batch_loss_and_grads`` and ``network.adam_step``, timing
 forward, the head, backward (with the dialect model's Gaussian layer) and
 Adam; ``gather`` is the rest: the row gather and the elastic-net penalty and
-its gradient.
+its gradient.  The steps run under the BLAS scope of ``train``
+(``cli._one_blas_thread``), so Adam's row ranges have the second core as
+they do in training, and no BLAS thread spins on it.
 Run from the root of a checkout: ``PYTHONPATH=src python scripts/step_profile.py``
 """
 
@@ -66,13 +68,14 @@ def main():
         adam, cfg = network.AdamState(), network.AdamConfig()
         order = rng.permutation(n := model.num_examples(train))[:n // 32 * 32].reshape(-1, 32)
         times = []  # the first step makes Adam's arrays, so it is left out
-        for i in range(STEPS + 1):
-            SPENT.clear()
-            start = time.perf_counter()
-            _, grads = model.batch_loss_and_grads(train, order[i % len(order)], rng, train_mode=True)
-            SPENT["gather"] = time.perf_counter() - start - sum(SPENT.values())
-            network.adam_step(adam, model.params, grads, cfg)
-            times.append([SPENT[s] for s in STAGES])
+        with cli._one_blas_thread():
+            for i in range(STEPS + 1):
+                SPENT.clear()
+                start = time.perf_counter()
+                _, grads = model.batch_loss_and_grads(train, order[i % len(order)], rng, train_mode=True)
+                SPENT["gather"] = time.perf_counter() - start - sum(SPENT.values())
+                network.adam_step(adam, model.params, grads, cfg)
+                times.append([SPENT[s] for s in STAGES])
         V = model.spec.layer_sizes[0 if w.kind == "geo" else -1]
         print(f"{w.name:16} {V:>6} " + " ".join(f"{1e3 * m:9.3f}" for m in np.median(times[1:], axis=0)))
 

@@ -8,7 +8,9 @@ penalty and its gradient, lives in ``regularization_penalty``, which adds
 the gradient to the weight blocks in row blocks of W.
 """
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -16,6 +18,18 @@ import numpy as np
 from scipy import sparse
 
 from .kernels import row_blocks
+
+
+# Adam runs a 2-D block of at least _SPLIT_ELEMS values as _WORKERS row ranges,
+# all but one in a pool made on first use, the last on the calling thread.  Its
+# seven passes are elementwise, so the ranges give the serial step's bits.  The
+# threshold was measured on 2 vCPUs: the split gained 1.8x on the layer at
+# 2^17-2^20 values and lost below 2^16 (0.76x at 2^15), where the hand-off to a
+# thread costs more than half a block's passes.
+_SPLIT_ELEMS = 2 ** 17
+_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+               4)
+_pool = None
 
 
 class ContractError(ValueError):
@@ -232,7 +246,10 @@ def adam_step(adam, params, grads, cfg):
     and ``eps_hat = eps*sqrt(c2)``; seven passes over a block, one work array.
     Gradient terms are added on a RowGrad's rows (all rows of a dense block);
     elsewhere they would add exact zeros, so every row's moments still decay
-    and every parameter still moves (this is not lazy Adam).
+    and every parameter still moves (this is not lazy Adam).  The check runs
+    on the calling thread; a 2-D block of at least ``_SPLIT_ELEMS`` values
+    then takes its passes in ``_WORKERS`` row ranges at once, bit for bit the
+    serial step.
     """
     blocks = {name: (g.rows, g.values) if isinstance(g, RowGrad) else (slice(None), g)
               for name, g in grads.items()}
@@ -244,26 +261,56 @@ def adam_step(adam, params, grads, cfg):
     adam.t += 1
     lr_t = cfg.learning_rate * np.sqrt(1.0 - cfg.beta2 ** adam.t) / (1.0 - cfg.beta1 ** adam.t)
     eps_hat = cfg.epsilon * np.sqrt(1.0 - cfg.beta2 ** adam.t)
+    coeffs = (cfg.beta1, cfg.beta2, lr_t, eps_hat)
     for name, (rows, g) in blocks.items():
         p = params[name]
         if name not in adam.m:
             adam.m[name] = np.zeros_like(p)
             adam.v[name] = np.zeros_like(p)
             adam.buffers[name] = np.empty_like(p)
-        m, v, b = adam.m[name], adam.v[name], adam.buffers[name]
-        terms = b[:len(g)]  # all of b for a dense block
-        m *= cfg.beta1
-        np.multiply(g, 1.0 - cfg.beta1, out=terms)
-        m[rows] += terms
-        v *= cfg.beta2
-        np.multiply(g, 1.0 - cfg.beta2, out=terms)
-        terms *= g
-        v[rows] += terms
-        np.sqrt(v, out=b)
-        b += eps_hat
-        np.divide(m, b, out=b)
-        b *= lr_t
-        p -= b
+        arrays = (p, adam.m[name], adam.v[name], adam.buffers[name])
+        if p.ndim == 2 and p.size >= _SPLIT_ELEMS and _WORKERS > 1:
+            _split_adam_passes(arrays, rows, g, coeffs)
+        else:
+            _adam_passes(*arrays, rows, g, coeffs)
+
+
+def _adam_passes(p, m, v, b, rows, g, coeffs):
+    """Adam's seven passes over one block or row range: ``g`` holds the
+    gradient of rows ``rows`` of ``p`` (all rows for ``slice(None)``)."""
+    beta1, beta2, lr_t, eps_hat = coeffs
+    terms = b[:len(g)]  # all of b for a dense block
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=terms)
+    m[rows] += terms
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=terms)
+    terms *= g
+    v[rows] += terms
+    np.sqrt(v, out=b)
+    b += eps_hat
+    np.divide(m, b, out=b)
+    b *= lr_t
+    p -= b
+
+
+def _split_adam_passes(arrays, rows, g, coeffs):
+    """``_adam_passes`` over _WORKERS row ranges of one block, each range
+    with its own share of a RowGrad's sorted rows, shifted to the range."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="geomix-adam")
+    bounds = np.arange(_WORKERS + 1) * len(arrays[0]) // _WORKERS
+    cuts = bounds if isinstance(rows, slice) else np.searchsorted(rows, bounds)
+    ranges = [(*(a[lo:hi] for a in arrays), slice(None) if isinstance(rows, slice) else rows[c0:c1] - lo,
+               g[c0:c1], coeffs) for lo, hi, c0, c1 in zip(bounds[:-1], bounds[1:], cuts[:-1], cuts[1:])]
+    futures = [_pool.submit(_adam_passes, *r) for r in ranges[:-1]]
+    try:
+        _adam_passes(*ranges[-1])
+    finally:
+        wait(futures)  # no worker is left writing the block
+    for f in futures:
+        f.result()
 
 
 def train_loop(model, train_data, dev_data, adam_cfg=None, stop_cfg=None,

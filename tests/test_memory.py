@@ -1,13 +1,19 @@
 """Peak memory of the dialect scoring and heatmap commands against their
-dense bounds, and the page faults the CLI's allocator policy saves."""
+dense bounds, the page faults the CLI's allocator policy saves, and the
+threads ``train`` leaves to BLAS and to Adam."""
 
 import ctypes
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from childrss import peak_rss_bytes, second_call_minor_faults
-from geomix import cli, features
+from geomix import cli, data, features, network
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +103,80 @@ def test_main_sets_the_allocator_policy_where_libc_has_it(tmp_path, monkeypatch)
     assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 128 << 20)]
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())  # no mallopt
     assert cli.main(argv) == 0
+
+
+@pytest.fixture
+def small_train(tmp_path):
+    """``train`` argv of a one-epoch MDN on a small synthetic corpus."""
+    assert cli.main(["synth", "--out-prefix", str(tmp_path / "s-"), "--users-per-mode", "20"]) == 0
+    return ["train", "--model", "mdn", "--profile", "synth-mdn", "--max-epochs", "1",
+            "--train", str(tmp_path / "s-train.tsv"), "--dev", str(tmp_path / "s-dev.tsv"),
+            "--checkpoint", str(tmp_path / "m.json")]
+
+
+def stub_blas(monkeypatch, threads):
+    """Stands an OpenBLAS whose thread count is ``threads[0]`` in for the loaded one."""
+    get_set = (lambda: threads[0], lambda n: threads.__setitem__(0, n))
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: get_set)
+
+
+def test_train_runs_at_one_blas_thread_and_restores_the_count(small_train, monkeypatch):
+    threads, seen = [3], []
+    stub_blas(monkeypatch, threads)
+    train_loop = network.train_loop
+
+    def counted(*args, **kwargs):
+        seen.append(threads[0])
+        return train_loop(*args, **kwargs)
+
+    monkeypatch.setattr(cli.network, "train_loop", counted)
+    assert cli.main(small_train) == 0
+    assert seen == [1] and threads == [3]
+
+    def failing(*args, **kwargs):
+        seen.append(threads[0])
+        raise network.TrainingError("NaN loss")
+
+    monkeypatch.setattr(cli.network, "train_loop", failing)
+    assert cli.main(small_train) == 1
+    assert seen == [1, 1] and threads == [3]
+
+
+def test_train_without_a_blas_setter_runs_as_before(small_train, monkeypatch):
+    stub_blas(monkeypatch, [2])
+    assert cli.main(small_train) == 0
+    checkpoint = Path(small_train[small_train.index("--checkpoint") + 1])
+    with_setter = checkpoint.read_bytes()
+    monkeypatch.undo()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())  # no OpenBLAS symbols
+    assert cli._openblas_threads() is None
+    assert cli.main(small_train) == 0
+    assert checkpoint.read_bytes() == with_setter
+
+
+def test_the_blas_scope_sets_the_loaded_openblas_and_restores_it():
+    threads = cli._openblas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS with a thread setter is loaded")
+    get, _ = threads
+    before = get()
+    with cli._one_blas_thread():
+        assert get() == 1
+    assert get() == before
+
+
+def test_a_train_below_the_split_size_starts_no_thread(small_train, monkeypatch):
+    monkeypatch.setattr(network, "_pool", None)  # as if no earlier step had made it
+    before = threading.active_count()
+    assert cli.main(small_train) == 0
+    assert threading.active_count() == before
+    model = data.load_model(small_train[small_train.index("--checkpoint") + 1])
+    assert max(a.size for a in model.params.values()) < network._SPLIT_ELEMS
+
+
+def test_importing_geomix_starts_no_thread():
+    code = "import threading, geomix.cli; print(threading.active_count())"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "1"

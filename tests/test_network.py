@@ -2,6 +2,7 @@
 first layer's row gradient, Adam, dropout, elastic net and the training
 loop."""
 
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -370,8 +371,19 @@ def test_reordered_adam_tracks_the_textbook_step(run):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_adam_non_finite_last_block_changes_nothing(bad):
+    assert_non_finite_changes_nothing(bad, rows=7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_non_finite_gradient_beside_a_split_block_changes_nothing(bad):
+    assert_non_finite_changes_nothing(bad, rows=network._SPLIT_ELEMS // 5 + 1)
+
+
+def assert_non_finite_changes_nothing(bad, rows):
+    """A non-finite entry in the last block "b" leaves t, params, m and v of
+    both blocks as they were, and no range of "W" (rows x 5) reaches the pool."""
     rng = np.random.default_rng(12)
-    params = two_blocks(rng)
+    params = {"W": rng.normal(size=(rows, 5)), "b": rng.normal(size=5)}
     adam = AdamState()
     adam_step(adam, params, {k: rng.normal(size=a.shape) for k, a in params.items()},
               AdamConfig())
@@ -380,12 +392,67 @@ def test_adam_non_finite_last_block_changes_nothing(bad):
               {k: a.copy() for k, a in adam.v.items()})
     grads = {k: rng.normal(size=a.shape) for k, a in params.items()}
     grads["b"][2] = bad  # "b" is the last block adam_step visits
-    with pytest.raises(TrainingError, match="block b"):
-        adam_step(adam, params, grads, AdamConfig())
+    assert (params["W"].size >= network._SPLIT_ELEMS) == (rows > 7)
+    with mock.patch.object(network, "_WORKERS", 2), mock.patch.object(network, "_pool") as pool:
+        with pytest.raises(TrainingError, match="block b"):
+            adam_step(adam, params, grads, AdamConfig())
+    pool.submit.assert_not_called()
     assert adam.t == 1
     for now, then in zip((params, adam.m, adam.v), before):
         for k in then:
             np.testing.assert_array_equal(now[k], then[k])
+
+
+@contextlib.contextmanager
+def split_adam(workers):
+    """adam_step with every 2-D block cut into ``workers`` row ranges, on a
+    pool of its own that is shut down after."""
+    with (mock.patch.object(network, "_SPLIT_ELEMS", 0), mock.patch.object(network, "_WORKERS", workers),
+          mock.patch.object(network, "_pool", None)):
+        try:
+            yield
+        finally:
+            if network._pool is not None:
+                network._pool.shutdown()
+
+
+@st.composite
+def split_adam_runs(draw):
+    """(workers, start params, 1-4 steps of gradients): a RowGrad block "W"
+    whose rows at each step are none, all, some inside one worker's row
+    range, or any; a dense 2-D block "D" and a 1-D block "b"."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    workers = draw(st.integers(1, 3))
+    V, H = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    start = {"W": rng.normal(size=(V, H)), "D": rng.normal(size=(draw(st.integers(1, 9)), H)),
+             "b": rng.normal(size=H)}
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["none", "all", "one range", "any"]))
+        if kind == "one range":
+            r = draw(st.integers(0, workers - 1))
+            pool = np.arange(V * r // workers, V * (r + 1) // workers)
+        else:
+            pool = np.arange(V)
+        size = {"none": 0, "all": V}.get(kind, rng.integers(0, len(pool) + 1))
+        rows = np.sort(rng.choice(pool, size=size, replace=False))
+        steps.append({"W": RowGrad(rows, rng.normal(size=(len(rows), H)) * 10.0 ** rng.uniform(-6, 3)),
+                      "D": rng.normal(size=start["D"].shape), "b": rng.normal(size=H)})
+    return workers, start, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_adam_runs())
+def test_split_adam_is_the_serial_step_bitwise(run):
+    workers, start, steps = run
+    serial, serial_adam = run_adam(start, steps, ADAM_CFG)
+    with split_adam(workers):
+        split, split_adam_state = run_adam(start, steps, ADAM_CFG)
+    assert split_adam_state.t == serial_adam.t == len(steps)
+    for now, then in ((split, serial), (split_adam_state.m, serial_adam.m),
+                      (split_adam_state.v, serial_adam.v)):
+        for k in start:
+            assert now[k].tobytes() == then[k].tobytes()
 
 
 def test_adam_keeps_its_moment_arrays():
