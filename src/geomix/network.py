@@ -22,10 +22,11 @@ from .kernels import row_blocks
 
 # Adam runs a 2-D block of at least _SPLIT_ELEMS values as _WORKERS row ranges,
 # all but one in a pool made on first use, the last on the calling thread.  Its
-# seven passes are elementwise, so the ranges give the serial step's bits.  The
-# threshold was measured on 2 vCPUs: the split gained 1.8x on the layer at
-# 2^17-2^20 values and lost below 2^16 (0.76x at 2^15), where the hand-off to a
-# thread costs more than half a block's passes.
+# seven passes are elementwise, so the ranges give the serial step's bits.  On
+# 2 vCPUs one RowGrad step of 640 rows took 1.6 -> 1.1 ms at 1 024 x 128 (2^17
+# values), 2.7 -> 1.6 ms at 3 030 x 100 and 7.5 -> 4.7 ms at 9 900 x 100, and
+# gained nothing at 830 x 100, where handing a range to a thread costs about
+# what it saves.
 _SPLIT_ELEMS = 2 ** 17
 _WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
                4)
