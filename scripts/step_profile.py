@@ -5,9 +5,9 @@ of the untrained model ``geomix train --max-epochs 0`` builds on its corpus
 (seed 0) through ``batch_loss_and_grads`` and ``network.adam_step``, timing
 forward, the head, backward (with the dialect model's Gaussian layer) and
 Adam; ``gather`` is the rest: the row gather and the elastic-net penalty and
-its gradient.  The steps run under the BLAS scope of ``train``
-(``cli._one_blas_thread``), so Adam's row ranges have the second core as
-they do in training, and no BLAS thread spins on it.
+its gradient.  The steps run under the BLAS scope of training
+(``network._one_blas_thread``), so Adam's row ranges have the second core as
+they do in ``network.train_loop``, and no BLAS thread spins on it.
 Run from the root of a checkout: ``PYTHONPATH=src python scripts/step_profile.py``
 """
 
@@ -68,7 +68,7 @@ def main():
         adam, cfg = network.AdamState(), network.AdamConfig()
         order = rng.permutation(n := model.num_examples(train))[:n // 32 * 32].reshape(-1, 32)
         times = []  # the first step makes Adam's arrays, so it is left out
-        with cli._one_blas_thread():
+        with network._one_blas_thread():
             for i in range(STEPS + 1):
                 SPENT.clear()
                 start = time.perf_counter()

@@ -174,9 +174,8 @@ def cmd_train(args):
         print(f"epoch {epoch}: train={train_loss:.6f} dev={dev_metric:.6f} ({elapsed:.2f}s)",
               file=sys.stderr)
 
-    with _one_blas_thread():  # the second core goes to Adam's row ranges
-        network.train_loop(model, train_data, dev_data, adam_cfg, stop_cfg, batch_size=cfg["batch_size"],
-                           max_epochs=cfg["max_epochs"], seed=seed, log_sink=sink)
+    network.train_loop(model, train_data, dev_data, adam_cfg, stop_cfg, batch_size=cfg["batch_size"],
+                       max_epochs=cfg["max_epochs"], seed=seed, log_sink=sink)
     data.save_model(args.checkpoint, model)
     if args.vocab:
         features.save_vocab(args.vocab, vocab)
@@ -451,48 +450,6 @@ def _set_allocator_policy():
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
         mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
-
-
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that ``/proc/self/maps``
-    shows loaded (numpy's scipy-openblas build, or a plain OpenBLAS), or None
-    where there is none."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # the mapped file is gone
-            continue
-        for get, set_ in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                          ("openblas_get_num_threads", "openblas_set_num_threads")):
-            if hasattr(lib, get) and hasattr(lib, set_):
-                return getattr(lib, get), getattr(lib, set_)
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with the loaded OpenBLAS at one thread and restore its
-    count after; where there is none, just run the body.  ``train`` runs
-    under it: a training step's products are small enough that a second BLAS
-    thread mostly spin-waits on the second core, which ``network.adam_step``'s
-    row ranges use instead, and the training outputs then do not depend on
-    ``OPENBLAS_NUM_THREADS``."""
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 def main(argv=None):

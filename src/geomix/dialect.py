@@ -46,31 +46,36 @@ def gaussian_layer_backward(params, cache, d_acts):
 
 
 def target_log_likelihood(log_p, targets):
-    """Sum of ``targets * log_p`` over the target rows with positive mass,
-    and the boolean mask of those rows.
+    """Sum of t * log_p over the nonzeros t of ``targets``, the boolean mask
+    of the rows with positive mass, and the row of each nonzero.
 
-    ``targets`` holds nonnegative word weights, one row per ``log_p`` row.
+    ``targets`` is an N x V CSR matrix of nonnegative word weights, one row
+    per ``log_p`` row, canonical as ``features.vectorize_matrix`` makes it.
     """
-    targets = np.asarray(targets, dtype=float)
-    if np.any(targets < 0.0):
+    if np.any(targets.data < 0.0):
         raise ContractError("target rows must be nonnegative")
-    active = targets.sum(axis=1) > 0.0
-    return np.sum(targets[active] * log_p[active]), active
+    rows = np.repeat(np.arange(len(log_p)), np.diff(targets.indptr))
+    active = np.bincount(rows, weights=targets.data, minlength=len(log_p)) > 0.0
+    return np.sum(targets.data * log_p[rows, targets.indices]), active, rows
 
 
 def dialect_loss(logits, targets):
     """Mean cross-entropy of l1-normalized targets against softmax(logits).
 
+    ``targets`` is canonical CSR, as ``target_log_likelihood`` takes it.
     All-zero target rows are skipped; gradient is w.r.t. the pre-softmax
     logits.  Returns (loss, dLoss/dLogits).
     """
     log_p = log_softmax(np.asarray(logits, dtype=float))
-    ll, active = target_log_likelihood(log_p, targets)
+    ll, active, rows = target_log_likelihood(log_p, targets)
     n_active = int(active.sum())
     if n_active == 0:
         return 0.0, np.zeros_like(log_p)
     loss = -float(ll / n_active)
-    d_logits = np.where(active[:, None], np.exp(log_p) - targets, 0.0) / n_active
+    d_logits = np.exp(log_p)
+    d_logits[rows, targets.indices] -= targets.data
+    d_logits[~active] = 0.0
+    d_logits /= n_active
     return loss, d_logits
 
 

@@ -12,8 +12,8 @@ models take X as an N x V CSR feature matrix, kept sparse through the first
 layer (``backward`` gives W0's gradient as a ``network.RowGrad`` of the
 batch's rows, which ``network.regularization_penalty`` makes dense only
 under elastic net), and Y as an N x 2 coordinate array; the dialect model takes
-X as a dense N x 2 coordinate array and Y as an N x V CSR target matrix, of
-which a training batch densifies only its own rows.  The dialect model's V-wide
+X as a dense N x 2 coordinate array and Y as an N x V CSR target matrix,
+which the loss and the dev metric read as it is.  The dialect model's V-wide
 outputs (logits, the dev loss) are computed in ``kernels.row_blocks``, never
 for all rows at once; its region scores are weighted sums of each distinct
 point's hidden layer and log-normalizer, never a P x V log-probability matrix.
@@ -33,7 +33,6 @@ MDN and K for the shared MDN, and its selection rule is chosen at query time.
 from dataclasses import asdict
 
 import numpy as np
-from scipy import sparse
 
 from . import dialect as dl
 from . import heads
@@ -272,7 +271,7 @@ class DialectModel(_BaseModel):
     def _data_loss(self, X, Y, train_mode, rng):
         acts_in, cache = dl.gaussian_layer_forward_batch(self.params, X)
         acts = forward(self.params, self.spec, acts_in, train_mode=train_mode, rng=rng)
-        loss, d_logits = dl.dialect_loss(acts.output, _dense(Y))
+        loss, d_logits = dl.dialect_loss(acts.output, Y)
         grads, d_input = backward(self.params, self.spec, acts, d_logits, input_grad=True)
         grads.update(dl.gaussian_layer_backward(self.params, cache, d_input))
         return loss, grads
@@ -283,9 +282,7 @@ class DialectModel(_BaseModel):
         coords, Y = data
         ll, n_active = 0.0, 0
         for start, _, logits in self.logit_blocks(coords):
-            log_p = log_softmax(logits)
-            del logits  # one V-wide block fewer held while the target rows are densified
-            block_ll, active = dl.target_log_likelihood(log_p, _dense(Y[start:start + len(log_p)]))
+            block_ll, active, _ = dl.target_log_likelihood(log_softmax(logits), Y[start:start + len(logits)])
             ll += block_ll
             n_active += int(active.sum())
         return -float(ll / n_active) if n_active else 0.0
@@ -332,10 +329,6 @@ class DialectModel(_BaseModel):
         if len(terms) != spec.layer_sizes[-1]:
             raise CheckpointError(f"{len(terms)} terms for an output layer of {spec.layer_sizes[-1]}")
         return {"terms": terms}
-
-
-def _dense(Y):
-    return Y.toarray() if sparse.issparse(Y) else Y
 
 
 MODEL_CLASSES = {

@@ -8,6 +8,8 @@ penalty and its gradient, lives in ``regularization_penalty``, which adds
 the gradient to the weight blocks in row blocks of W.
 """
 
+import contextlib
+import ctypes
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -314,6 +316,47 @@ def _split_adam_passes(arrays, rows, g, coeffs):
         f.result()
 
 
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that ``/proc/self/maps``
+    shows loaded (numpy's scipy-openblas build, or a plain OpenBLAS), or None
+    where there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # the mapped file is gone
+            continue
+        for get, set_ in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                          ("openblas_get_num_threads", "openblas_set_num_threads")):
+            if hasattr(lib, get) and hasattr(lib, set_):
+                return getattr(lib, get), getattr(lib, set_)
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with the loaded OpenBLAS at one thread and restore its
+    count after; where there is none, just run the body.  ``train_loop`` runs
+    under it: a second BLAS thread mostly spin-waits on the core that Adam's
+    row ranges use instead, and training then ignores ``OPENBLAS_NUM_THREADS``."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@_one_blas_thread()
 def train_loop(model, train_data, dev_data, adam_cfg=None, stop_cfg=None,
                batch_size=32, max_epochs=100, seed=0, log_sink=None):
     """Minibatch Adam training with early stopping on the dev metric.

@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from dialect_reference import perplexity, word_log_probs
 from geomix import cluster, data, dialect as dl, features, geo, heads, models, network
@@ -41,7 +42,7 @@ def test_criterion_1_gradient_oracle():
             sh.params["raw_rhos"] += rng.normal(scale=0.3, size=K)
             worst = max(worst, max(network.gradient_check(sh, (np.asarray(X), Y)).values()))
             coords = rng.normal(scale=1.5, size=(4, 2))
-            targets = rng.dirichlet(np.ones(6), size=4)
+            targets = sparse.csr_matrix(rng.dirichlet(np.ones(6), size=4))
             dia = models.DialectModel.init(K, 4, [f"w{i}" for i in range(6)],
                                            rng.normal(scale=2.0, size=(max(K + 1, 8), 2)),
                                            seed=seed)
@@ -229,9 +230,9 @@ def train_dialect(seed):
     train, dev, test = data.generate_synthetic(spec)
     toks = [features.tokenize(r.text) for r in train]
     vocab = features.build_vocab(toks, min_df=1)
-    Ttr = features.vectorize_matrix(toks, vocab, scheme="l1_binary_idf").toarray()
+    Ttr = features.vectorize_matrix(toks, vocab, scheme="l1_binary_idf")
     Tdev = features.vectorize_matrix([features.tokenize(r.text) for r in dev],
-                                     vocab, scheme="l1_binary_idf").toarray()
+                                     vocab, scheme="l1_binary_idf")
     Ctr, Cdev = data.coords_array(train), data.coords_array(dev)
     model = models.DialectModel.init(4, 16, vocab.terms, Ctr, seed=seed + 1)
     network.train_loop(model, (Ctr, Ttr), (Cdev, Tdev),

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 from scipy.stats import multivariate_normal
 
-from dialect_reference import perplexity, word_log_probs
+from dialect_reference import dense_dev_metric, dense_dialect_loss, perplexity, word_log_probs
 from geomix import dialect as dl
 from geomix import kernels, models
-from geomix.kernels import inv_softplus, softsign
+from geomix.kernels import inv_softplus, log_softmax, softsign
 from geomix.geo import EARTH_RADIUS_KM, haversine_km
 from geomix.network import ContractError, gradient_check
 
@@ -90,12 +91,12 @@ def test_layer_backward_fd():
 def test_dialect_loss_values():
     # perfect (near-one-hot) prediction -> loss near 0
     logits = np.array([[50.0, 0.0, 0.0]])
-    targets = np.array([[1.0, 0.0, 0.0]])
+    targets = sparse.csr_matrix([[1.0, 0.0, 0.0]])
     loss, _ = dl.dialect_loss(logits, targets)
     assert loss < 1e-12
     # uniform prediction -> log V for any valid target
     V = 7
-    loss_u, _ = dl.dialect_loss(np.zeros((3, V)), np.full((3, V), 1.0 / V))
+    loss_u, _ = dl.dialect_loss(np.zeros((3, V)), sparse.csr_matrix(np.full((3, V), 1.0 / V)))
     assert abs(loss_u - np.log(V)) < 1e-12
 
 
@@ -103,18 +104,19 @@ def test_dialect_loss_skips_zero_rows_and_rejects_negative():
     logits = np.random.default_rng(2).normal(size=(3, 4))
     targets = np.zeros((3, 4))
     targets[1] = [0.25, 0.25, 0.25, 0.25]
+    targets = sparse.csr_matrix(targets)
     loss, grad = dl.dialect_loss(logits, targets)
     assert np.all(grad[0] == 0.0) and np.all(grad[2] == 0.0)
     only_row, _ = dl.dialect_loss(logits[1:2], targets[1:2])
     assert abs(loss - only_row) < 1e-12
     with pytest.raises(ContractError):
-        dl.dialect_loss(logits, np.array([[0.5, 0.5, 0.5, -0.5]] * 3))
+        dl.dialect_loss(logits, sparse.csr_matrix([[0.5, 0.5, 0.5, -0.5]] * 3))
 
 
 def test_dialect_loss_gradient_fd():
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(4, 5))
-    targets = rng.dirichlet(np.ones(5), size=4)
+    targets = sparse.csr_matrix(rng.dirichlet(np.ones(5), size=4))
     _, grad = dl.dialect_loss(logits, targets)
     h = 1e-5
     for i in range(4):
@@ -217,13 +219,17 @@ def test_region_scores_equal_the_per_word_oracle(block_rows, monkeypatch):
         dl.region_weights(counts, inside)
 
 
-def test_dialect_csr_batch_matches_dense_rows():
+def test_dialect_csr_batch_matches_dense_rows(monkeypatch):
+    """A training batch on CSR targets against the same batch through the
+    dense oracle ``dense_dialect_loss``."""
     model, coords, Y = dialect_model(seed=1)
     idx = np.random.default_rng(2).permutation(90)[:32]
     loss_s, grads_s = model.batch_loss_and_grads((coords, Y), idx, rng=np.random.default_rng(3),
                                                  train_mode=True)
-    loss_d, grads_d = model.batch_loss_and_grads((coords, Y.toarray()), idx,
-                                                 rng=np.random.default_rng(3), train_mode=True)
+    with monkeypatch.context() as m:
+        m.setattr(dl, "dialect_loss", lambda logits, targets: dense_dialect_loss(logits, targets.toarray()))
+        loss_d, grads_d = model.batch_loss_and_grads((coords, Y), idx,
+                                                     rng=np.random.default_rng(3), train_mode=True)
     assert loss_s == loss_d
     assert set(grads_s) == set(grads_d) == set(model.params)
     for block, g in grads_d.items():
@@ -234,11 +240,95 @@ def test_dialect_csr_batch_matches_dense_rows():
 
 def test_dialect_dev_metric_in_row_blocks(monkeypatch):
     model, coords, Y = dialect_model(seed=4)
-    one_shot, _ = model._data_loss(coords, Y.toarray(), train_mode=False, rng=None)
+    one_shot, _ = model._data_loss(coords, Y, train_mode=False, rng=None)
     assert model.dev_metric((coords, Y)) == one_shot  # 90 x 23 fits in one block
     monkeypatch.setattr(kernels, "ROW_BLOCK_ELEMS", 16 * 23)  # 16-row blocks
     blocked = model.dev_metric((coords, Y))
     assert abs(blocked - one_shot) <= 1e-12 * abs(one_shot)
+
+
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def gamma(m):
+    """Higham's gamma_m = m*u / (1 - m*u): a sum of m terms in any order is
+    within gamma_(m-1) times the sum of their magnitudes of the exact sum."""
+    return m * U / (1.0 - m * U)
+
+
+def csr_rows(v, rows):
+    """A canonical CSR matrix of width ``v`` from one {column: weight} dict
+    a row; a weight of 0.0 is stored as an explicit zero."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = [c for r in rows for c in sorted(r)]
+    data = [r[c] for r in rows for c in sorted(r)]
+    return sparse.csr_matrix((np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
+                             shape=(len(rows), v))
+
+
+@st.composite
+def loss_inputs(draw):
+    """(N x V logits, N x V CSR targets): rows with no entry, explicit
+    zeros, one nonzero or many, and now and then one negative weight."""
+    n, v = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    logits = draw(hnp.arrays(np.float64, (n, v), elements=st.floats(-50.0, 50.0)))
+    weight = st.sampled_from([0.0, 1.0, 0.25]) | st.floats(1e-300, 1e3)
+    rows = [draw(st.dictionaries(st.integers(0, v - 1), weight, max_size=v)) for _ in range(n)]
+    if draw(st.integers(0, 9)) == 0 and any(rows):
+        row = next(r for r in rows if r)
+        row[min(row)] = -draw(st.floats(1e-300, 1.0))
+    return logits, csr_rows(v, rows)
+
+
+LOGITS = np.random.default_rng(11).normal(scale=3.0, size=(5, 5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(loss_inputs())
+# an empty row, explicit zeros only, one nonzero, all weight on one word beside an explicit zero
+@example((LOGITS, csr_rows(5, [{}, {1: 0.0, 3: 0.0}, {2: 0.7}, {0: 1.0, 4: 0.0}, {1: 0.2, 2: 0.3, 4: 0.5}])))
+@example((LOGITS[:3], csr_rows(5, [{}, {0: 0.0}, {}])))  # no active row
+@example((LOGITS[:2], csr_rows(5, [{0: 0.5, 2: -0.5}, {1: 1.0}])))  # a negative weight
+def test_csr_dialect_loss_is_the_dense_formula(inputs):
+    """The gradient on CSR targets is the dense oracle's bit for bit.  Both
+    losses sum the same products t * log_p, in different orders, so they
+    differ by at most 2 gamma_m S / n_active for m summands of magnitude sum
+    S, plus the rounding of -ll / n_active on each side."""
+    logits, targets = inputs
+    dense = targets.toarray()
+    if np.any(targets.data < 0.0):
+        for loss_fn, t in ((dl.dialect_loss, targets), (dense_dialect_loss, dense)):
+            with pytest.raises(ContractError):
+                loss_fn(logits, t)
+        return
+    loss, grad = dl.dialect_loss(logits, targets)
+    loss_d, grad_d = dense_dialect_loss(logits, dense)
+    assert grad.tobytes() == grad_d.tobytes()
+    active = dense.sum(axis=1) > 0.0
+    n_active = int(active.sum())
+    if not n_active:
+        assert loss == loss_d == 0.0
+        return
+    m = max(targets.nnz, dense[active].size)
+    s = np.sum(np.abs(dense * log_softmax(logits))[active]) / (1.0 - gamma(m))  # >= the exact S
+    bound = 2.0 * (gamma(m) + U * (1.0 + gamma(m))) * s / n_active
+    assert abs(loss - loss_d) <= bound
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 16])
+def test_dialect_dev_metric_matches_the_dense_oracle(block_rows, monkeypatch):
+    """The row-blocked dev loss on CSR targets, with one target row emptied
+    and one holding only an explicit zero, against the dense one-pass oracle."""
+    model, coords, Y = dialect_model(seed=6)
+    Y = Y.tolil()
+    Y[3, :] = 0.0  # an empty row
+    Y = Y.tocsr()
+    assert Y.indptr[5] > Y.indptr[4]
+    Y.data[Y.indptr[4]:Y.indptr[5]] = 0.0  # a row of explicit zeros
+    if block_rows:
+        monkeypatch.setattr(kernels, "ROW_BLOCK_ELEMS", block_rows * 23)
+    want = dense_dev_metric(model, coords, Y.toarray())
+    assert abs(model.dev_metric((coords, Y)) - want) <= 1e-12 * abs(want)
 
 
 def test_dialect_dev_metric_without_target_mass():

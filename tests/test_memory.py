@@ -10,10 +10,11 @@ import threading
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from childrss import peak_rss_bytes, second_call_minor_faults
-from geomix import cli, data, features, network
+from geomix import cli, data, features, models, network
 
 
 @pytest.fixture(scope="module")
@@ -117,29 +118,59 @@ def small_train(tmp_path):
 def stub_blas(monkeypatch, threads):
     """Stands an OpenBLAS whose thread count is ``threads[0]`` in for the loaded one."""
     get_set = (lambda: threads[0], lambda n: threads.__setitem__(0, n))
-    monkeypatch.setattr(cli, "_openblas_threads", lambda: get_set)
+    monkeypatch.setattr(network, "_openblas_threads", lambda: get_set)
 
 
 def test_train_runs_at_one_blas_thread_and_restores_the_count(small_train, monkeypatch):
     threads, seen = [3], []
     stub_blas(monkeypatch, threads)
-    train_loop = network.train_loop
+    adam_step = network.adam_step
 
     def counted(*args, **kwargs):
         seen.append(threads[0])
-        return train_loop(*args, **kwargs)
+        return adam_step(*args, **kwargs)
 
-    monkeypatch.setattr(cli.network, "train_loop", counted)
+    monkeypatch.setattr(network, "adam_step", counted)
     assert cli.main(small_train) == 0
+    assert seen and set(seen) == {1} and threads == [3]
+
+    def failing(*args, **kwargs):
+        seen.append(threads[0])
+        raise network.TrainingError("non-finite gradient")
+
+    seen.clear()
+    monkeypatch.setattr(network, "adam_step", failing)
+    assert cli.main(small_train) == 1
     assert seen == [1] and threads == [3]
+
+
+def test_a_library_train_loop_runs_at_one_blas_thread(monkeypatch):
+    """``network.train_loop`` called without the CLI takes the same scope:
+    every step at one BLAS thread, the count restored after, also when a step
+    raises."""
+    threads, seen = [3], []
+    stub_blas(monkeypatch, threads)
+    model = models.RegressionGeolocator(network.NetworkSpec((4, 3, 2), seed=0))
+    rng = np.random.default_rng(1)
+    train = (rng.normal(size=(20, 4)), rng.normal(size=(20, 2)))
+    step = model.batch_loss_and_grads
+
+    def counted(*args, **kwargs):
+        seen.append(threads[0])
+        return step(*args, **kwargs)
+
+    model.batch_loss_and_grads = counted
+    assert len(network.train_loop(model, train, train, batch_size=8, max_epochs=2)) == 2
+    assert seen == [1] * 6 and threads == [3]
 
     def failing(*args, **kwargs):
         seen.append(threads[0])
         raise network.TrainingError("NaN loss")
 
-    monkeypatch.setattr(cli.network, "train_loop", failing)
-    assert cli.main(small_train) == 1
-    assert seen == [1, 1] and threads == [3]
+    model.batch_loss_and_grads = failing
+    with pytest.raises(network.TrainingError):
+        network.train_loop(model, train, train, batch_size=8, max_epochs=2)
+    assert seen[-1] == 1 and threads == [3]
 
 
 def test_train_without_a_blas_setter_runs_as_before(small_train, monkeypatch):
@@ -148,19 +179,19 @@ def test_train_without_a_blas_setter_runs_as_before(small_train, monkeypatch):
     checkpoint = Path(small_train[small_train.index("--checkpoint") + 1])
     with_setter = checkpoint.read_bytes()
     monkeypatch.undo()
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())  # no OpenBLAS symbols
-    assert cli._openblas_threads() is None
+    monkeypatch.setattr(network.ctypes, "CDLL", lambda name: SimpleNamespace())  # no OpenBLAS symbols
+    assert network._openblas_threads() is None
     assert cli.main(small_train) == 0
     assert checkpoint.read_bytes() == with_setter
 
 
 def test_the_blas_scope_sets_the_loaded_openblas_and_restores_it():
-    threads = cli._openblas_threads()
+    threads = network._openblas_threads()
     if threads is None:
         pytest.skip("no OpenBLAS with a thread setter is loaded")
     get, _ = threads
     before = get()
-    with cli._one_blas_thread():
+    with network._one_blas_thread():
         assert get() == 1
     assert get() == before
 
