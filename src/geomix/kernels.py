@@ -22,10 +22,14 @@ shifted to each mean (``bank_moments``).  Both contractions are ``einsum``
 rather than BLAS, so a row's value does not depend on the rows beside it.
 
 ``row_blocks`` bounds the wide outputs of the mixture log-likelihood over a
-heatmap grid or a dev set, of the dialect model's V-wide logits and of the
-k-means assignments; training batches, and the mixture arrays behind
-``predict`` and ``evaluate``, are not blocked.
+heatmap grid or a dev set, of the dialect model's V-wide logits, of the
+k-means assignments and of the elastic-net pass over W; training batches, and
+the mixture arrays behind ``predict`` and ``evaluate``, are not blocked.
+Importing this module sets the allocator policy they rely on (see
+``ROW_BLOCK_ELEMS``).
 """
+
+import ctypes
 
 import numpy as np
 
@@ -36,15 +40,33 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # when rho saturates.  Both clamp zones are stop-gradient regions.
 SIGMA_MIN = 1e-6
 Q_MIN = 1e-9
-# float64 values in one row block of a wide output: 2 MB, about one core's L2.
-# Under the CLI's allocator policy a block's temporaries are reused from the
-# heap by the next block instead of being mapped and faulted in afresh.  Block
-# size sweep, median seconds of the shared-MDN heatmap (10 000 points x
-# K = 900) / ``dialect`` (P = 10 000, V ~ 3 200) in fresh processes on 2 vCPUs
-# of a Xeon with 2 MB L2 a core: 2^15 0.32 / 0.74-0.89, 2^16 0.27 / 0.63,
-# 2^17 0.29 / 0.61, 2^18 0.28 / 0.58, 2^19 0.32 / 0.60, 2^20 0.34 / 0.62,
-# 2^21 0.32-0.45 / 0.68.
+# float64 values in one row block of a wide output: 2 MB, about one core's L2
+# and about glibc's dynamic mmap threshold, so each block temporary would be
+# mapped, faulted in and unmapped afresh.  Importing this module sets through
+# ``mallopt`` that blocks up to 32 MB (glibc's own cap) come from the heap and
+# that up to 128 MB of freed memory stays at its top for the next block and
+# call (a 10 000 x 900 shared-MDN heatmap: 33 700 faults and 0.13-0.22 s a call
+# without, 0 and 0.08-0.11 s with).  Block size sweep, median s of the
+# shared-MDN heatmap (10 000 points x K = 900) / ``dialect`` (P = 10 000,
+# V ~ 3 200), fresh processes, 2 vCPUs of a Xeon with 2 MB L2 a core: 2^15 0.32
+# / 0.74-0.89, 2^16 0.27 / 0.63, 2^17 0.29 / 0.61, 2^18 0.28 / 0.58, 2^19 0.32
+# / 0.60, 2^20 0.34 / 0.62, 2^21 0.32-0.45 / 0.68.
 ROW_BLOCK_ELEMS = 1 << 18
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 4 * MMAP_THRESHOLD
+
+
+def _set_allocator_policy():
+    """Set the policy above through glibc's ``mallopt``; nothing where there is none."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+_set_allocator_policy()
 
 
 def softplus(x):

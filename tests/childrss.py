@@ -30,6 +30,20 @@ rc = cli.main(sys.argv[1:])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 sys.exit(rc)
 """
+LIBRARY_GRID_SECOND_CALL_FAULTS = """\
+import resource, sys
+from geomix import data, features, heads
+checkpoint, vocab, text, bbox, res = sys.argv[1:]
+model = data.load_model(checkpoint)
+X = features.vectorize_matrix([features.tokenize(text)], features.load_vocab(vocab))
+rows = model.mixture_rows(X)
+points = heads.grid_cells(tuple(map(float, bbox.split(","))), int(res))[2]
+heads.predictive_density_grid(*rows, points)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+heads.predictive_density_grid(*rows, points)
+assert "geomix.cli" not in sys.modules
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 def _child(code, argv, timeout):
@@ -51,3 +65,11 @@ def second_call_minor_faults(argv, timeout=300):
     """Minor page faults of the second of two runs of ``geomix argv`` in one
     child, both of which must exit 0."""
     return _child(SECOND_CALL_FAULTS, argv, timeout)
+
+
+def library_grid_second_call_minor_faults(checkpoint, vocab, text, bbox, resolution, timeout=300):
+    """Minor page faults of the second of two ``heads.predictive_density_grid``
+    calls over the ``resolution`` x ``resolution`` grid of ``bbox`` for the
+    mixture of ``text``, in a child that loads ``checkpoint`` and ``vocab``
+    through the library and never imports ``geomix.cli``."""
+    return _child(LIBRARY_GRID_SECOND_CALL_FAULTS, [checkpoint, vocab, text, bbox, resolution], timeout)

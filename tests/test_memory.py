@@ -1,6 +1,7 @@
 """Peak memory of the dialect scoring and heatmap commands against their
-dense bounds, the page faults the CLI's allocator policy saves, and the
-threads ``train`` leaves to BLAS and to Adam."""
+dense bounds, the page faults saved in the CLI and in a library caller by
+the allocator policy that importing ``geomix.kernels`` sets, and the threads
+``train`` leaves to BLAS and to Adam."""
 
 import ctypes
 import os
@@ -13,8 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from childrss import peak_rss_bytes, second_call_minor_faults
-from geomix import cli, data, features, models, network
+from childrss import library_grid_second_call_minor_faults, peak_rss_bytes, second_call_minor_faults
+from geomix import cli, data, features, kernels, models, network
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +74,12 @@ def wide_shared(tmp_path_factory):
     return d
 
 
+SHARED_TEXT, SHARED_BBOX = "mode0tok0 mode1tok0", "25,55,-110,-90"
+
+
 def shared_heatmap(d, res):
     return ["heatmap", "--checkpoint", d / "shared.json", "--vocab", d / "vocab.tsv",
-            "--text", "mode0tok0 mode1tok0", "--bbox", "25,55,-110,-90",
+            "--text", SHARED_TEXT, "--bbox", SHARED_BBOX,
             "--resolution", res, "--output", d / f"grid{res}.csv"]
 
 
@@ -88,22 +92,32 @@ def test_geolocation_heatmap_stays_below_two_dense_grids(wide_shared):
 
 @pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None, reason="no glibc mallopt")
 def test_heatmap_reuses_the_heap_on_a_second_call(wide_shared):
-    """Under the CLI's allocator policy a second wide heatmap in the same
-    process reuses the memory the first one freed."""
+    """Under the allocator policy a second wide heatmap in the same process
+    reuses the memory the first one freed."""
     faults = second_call_minor_faults(shared_heatmap(wide_shared, 100))
-    # without the policy each block temporary is mapped and faulted in afresh:
-    # about 17 000 faults with 16 MB blocks
+    # without the policy each 2 MB block temporary is mapped and faulted in
+    # afresh: about 37 900 faults
     assert faults < 2000, faults
 
 
-def test_main_sets_the_allocator_policy_where_libc_has_it(tmp_path, monkeypatch):
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None, reason="no glibc mallopt")
+def test_a_library_density_grid_reuses_the_heap_on_a_second_call(wide_shared):
+    """A host process that calls ``heads.predictive_density_grid`` without
+    ``geomix.cli`` gets the same policy, from importing ``geomix.kernels``."""
+    d = wide_shared
+    faults = library_grid_second_call_minor_faults(d / "shared.json", d / "vocab.tsv",
+                                                   SHARED_TEXT, SHARED_BBOX, 100)
+    # without the policy: about 37 700 faults
+    assert faults < 2000, faults
+
+
+def test_kernels_set_the_allocator_policy_where_libc_has_it(monkeypatch):
     calls = []
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=lambda *a: calls.append(a)))
-    argv = ["synth", "--out-prefix", str(tmp_path / "s-"), "--users-per-mode", "5"]
-    assert cli.main(argv) == 0
-    assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 128 << 20)]
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())  # no mallopt
-    assert cli.main(argv) == 0
+    monkeypatch.setattr(kernels.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=lambda *a: calls.append(a)))
+    kernels._set_allocator_policy()
+    assert calls == [(kernels.M_MMAP_THRESHOLD, 32 << 20), (kernels.M_TRIM_THRESHOLD, 128 << 20)]
+    monkeypatch.setattr(kernels.ctypes, "CDLL", lambda name: SimpleNamespace())  # no mallopt
+    kernels._set_allocator_policy()
 
 
 @pytest.fixture
